@@ -2,7 +2,9 @@
 // Earth Simulator specification (Table I), the yycore scaling results
 // (Table II), the cross-paper comparison (Table III), the MPIPROGINF
 // report (List 1), the section-V I/O bookkeeping, and the design-choice
-// ablations of DESIGN.md.
+// ablations of DESIGN.md. It reproduces the paper's figures; how fast
+// this host runs the solver is measured by benchmark/ (BENCHMARK.json,
+// sh benchmark/run.sh), not here.
 //
 // Examples:
 //
@@ -17,7 +19,6 @@ import (
 	"os"
 
 	"repro/internal/bench"
-	"repro/internal/grid"
 )
 
 func main() {
@@ -29,11 +30,6 @@ func main() {
 		scaling   = flag.Bool("scaling", false, "print the model strong-scaling sweep")
 		all       = flag.Bool("all", false, "print everything")
 		measure   = flag.Bool("measure", false, "re-measure the step profile from the live solver instead of the baked reference")
-		jsonDir   = flag.String("json", "", "run the kernel, halo and observability benchmarks and write BENCH_kernels.json/BENCH_halo.json/BENCH_obs.json into this directory")
-		gate      = flag.String("gate", "", "re-run the halo benchmarks and fail if allocs/op regresses above this baseline BENCH_halo.json")
-		gateObs   = flag.String("gate-obs", "", "re-run the observability benchmarks and fail if allocs/op (strict) or ns/op (10x slack) regresses above this baseline BENCH_obs.json")
-		gateStep  = flag.String("gate-step", "", "check the committed fused-RHS speedup in this baseline BENCH_kernels.json and re-measure fused vs reference as a live tripwire")
-		gateStore = flag.String("gate-store", "", "re-run the run-ledger store benchmarks and fail if the dedup blob-write path allocates or regresses above this baseline BENCH_store.json")
 	)
 	flag.Parse()
 
@@ -45,33 +41,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "yybench:", err)
 			os.Exit(1)
 		}
-	}
-	if *jsonDir != "" {
-		s := grid.NewSpec(17, 17)
-		check(bench.WriteBenchJSON(*jsonDir, s, []int{1, 2, 4}))
-		check(bench.WriteStoreBenchJSON(*jsonDir))
-		fmt.Fprintf(w, "wrote %s/BENCH_kernels.json, %s/BENCH_halo.json, %s/BENCH_obs.json and %s/BENCH_store.json\n", *jsonDir, *jsonDir, *jsonDir, *jsonDir)
-		ran = true
-	}
-	if *gate != "" {
-		check(bench.GateHaloAllocs(*gate, grid.NewSpec(17, 17)))
-		fmt.Fprintf(w, "halo alloc gate passed against %s\n", *gate)
-		ran = true
-	}
-	if *gateObs != "" {
-		check(bench.GateObsOverhead(*gateObs))
-		fmt.Fprintf(w, "observability overhead gate passed against %s\n", *gateObs)
-		ran = true
-	}
-	if *gateStep != "" {
-		check(bench.GateStep(*gateStep, grid.NewSpec(17, 17)))
-		fmt.Fprintf(w, "fused-RHS step gate passed against %s\n", *gateStep)
-		ran = true
-	}
-	if *gateStore != "" {
-		check(bench.GateStoreAllocs(*gateStore))
-		fmt.Fprintf(w, "run-ledger store gate passed against %s\n", *gateStore)
-		ran = true
 	}
 	if *all || *table == 1 {
 		bench.RunTable1(w)

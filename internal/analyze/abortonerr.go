@@ -7,8 +7,8 @@ import (
 )
 
 // AbortOnErr reports rank functions (func literals passed to mpi.Run /
-// mpi.RunWith) that capture an error into a variable shared with the
-// driver and then keep running.
+// mpi.RunWith / core.RunRanks) that capture an error into a variable
+// shared with the driver and then keep running.
 //
 // Paper provenance: every rank of the goroutine runtime participates in
 // collectives and paired sends/receives. A rank that stores its error
@@ -32,7 +32,7 @@ func runAbortOnErr(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			if name := calleeName(call); name != "Run" && name != "RunWith" {
+			if name := calleeName(call); name != "Run" && name != "RunWith" && name != "RunRanks" {
 				return true
 			}
 			for _, arg := range call.Args {
@@ -58,16 +58,17 @@ func calleeName(call *ast.CallExpr) string {
 	return ""
 }
 
-// isRankFn recognizes the rank-function shape: exactly one parameter
-// whose type is a pointer to a named type with an Abort method (i.e.
-// *mpi.Comm or a fixture equivalent).
+// isRankFn recognizes the rank-function shape: a first parameter whose
+// type is a pointer to a named type with an Abort method (i.e.
+// *mpi.Comm or a fixture equivalent); core.RunRanks hands its body the
+// built rank and recorder after it.
 func isRankFn(pass *Pass, fl *ast.FuncLit) bool {
 	tv, ok := pass.TypesInfo.Types[fl]
 	if !ok {
 		return false
 	}
 	sig, ok := tv.Type.(*types.Signature)
-	if !ok || sig.Params().Len() != 1 {
+	if !ok || sig.Params().Len() < 1 {
 		return false
 	}
 	ptr, ok := sig.Params().At(0).Type().(*types.Pointer)

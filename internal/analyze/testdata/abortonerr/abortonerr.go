@@ -25,6 +25,10 @@ func Run(n int, fn func(*Comm)) error { fn(&Comm{}); return nil }
 // RunWith mimics mpi.RunWith.
 func RunWith(n int, cfg int, fn func(*Comm)) error { fn(&Comm{}); return nil }
 
+// RunRanks mimics core.RunRanks: the rank function also receives what
+// the helper built for it.
+func RunRanks(n int, fn func(*Comm, int)) error { fn(&Comm{}, 0); return nil }
+
 func setup() (int, error) { return 0, nil }
 
 // capturesAndKeepsRunning is the bug class: the error is recorded, the
@@ -56,6 +60,19 @@ func capturesInsideLoop() error {
 			}
 			c.Barrier()
 		}
+	})
+	return rankErr
+}
+
+// capturesUnderRunRanks: the same bug class in a body handed to the
+// rank-building helper.
+func capturesUnderRunRanks() error {
+	var rankErr error
+	RunRanks(4, func(c *Comm, r int) {
+		if _, err := setup(); err != nil {
+			rankErr = err // want "error captured into shared variable rankErr"
+		}
+		c.Barrier()
 	})
 	return rankErr
 }

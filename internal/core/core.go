@@ -48,9 +48,6 @@ type Config struct {
 	IC *mhd.InitialConditions
 	// SafetyFactor scales the automatic time step (default 0.3).
 	SafetyFactor float64
-	// Concurrent steps the two panels on separate goroutines (bit-exact
-	// versus sequential; roughly 2x on multicore hosts).
-	Concurrent bool
 	// Workers sets the intra-rank worker-pool width for the tiled stencil
 	// and overset kernels. 0 selects the automatic split (GOMAXPROCS
 	// divided over the ranks of a parallel run); 1 forces serial kernels.
@@ -137,7 +134,6 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	sv.Concurrent = cfg.Concurrent
 	sim := &Simulation{Cfg: cfg, Solver: sv, rr: rr}
 	if cfg.Workers > 1 {
 		sim.pool = par.NewPool(cfg.Workers)
@@ -254,6 +250,30 @@ func (s *Simulation) ExportViz(w io.Writer, subsample int) error {
 	return snapshot.WriteVizExport(w, ex)
 }
 
+// RunRanks runs body on every rank of layout's world under rc. It is
+// the one rank prologue and epilogue of every decomposed driver: open
+// the rank's track on rc.Obs, build the decomposed rank inside a setup
+// span (a construction error aborts the world, so no peer is left
+// blocked), wire the recorder and plane's publish slot, and close rank
+// and track when body returns. cfg must have its defaults applied.
+func RunRanks(cfg Config, layout *decomp.Layout, rc mpi.RunConfig, plane *telemetry.Plane, body func(w *mpi.Comm, r *decomp.Rank, rr *obs.RankRec)) error {
+	return mpi.RunWith(layout.NProcs, rc, func(w *mpi.Comm) {
+		rr := rc.Obs.RankFor(w.Rank())
+		rr.Open()
+		defer rr.Close()
+		sp := rr.Begin(obs.SpanSetup)
+		r, err := decomp.NewRankWorkers(w, layout, *cfg.Params, *cfg.IC, cfg.Workers)
+		if err != nil {
+			w.Abort(err)
+		}
+		defer r.Close()
+		r.SetObs(rr)
+		r.SetTelemetry(plane.Rank(w.Rank()))
+		sp.End()
+		body(w, r, rr)
+	})
+}
+
 // RunParallel executes the same simulation decomposed over nProcs
 // goroutine ranks (2 panels x 2-D process grid, exactly the paper's
 // parallelization) for the given number of steps, and returns the
@@ -270,19 +290,7 @@ func RunParallel(cfg Config, nProcs, steps, recordEvery int, dt float64) ([]mhd.
 	}
 	var mu sync.Mutex
 	var out []mhd.Diagnostics
-	err = mpi.RunWith(nProcs, mpi.RunConfig{Obs: cfg.Obs}, func(w *mpi.Comm) {
-		rr := cfg.Obs.RankFor(w.Rank())
-		rr.Open()
-		defer rr.Close()
-		sp := rr.Begin(obs.SpanSetup)
-		r, err := decomp.NewRankWorkers(w, layout, *cfg.Params, *cfg.IC, cfg.Workers)
-		if err != nil {
-			w.Abort(err)
-		}
-		defer r.Close()
-		r.SetObs(rr)
-		r.SetTelemetry(cfg.Telemetry.Rank(w.Rank()))
-		sp.End()
+	err = RunRanks(cfg, layout, mpi.RunConfig{Obs: cfg.Obs}, cfg.Telemetry, func(w *mpi.Comm, r *decomp.Rank, _ *obs.RankRec) {
 		step := dt
 		if step <= 0 {
 			step = r.EstimateDT(cfg.SafetyFactor)
@@ -349,7 +357,6 @@ func RunParallelCheckpointWith(cfg Config, rc mpi.RunConfig, nProcs, steps int, 
 	if rc.Obs == nil {
 		rc.Obs = cfg.Obs
 	}
-	rec := rc.Obs
 	layout, err := decomp.NewLayout(cfg.Spec(), nProcs)
 	if err != nil {
 		return nil, err
@@ -357,19 +364,7 @@ func RunParallelCheckpointWith(cfg Config, rc mpi.RunConfig, nProcs, steps int, 
 	var mu sync.Mutex
 	var out []mhd.Diagnostics
 	var ckpt []byte
-	err = mpi.RunWith(nProcs, rc, func(wc *mpi.Comm) {
-		rr := rec.RankFor(wc.Rank())
-		rr.Open()
-		defer rr.Close()
-		sp := rr.Begin(obs.SpanSetup)
-		r, err := decomp.NewRankWorkers(wc, layout, *cfg.Params, *cfg.IC, cfg.Workers)
-		if err != nil {
-			wc.Abort(err)
-		}
-		defer r.Close()
-		r.SetObs(rr)
-		r.SetTelemetry(cfg.Telemetry.Rank(wc.Rank()))
-		sp.End()
+	err = RunRanks(cfg, layout, rc, cfg.Telemetry, func(wc *mpi.Comm, r *decomp.Rank, rr *obs.RankRec) {
 		step := dt
 		if step <= 0 {
 			step = r.EstimateDT(cfg.SafetyFactor)

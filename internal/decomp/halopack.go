@@ -18,8 +18,8 @@ const (
 // rank's halo and rim exchanges. Every buffer is sized once, for the
 // largest exchange the rank ever performs (maxFields fields times the
 // longest padded row extent), and reused for every phase of every step
-// — the steady-state halo path performs zero allocations, which the
-// decomp benchmarks assert with -benchmem.
+// — the steady-state halo path performs zero allocations, which
+// TestHaloPackZeroAlloc pins.
 //
 // Reuse is safe because mpi.Send copies its payload synchronously: the
 // moment Send returns, the staging buffer may be repacked, and receive
@@ -48,55 +48,29 @@ func NewHaloBufs(p *grid.Patch, maxFields int) *HaloBufs {
 	return hb
 }
 
-// PackPhi packs padded-phi column k of every field (full padded theta
-// range, radial-fastest) into the dir-th send buffer and returns the
-// filled prefix.
+// PackPhi packs padded-phi column k of every field over the full padded
+// theta range (radial-fastest) into the dir-th send buffer and returns
+// the filled prefix.
 func (hb *HaloBufs) PackPhi(fields []*field.Scalar, k, dir int) []float64 {
-	buf := hb.send[dir][:len(fields)*hb.ntP*hb.nrP]
-	pos := 0
-	for _, f := range fields {
-		for j := 0; j < hb.ntP; j++ {
-			pos += copy(buf[pos:], f.Row(j, k))
-		}
-	}
-	return buf
+	return hb.PackPhiRange(fields, k, 0, hb.ntP, dir)
 }
 
 // UnpackPhi scatters a PackPhi-layout buffer into padded-phi column k of
 // every field.
 func (hb *HaloBufs) UnpackPhi(fields []*field.Scalar, k int, buf []float64) {
-	pos := 0
-	for _, f := range fields {
-		for j := 0; j < hb.ntP; j++ {
-			copy(f.Row(j, k), buf[pos:pos+hb.nrP])
-			pos += hb.nrP
-		}
-	}
+	hb.UnpackPhiRange(fields, k, 0, hb.ntP, buf)
 }
 
-// PackTheta packs padded-theta row j of every field (full padded phi
-// range, carrying corner values) into the dir-th send buffer.
+// PackTheta packs padded-theta row j of every field over the full
+// padded phi range (carrying corner values) into the dir-th send buffer.
 func (hb *HaloBufs) PackTheta(fields []*field.Scalar, j, dir int) []float64 {
-	buf := hb.send[dir][:len(fields)*hb.npP*hb.nrP]
-	pos := 0
-	for _, f := range fields {
-		for k := 0; k < hb.npP; k++ {
-			pos += copy(buf[pos:], f.Row(j, k))
-		}
-	}
-	return buf
+	return hb.PackThetaRange(fields, j, 0, hb.npP, dir)
 }
 
 // UnpackTheta scatters a PackTheta-layout buffer into padded-theta row j
 // of every field.
 func (hb *HaloBufs) UnpackTheta(fields []*field.Scalar, j int, buf []float64) {
-	pos := 0
-	for _, f := range fields {
-		for k := 0; k < hb.npP; k++ {
-			copy(f.Row(j, k), buf[pos:pos+hb.nrP])
-			pos += hb.nrP
-		}
-	}
+	hb.UnpackThetaRange(fields, j, 0, hb.npP, buf)
 }
 
 // PackRowCells packs the rim-crossing cells (j, k in cols) of every
@@ -149,9 +123,9 @@ func (hb *HaloBufs) UnpackColCells(fields []*field.Scalar, k int, rows []int, bu
 }
 
 // PackPhiRange packs padded-phi column k of every field over theta rows
-// j in [j0, j1) only — the corner-free message of the overlapped
-// exchange, which restricts both directions to the owned ranges so no
-// halo-of-halo values ever travel.
+// j in [j0, j1). Restricted to the owned range it is the corner-free
+// message of the overlapped exchange, in which no halo-of-halo values
+// ever travel.
 func (hb *HaloBufs) PackPhiRange(fields []*field.Scalar, k, j0, j1, dir int) []float64 {
 	buf := hb.send[dir][:len(fields)*(j1-j0)*hb.nrP]
 	pos := 0
@@ -176,7 +150,7 @@ func (hb *HaloBufs) UnpackPhiRange(fields []*field.Scalar, k, j0, j1 int, buf []
 }
 
 // PackThetaRange packs padded-theta row j of every field over phi
-// columns k in [k0, k1) only.
+// columns k in [k0, k1).
 func (hb *HaloBufs) PackThetaRange(fields []*field.Scalar, j, k0, k1, dir int) []float64 {
 	buf := hb.send[dir][:len(fields)*(k1-k0)*hb.nrP]
 	pos := 0
@@ -200,26 +174,24 @@ func (hb *HaloBufs) UnpackThetaRange(fields []*field.Scalar, j, k0, k1 int, buf 
 	}
 }
 
-// RecvRange returns the dir-th receive buffer sized for a corner-free
-// message of nFields fields over nRows rows or columns.
+// RecvRange returns the dir-th receive buffer sized for a message of
+// nFields fields over nRows rows, columns or rim cells.
 func (hb *HaloBufs) RecvRange(nFields, nRows, dir int) []float64 {
 	return hb.recv[dir][:nFields*nRows*hb.nrP]
 }
 
-// RecvTheta returns the dir-th receive buffer sized for a theta-phase
-// message of nFields fields.
+// RecvTheta sizes the receive buffer for a full theta-phase message.
 func (hb *HaloBufs) RecvTheta(nFields, dir int) []float64 {
-	return hb.recv[dir][:nFields*hb.npP*hb.nrP]
+	return hb.RecvRange(nFields, hb.npP, dir)
 }
 
-// RecvPhi returns the dir-th receive buffer sized for a phi-phase
-// message of nFields fields.
+// RecvPhi sizes the receive buffer for a full phi-phase message.
 func (hb *HaloBufs) RecvPhi(nFields, dir int) []float64 {
-	return hb.recv[dir][:nFields*hb.ntP*hb.nrP]
+	return hb.RecvRange(nFields, hb.ntP, dir)
 }
 
-// RecvCells returns the dir-th receive buffer sized for a rim-refresh
-// message of nFields fields over nCells rim-crossing cells.
+// RecvCells sizes the receive buffer for a rim-refresh message over
+// nCells rim-crossing cells.
 func (hb *HaloBufs) RecvCells(nFields, nCells, dir int) []float64 {
-	return hb.recv[dir][:nFields*nCells*hb.nrP]
+	return hb.RecvRange(nFields, nCells, dir)
 }

@@ -500,35 +500,6 @@ func TestRunAdaptive(t *testing.T) {
 	}
 }
 
-// TestConcurrentPanelsIdentical: stepping the panels on goroutines gives
-// bit-identical results to the sequential path.
-func TestConcurrentPanelsIdentical(t *testing.T) {
-	mk := func(conc bool) *Solver {
-		sv, err := NewSolver(testSpec(), Default(), DefaultIC())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sv.Concurrent = conc
-		for n := 0; n < 4; n++ {
-			sv.Advance(2e-3)
-		}
-		return sv
-	}
-	a := mk(false)
-	b := mk(true)
-	for pi := range a.Panels {
-		fa := a.Panels[pi].U.Scalars()
-		fb := b.Panels[pi].U.Scalars()
-		for vi := range fa {
-			for i := range fa[vi].Data {
-				if fa[vi].Data[i] != fb[vi].Data[i] {
-					t.Fatalf("concurrent stepping diverged: panel %d var %d", pi, vi)
-				}
-			}
-		}
-	}
-}
-
 // TestBiquadraticRimSolver: the solver runs stably with third-order rim
 // interpolation, and the overlap "double solution" disagreement after
 // stepping is no worse than (and typically better than) bilinear.

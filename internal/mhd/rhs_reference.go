@@ -10,9 +10,10 @@ import (
 // full-field sphops sweep per operator, exactly as FinishRHS was written
 // before the kernels were fused. It is kept (a) as the oracle the fusion
 // equivalence suite (rhs_reference_test.go) pins FinishRHS against,
-// bit for bit, and (b) as the baseline row yybench measures the fusion
-// speedup from. It must not be edited except in lockstep with a
-// deliberate re-derivation of the fused kernel.
+// bit for bit, and (b) as the baseline TestFusedRHSSpeedupTripwire and
+// benchmark/'s mhd.finish_rhs_ref_ratio measure the fusion speedup
+// from. It must not be edited except in lockstep with a deliberate
+// re-derivation of the fused kernel.
 func FinishRHSReference(pl *Panel, prm Params, u, out *State, sync func(fs ...*field.Scalar)) {
 	p := pl.Patch
 	w := pl.W

@@ -1,6 +1,7 @@
 package mhd
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/field"
@@ -188,5 +189,54 @@ func TestFusedRHSRegionCover(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// fusedSpeedupMin is the live fused-vs-reference tripwire. The fused
+// FinishRHS measures 1.8-2.1x the reference on the development host
+// (benchmark/ reports the live figure as mhd.finish_rhs_ref_ratio);
+// the bound sits well under that because the reference shares the
+// bounds-check-hardened fd kernels with the fused path, so a same-run
+// ratio understates the gain over the original unfused code, and
+// shared-host noise adds +-20% on top. The test exists to catch the
+// fused path itself collapsing, not to re-prove a speedup figure.
+const fusedSpeedupMin = 1.4
+
+// TestFusedRHSSpeedupTripwire re-measures the fused FinishRHS against
+// the unfused reference on the 17x17x49 panel: the ratio of the fastest
+// of up to three interleaved testing.Benchmark runs of each must stay
+// above fusedSpeedupMin.
+func TestFusedRHSSpeedupTripwire(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test: skipped under -short")
+	}
+	sv, err := NewSolver(grid.NewSpec(17, 17), Default(), DefaultIC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := sv.Panels[grid.Yin]
+	rhs := NewState(pl.U.P.Shape)
+	prm := Default()
+	ComputeVTB(pl, &pl.U)
+	nsPerOp := func(fn func()) float64 {
+		res := testing.Benchmark(func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				fn()
+			}
+		})
+		return float64(res.T.Nanoseconds()) / float64(res.N)
+	}
+	// A disturbance only ever adds time, so the minimum per side is
+	// the honest sample; stop as soon as the minima clear the bound.
+	fused, ref, ratio := math.Inf(1), math.Inf(1), 0.0
+	for i := 0; i < 3 && ratio < fusedSpeedupMin; i++ {
+		fused = math.Min(fused, nsPerOp(func() { FinishRHS(pl, prm, &pl.U, &rhs, nil) }))
+		ref = math.Min(ref, nsPerOp(func() { FinishRHSReference(pl, prm, &pl.U, &rhs, nil) }))
+		ratio = ref / fused
+	}
+	t.Logf("fused %.0f ns/op, reference %.0f ns/op, ratio %.2fx", fused, ref, ratio)
+	if ratio < fusedSpeedupMin {
+		t.Fatalf("fused FinishRHS is only %.2fx the unfused reference (%.0f vs %.0f ns/op), tripwire %.1fx",
+			ratio, fused, ref, fusedSpeedupMin)
 	}
 }

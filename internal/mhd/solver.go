@@ -3,7 +3,6 @@ package mhd
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/grid"
 	"repro/internal/overset"
@@ -24,11 +23,6 @@ type Solver struct {
 	// Scheme selects the time integrator; the zero value is the paper's
 	// classical RK4.
 	Scheme Integrator
-	// Concurrent steps the two panels on separate goroutines. The panels
-	// are data-independent between constraint applications, so results
-	// are bit-identical to the sequential path (tested); on multicore
-	// hosts this halves the step time.
-	Concurrent bool
 
 	ex   *overset.Exchanger
 	ex3  *overset.Exchanger3 // non-nil when third-order rims are selected
@@ -86,8 +80,7 @@ func newSolver(s grid.Spec, prm Params, ic InitialConditions, order int) (*Solve
 // the worker pool (nil restores serial kernels). All routed kernels are
 // bit-identical to their serial forms, so SetPool never changes
 // results, only wall-clock time. The solver does not own the pool: the
-// caller creates it once per rank and closes it after the run. Safe
-// with Concurrent — concurrent For calls on one pool are independent.
+// caller creates it once per rank and closes it after the run.
 func (sv *Solver) SetPool(pool *par.Pool) {
 	for _, pl := range sv.Panels {
 		pl.Patch.Par = pool
@@ -135,25 +128,11 @@ func (sv *Solver) rhs() {
 	})
 }
 
-// eachPanel runs fn on both panels, concurrently when enabled. The two
-// panels never touch each other's storage inside fn, so the concurrent
-// path is deterministic.
+// eachPanel runs fn on both panels in turn.
 func (sv *Solver) eachPanel(fn func(pl *Panel)) {
-	if !sv.Concurrent {
-		for _, pl := range sv.Panels {
-			fn(pl)
-		}
-		return
-	}
-	var wg sync.WaitGroup
 	for _, pl := range sv.Panels {
-		wg.Add(1)
-		go func(p *Panel) {
-			defer wg.Done()
-			fn(p)
-		}(pl)
+		fn(pl)
 	}
-	wg.Wait()
 }
 
 // Advance performs one classical RK4 step of size dt:

@@ -18,8 +18,8 @@
 //  3. Zero allocations on the hot path. Span records go into a
 //     fixed-capacity per-rank ring (oldest entries are overwritten and
 //     counted, never reallocated), and metric observations land in
-//     preallocated atomic buckets; 0 allocs/op is pinned by tests and
-//     the BENCH_obs.json baseline.
+//     preallocated atomic buckets; 0 allocs/op is pinned by
+//     TestSpanRecordZeroAlloc.
 //
 // Concurrency contract: a *RankRec belongs to one rank's goroutine (the
 // runtime's ranks are goroutines; each records only its own timeline).

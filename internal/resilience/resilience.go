@@ -587,19 +587,7 @@ func runSegment(ccfg core.Config, layout *decomp.Layout, rc mpi.RunConfig, plane
 		next *mhd.Solver
 		diag mhd.Diagnostics
 	)
-	err := mpi.RunWith(layout.NProcs, rc, func(w *mpi.Comm) {
-		rr := rc.Obs.RankFor(w.Rank())
-		rr.Open()
-		defer rr.Close()
-		sp := rr.Begin(obs.SpanSetup)
-		r, err := decomp.NewRankWorkers(w, layout, *ccfg.Params, *ccfg.IC, ccfg.Workers)
-		if err != nil {
-			w.Abort(err)
-		}
-		defer r.Close()
-		r.SetObs(rr)
-		r.SetTelemetry(plane.Rank(w.Rank()))
-		sp.End()
+	err := core.RunRanks(ccfg, layout, rc, plane, func(w *mpi.Comm, r *decomp.Rank, _ *obs.RankRec) {
 		var in *snapshot.Interior
 		if w.Rank() == 0 {
 			if w.Epoch() > 0 {

@@ -209,9 +209,9 @@ func Open(primary Backend, replicas ...Backend) (*Store, error) {
 // Put stores data under its content address and returns the address.
 // The steady-state path — a blob the store already holds, the shape
 // bit-identical reruns produce — is a hash plus an index hit and
-// allocates nothing (pinned by BENCH_store.json and yybench
-// -gate-store). A miss commits the object atomically to the primary
-// and mirrors it to every replica.
+// allocates nothing (pinned by TestStorePutDedupZeroAlloc). A miss
+// commits the object atomically to the primary and mirrors it to every
+// replica.
 func (s *Store) Put(data []byte) (Hash, error) {
 	h := HashOf(data)
 	s.mu.RLock()

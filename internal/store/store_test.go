@@ -380,3 +380,26 @@ func TestCrashAfterRenameCommits(t *testing.T) {
 		t.Fatalf("Get after crash-after-rename = %q, %v", got, err)
 	}
 }
+
+// TestStorePutDedupZeroAlloc pins the steady-state blob-write contract:
+// re-putting a blob the store already holds is a sha256 plus an index
+// hit and must not touch the allocator. The payload is checkpoint-sized
+// so the hash, not the call overhead, is what runs.
+func TestStorePutDedupZeroAlloc(t *testing.T) {
+	st, _ := newTestStore(t)
+	payload := make([]byte, 64<<10)
+	for i := range payload {
+		payload[i] = byte(i * 31)
+	}
+	if _, err := st.Put(payload); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := st.Put(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Put allocates %.1f allocs/op, want 0", allocs)
+	}
+}

@@ -12,7 +12,7 @@
 // already exists.
 //
 // Design constraints, inherited from internal/obs and enforced by the
-// det-purity analyzer and the BENCH_obs.json gate:
+// det-purity analyzer and TestPublishZeroAlloc:
 //
 //  1. The publisher side (this file) runs inside the solver step on the
 //     rank goroutines of a deterministic package. It must not read the
@@ -107,8 +107,8 @@ type RankPub struct {
 }
 
 // Publish stores the snapshot: a fixed number of atomic word stores,
-// no allocation, no locks, no clock (pinned by BENCH_obs.json and the
-// det-purity analyzer). Nil-safe: a nil receiver is a no-op.
+// no allocation, no locks, no clock (pinned by TestPublishZeroAlloc and
+// the det-purity analyzer). Nil-safe: a nil receiver is a no-op.
 func (p *RankPub) Publish(s Snapshot) {
 	if p == nil {
 		return

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"sync"
 	"testing"
 )
@@ -56,6 +57,45 @@ func TestPublishZeroAlloc(t *testing.T) {
 		p.Read()
 	}); n != 0 {
 		t.Fatalf("Read allocates %v/op, want 0", n)
+	}
+}
+
+// TestPublishCostTripwire bounds what a rank pays per step to publish
+// and what the collector pays per read. The reference costs are what
+// the two measure on one core of the development host (benchmark/
+// reports the live figure as telemetry.publish_ns); the bound is 10x
+// that plus 100 ns because CI machines are shared and slower, and the
+// only regressions this must catch are order-of-magnitude ones: a lock,
+// a formatting call or an allocation on the step path.
+func TestPublishCostTripwire(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing test: skipped under -short and -race")
+	}
+	p := &RankPub{}
+	s := Snapshot{Step: 1, DT: 1e-3, DivB: 1e-9}
+	for _, c := range []struct {
+		name  string
+		refNs float64
+		fn    func()
+	}{
+		{"Publish", 97, func() { s.Step++; p.Publish(s) }},
+		{"Read", 28, func() { p.Read() }},
+	} {
+		limit := 10*c.refNs + 100
+		// Fastest of up to three runs: a disturbance only ever adds
+		// time, and one run within the limit settles the minimum.
+		best := math.Inf(1)
+		for i := 0; i < 3 && best > limit; i++ {
+			res := testing.Benchmark(func(b *testing.B) {
+				for n := 0; n < b.N; n++ {
+					c.fn()
+				}
+			})
+			best = math.Min(best, float64(res.T.Nanoseconds())/float64(res.N))
+		}
+		if best > limit {
+			t.Errorf("%s takes %.0f ns/op, limit %.0f (10 x %.0f + 100)", c.name, best, limit, c.refNs)
+		}
 	}
 }
 

@@ -49,14 +49,6 @@
 #                      chain, Merkle roots and anchor must come back
 #                      clean, and GC must keep every ledger-reachable
 #                      object
-#  10. step gate     — the fused-RHS speedup gate: the committed
-#                      BENCH_kernels.json step section must claim
-#                      >=2x over the pre-fusion baseline, and a live
-#                      fused-vs-reference re-measure must not collapse
-#  11. store gate    — the run-ledger write-path gate: the dedup blob
-#                      write (the steady-state shape of deterministic
-#                      reruns) must stay allocation-free against the
-#                      committed BENCH_store.json
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -138,10 +130,8 @@ go run ./cmd/yystore -root "$store_dir" gc
 # the machine-readable report for upload.
 go run ./cmd/yystore -root "$store_dir" verify ${STORE_REPORT:+-o "$STORE_REPORT"}
 
-echo "==> step gate: go run ./cmd/yybench -gate-step BENCH_kernels.json"
-go run ./cmd/yybench -gate-step BENCH_kernels.json
-
-echo "==> store gate: go run ./cmd/yybench -gate-store BENCH_store.json"
-go run ./cmd/yybench -gate-store BENCH_store.json
+# The tracked size of the codebase (ROADMAP north star 2): every PR
+# description owes the delta of this number against its parent.
+echo "non-test Go LoC outside benchmark/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
 
 echo "==> all checks passed"
