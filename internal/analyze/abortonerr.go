@@ -7,7 +7,7 @@ import (
 )
 
 // AbortOnErr reports rank functions (func literals passed to mpi.Run /
-// mpi.RunWith / core.RunRanks) that capture an error into a variable
+// mpi.RunWith / core.RunRanks / core.RunRanksFrom) that capture an error into a variable
 // shared with the driver and then keep running.
 //
 // Paper provenance: every rank of the goroutine runtime participates in
@@ -32,7 +32,7 @@ func runAbortOnErr(pass *Pass) error {
 			if !ok {
 				return true
 			}
-			if name := calleeName(call); name != "Run" && name != "RunWith" && name != "RunRanks" {
+			if name := calleeName(call); name != "Run" && name != "RunWith" && name != "RunRanks" && name != "RunRanksFrom" {
 				return true
 			}
 			for _, arg := range call.Args {

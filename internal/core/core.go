@@ -14,7 +14,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -250,19 +249,37 @@ func (s *Simulation) ExportViz(w io.Writer, subsample int) error {
 	return snapshot.WriteVizExport(w, ex)
 }
 
-// RunRanks runs body on every rank of layout's world under rc. It is
-// the one rank prologue and epilogue of every decomposed driver: open
-// the rank's track on rc.Obs, build the decomposed rank inside a setup
-// span (a construction error aborts the world, so no peer is left
-// blocked), wire the recorder and plane's publish slot, and close rank
-// and track when body returns. cfg must have its defaults applied.
+// RunRanks runs body on every rank of layout's world under rc, each
+// rank starting from cfg's initial condition. It is the rank prologue
+// and epilogue of every decomposed driver: open the rank's track on
+// rc.Obs, build the decomposed rank inside a setup span (a construction
+// error aborts the world, so no peer is left blocked), wire the recorder
+// and plane's publish slot, and close rank and track when body returns.
+// cfg must have its defaults applied.
 func RunRanks(cfg Config, layout *decomp.Layout, rc mpi.RunConfig, plane *telemetry.Plane, body func(w *mpi.Comm, r *decomp.Rank, rr *obs.RankRec)) error {
+	return RunRanksFrom(cfg, layout, rc, plane, nil, body)
+}
+
+// RunRanksFrom is RunRanks for a world that continues a committed
+// state: the ranks are built blank — no initial condition, no initial
+// constraint exchange — and state is scattered into them before body
+// runs. state is called on rank 0 only, with the world's membership
+// epoch, so an elastic world re-entering after a rank replacement can
+// reload instead of reusing what epoch 0 was handed; its error aborts
+// the world. (A nil state is RunRanks.)
+func RunRanksFrom(cfg Config, layout *decomp.Layout, rc mpi.RunConfig, plane *telemetry.Plane, state func(epoch int) (*snapshot.Interior, error), body func(w *mpi.Comm, r *decomp.Rank, rr *obs.RankRec)) error {
 	return mpi.RunWith(layout.NProcs, rc, func(w *mpi.Comm) {
 		rr := rc.Obs.RankFor(w.Rank())
 		rr.Open()
 		defer rr.Close()
 		sp := rr.Begin(obs.SpanSetup)
-		r, err := decomp.NewRankWorkers(w, layout, *cfg.Params, *cfg.IC, cfg.Workers)
+		var r *decomp.Rank
+		var err error
+		if state == nil {
+			r, err = decomp.NewRankWorkers(w, layout, *cfg.Params, *cfg.IC, cfg.Workers)
+		} else {
+			r, err = decomp.NewBlankRank(w, layout, *cfg.Params, cfg.Workers)
+		}
 		if err != nil {
 			w.Abort(err)
 		}
@@ -270,6 +287,17 @@ func RunRanks(cfg Config, layout *decomp.Layout, rc mpi.RunConfig, plane *teleme
 		r.SetObs(rr)
 		r.SetTelemetry(plane.Rank(w.Rank()))
 		sp.End()
+		if state != nil {
+			var in *snapshot.Interior
+			if w.Rank() == 0 {
+				if in, err = state(w.Epoch()); err != nil {
+					w.Abort(err)
+				}
+			}
+			if err := r.ScatterInterior(in); err != nil {
+				w.Abort(err)
+			}
+		}
 		body(w, r, rr)
 	})
 }
@@ -336,7 +364,7 @@ func Reversals(mz []float64, persist int, floor float64) []sph.ReversalEvent {
 // RunParallelWithCheckpoint runs the decomposed simulation like
 // RunParallel and, at the end, gathers the global state on rank 0 and
 // writes a checkpoint to w — the persistence path of a decomposed
-// campaign (its counterpart, decomp.ScatterState, restarts one).
+// campaign (its counterpart, RunRanksFrom, restarts one).
 func RunParallelWithCheckpoint(cfg Config, nProcs, steps int, dt float64, w io.Writer) ([]mhd.Diagnostics, error) {
 	return RunParallelCheckpointWith(cfg, mpi.RunConfig{}, nProcs, steps, dt, w)
 }
@@ -373,14 +401,9 @@ func RunParallelCheckpointWith(cfg Config, rc mpi.RunConfig, nProcs, steps int, 
 			r.Advance(step)
 		}
 		d := r.Diagnose()
-		sv, err := r.GatherState()
-		if err != nil {
-			wc.Abort(err)
-		}
-		if wc.Rank() == 0 {
-			var buf bytes.Buffer
+		if in := r.GatherInterior(); in != nil {
 			cw := rr.Begin(obs.SpanCkptWrite)
-			werr := snapshot.WriteCheckpoint(&buf, sv)
+			data, werr := in.Bytes()
 			cw.End()
 			if werr != nil {
 				wc.Abort(werr)
@@ -390,7 +413,7 @@ func RunParallelCheckpointWith(cfg Config, rc mpi.RunConfig, nProcs, steps int, 
 			mu.Lock()
 			defer mu.Unlock()
 			out = []mhd.Diagnostics{d}
-			ckpt = buf.Bytes()
+			ckpt = data
 		}
 	})
 	if err != nil {

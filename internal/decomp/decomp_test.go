@@ -11,6 +11,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/mhd"
 	"repro/internal/mpi"
+	"repro/internal/snapshot"
 )
 
 func TestPartition(t *testing.T) {
@@ -491,11 +492,11 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		var sv *mhd.Solver
+		var in *snapshot.Interior
 		if w.Rank() == 0 {
-			sv = src
+			in = snapshot.InteriorOf(src)
 		}
-		if err := r.ScatterState(sv); err != nil {
+		if err := r.ScatterInterior(in); err != nil {
 			t.Error(err)
 			return
 		}

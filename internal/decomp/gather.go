@@ -3,6 +3,7 @@ package decomp
 import (
 	"fmt"
 
+	"repro/internal/grid"
 	"repro/internal/mhd"
 	"repro/internal/obs"
 	"repro/internal/snapshot"
@@ -10,83 +11,80 @@ import (
 
 const tagGatherBase = 200
 
-// GatherState assembles the full two-panel state on world rank 0 and
-// returns it as a serial-equivalent solver (nil on every other rank).
-// The assembled solver matches what a serial run of the same trajectory
-// would hold at every patch node, so it can be checkpointed, analyzed or
-// continued serially.
-func (r *Rank) GatherState() (*mhd.Solver, error) {
+// GatherInterior assembles the full two-panel state on world rank 0 in
+// the layout-neutral checkpoint form and returns it (nil on every other
+// rank): each rank's interior block lands directly in the slabs a
+// checkpoint serializes, so the result can be validated, encoded and
+// scattered into the next world without a solver in between.
+func (r *Rank) GatherInterior() *snapshot.Interior {
 	defer r.obs.Begin(obs.SpanGather).End()
-	me := r.World.Rank()
-	p := r.PL.Patch
-	h := p.H
-
-	// Pack this rank's interior block: 8 variables, radial-fastest over
-	// the block's interior nodes.
-	scalars := r.PL.U.Scalars()
-	blockLen := p.Nr * p.Nt * p.Np
-	buf := make([]float64, 0, 8*blockLen)
-	for _, s := range scalars {
-		for k := h; k < h+p.Np; k++ {
-			for j := h; j < h+p.Nt; j++ {
-				row := s.Row(j, k)
-				buf = append(buf, row[h:h+p.Nr]...)
-			}
-		}
-	}
-	if me != 0 {
+	if r.World.Rank() != 0 {
+		// Pack the interior block: 8 variables, radial-fastest over the
+		// block's interior nodes.
+		p := r.PL.Patch
+		buf := make([]float64, 0, 8*p.Nr*p.Nt*p.Np)
+		r.eachBlockRow(func(_, _, _ int, row []float64) { buf = append(buf, row...) })
 		r.World.Send(0, tagGatherBase, buf)
-		return nil, nil
+		return nil
 	}
-
-	// Rank 0: rebuild a serial solver and fill every block.
-	sv, err := mhd.NewSolver(r.Layout.Spec, r.Prm, mhd.InitialConditions{})
-	if err != nil {
-		return nil, err
-	}
-	place := func(world int, data []float64) {
-		panel := r.Layout.PanelOf(world)
-		patch := r.Layout.SubPatch(world, 1)
-		dst := sv.Panels[panel].U.Scalars()
-		pos := 0
-		for _, s := range dst {
-			for k := 0; k < patch.Np; k++ {
-				for j := 0; j < patch.Nt; j++ {
-					row := s.Row(j+patch.JOff+1, k+patch.KOff+1)
-					copy(row[1:1+patch.Nr], data[pos:pos+patch.Nr])
-					pos += patch.Nr
-				}
-			}
-		}
-	}
-	place(0, buf)
+	in := snapshot.NewInterior(r.Layout.Spec, r.Prm)
+	in.Time, in.Step = r.Time, r.StepN
+	// Rank 0's own block needs no staging.
+	own := r.PL.Patch
+	r.eachBlockRow(func(s, j, k int, row []float64) {
+		copy(in.Row(int(r.Panel), s, j+own.JOff, k+own.KOff), row)
+	})
 	for src := 1; src < r.World.Size(); src++ {
 		patch := r.Layout.SubPatch(src, 1)
-		rbuf := make([]float64, 8*patch.Nr*patch.Nt*patch.Np)
-		r.World.Recv(src, tagGatherBase, rbuf)
-		place(src, rbuf)
+		panel := int(r.Layout.PanelOf(src))
+		buf := make([]float64, 8*patch.Nr*patch.Nt*patch.Np)
+		r.World.Recv(src, tagGatherBase, buf)
+		pos := 0
+		eachInteriorRow(in, panel, patch, func(row []float64) { pos += copy(row, buf[pos:]) })
 	}
-	sv.Time = r.Time
-	sv.Step = r.StepN
-	return sv, nil
+	return in
+}
+
+// eachInteriorRow visits the rows of in that the block patch of the
+// panel covers, in the order eachBlockRow visits the block's own.
+func eachInteriorRow(in *snapshot.Interior, panel int, patch *grid.Patch, fn func(row []float64)) {
+	for s := range in.Fields[panel] {
+		for k := 0; k < patch.Np; k++ {
+			for j := 0; j < patch.Nt; j++ {
+				fn(in.Row(panel, s, j+patch.JOff, k+patch.KOff))
+			}
+		}
+	}
+}
+
+// eachBlockRow visits the interior radial rows of the rank's block in
+// message order — the 8 state scalars, phi-major, theta within — with
+// the scalar index and the row's block-local (j, k).
+func (r *Rank) eachBlockRow(fn func(s, j, k int, row []float64)) {
+	p := r.PL.Patch
+	h := p.H
+	for si, s := range r.PL.U.Scalars() {
+		for k := 0; k < p.Np; k++ {
+			for j := 0; j < p.Nt; j++ {
+				fn(si, j, k, s.Row(j+h, k+h)[h:h+p.Nr])
+			}
+		}
+	}
+}
+
+// GatherState is GatherInterior rebuilt into a serial-equivalent solver
+// on rank 0 (nil elsewhere), for a caller that goes on to step, analyze
+// or render the gathered state; one that only persists it takes the
+// Interior.
+func (r *Rank) GatherState() (*mhd.Solver, error) {
+	in := r.GatherInterior()
+	if in == nil {
+		return nil, nil
+	}
+	return in.Solver()
 }
 
 const tagScatterBase = 210
-
-// ScatterState distributes a full two-panel state (e.g. one read from a
-// checkpoint) from world rank 0 into every rank's local block — the
-// restart path of a decomposed campaign. On rank 0, src must hold the
-// global state; other ranks pass nil. Halos, walls and rims are
-// re-established by a constraint application afterwards.
-func (r *Rank) ScatterState(src *mhd.Solver) error {
-	if r.World.Rank() == 0 {
-		if src == nil {
-			return fmt.Errorf("decomp: rank 0 needs the source state")
-		}
-		return r.ScatterInterior(snapshot.InteriorOf(src))
-	}
-	return r.ScatterInterior(nil)
-}
 
 // ScatterInterior distributes a layout-neutral checkpoint payload
 // (snapshot.ReadInterior) from world rank 0 into every rank's local
@@ -107,30 +105,28 @@ func (r *Rank) ScatterInterior(in *snapshot.Interior) error {
 		if in.Spec != r.Layout.Spec {
 			return fmt.Errorf("decomp: checkpoint grid %+v does not match layout %+v", in.Spec, r.Layout.Spec)
 		}
-		for dst := r.World.Size() - 1; dst >= 0; dst-- {
+		for dst := r.World.Size() - 1; dst >= 1; dst-- {
 			patch := r.Layout.SubPatch(dst, 1)
 			panel := int(r.Layout.PanelOf(dst))
 			buf := make([]float64, 0, 8*patch.Nr*patch.Nt*patch.Np)
-			for s := 0; s < 8; s++ {
-				for k := 0; k < patch.Np; k++ {
-					for j := 0; j < patch.Nt; j++ {
-						buf = append(buf, in.Row(panel, s, j+patch.JOff, k+patch.KOff)...)
-					}
-				}
-			}
-			if dst == 0 {
-				r.unpackBlock(buf)
-				continue
-			}
+			eachInteriorRow(in, panel, patch, func(row []float64) { buf = append(buf, row...) })
 			r.World.Send(dst, tagScatterBase, buf)
 		}
+		// Rank 0's own block needs no staging.
+		own := r.PL.Patch
+		r.eachBlockRow(func(s, j, k int, row []float64) {
+			copy(row, in.Row(int(r.Panel), s, j+own.JOff, k+own.KOff))
+		})
 		r.Time = in.Time
 		r.StepN = in.Step
 	} else {
 		p := r.PL.Patch
 		buf := make([]float64, 8*p.Nr*p.Nt*p.Np)
 		r.World.Recv(0, tagScatterBase, buf)
-		r.unpackBlock(buf)
+		pos := 0
+		r.eachBlockRow(func(_, _, _ int, row []float64) {
+			pos += copy(row, buf[pos:pos+len(row)])
+		})
 	}
 	// Share the clock and re-establish halos/rims/walls.
 	clock := []float64{r.Time, float64(r.StepN)}
@@ -139,19 +135,4 @@ func (r *Rank) ScatterInterior(in *snapshot.Interior) error {
 	r.StepN = int(clock[1])
 	r.applyConstraints()
 	return nil
-}
-
-func (r *Rank) unpackBlock(buf []float64) {
-	p := r.PL.Patch
-	h := p.H
-	pos := 0
-	for _, s := range r.PL.U.Scalars() {
-		for k := h; k < h+p.Np; k++ {
-			for j := h; j < h+p.Nt; j++ {
-				row := s.Row(j, k)
-				copy(row[h:h+p.Nr], buf[pos:pos+p.Nr])
-				pos += p.Nr
-			}
-		}
-	}
 }

@@ -137,8 +137,37 @@ func NewRank(world *mpi.Comm, l *Layout, prm mhd.Params, ic mhd.InitialCondition
 // paper's layout of vector pipelines per AP divided among the processes
 // placed on it. workers == 1 keeps the kernels serial. Parallel kernels
 // are bit-identical to serial ones, so the choice never changes
-// results.
+// results. It is the fresh-start constructor: the block starts from the
+// initial condition with all constraints applied.
 func NewRankWorkers(world *mpi.Comm, l *Layout, prm mhd.Params, ic mhd.InitialConditions, workers int) (*Rank, error) {
+	r, err := newStatelessRank(world, l, prm, workers)
+	if err != nil {
+		return nil, err
+	}
+	mhd.InitPanel(r.PL, prm, ic)
+	r.applyConstraints()
+	return r, nil
+}
+
+// NewBlankRank is the restore-bound constructor: the block in the
+// unperturbed conduction state (mhd.FillConductionState), no initial
+// condition evaluated and no constraint exchange run. A rank about to
+// be scattered into is built this way, since ScatterInterior overwrites
+// the whole block and applies the constraints itself; it must be
+// scattered into before it steps. workers is as for NewRankWorkers.
+func NewBlankRank(world *mpi.Comm, l *Layout, prm mhd.Params, workers int) (*Rank, error) {
+	r, err := newStatelessRank(world, l, prm, workers)
+	if err != nil {
+		return nil, err
+	}
+	mhd.FillConductionState(r.PL, prm)
+	return r, nil
+}
+
+// newStatelessRank builds everything of a rank that does not depend on
+// the state — patch, worker pool, halo buffers, overset plan — and
+// leaves the block's state arrays zeroed.
+func newStatelessRank(world *mpi.Comm, l *Layout, prm mhd.Params, workers int) (*Rank, error) {
 	if world.Size() != l.NProcs {
 		return nil, fmt.Errorf("decomp: layout wants %d processes, world has %d", l.NProcs, world.Size())
 	}
@@ -158,15 +187,13 @@ func NewRankWorkers(world *mpi.Comm, l *Layout, prm mhd.Params, ic mhd.InitialCo
 	}
 	patch := l.SubPatch(world.Rank(), 1)
 	patch.Par = par.NewPool(workers)
-	pl := mhd.NewPanel(patch, prm.Omega)
-	mhd.InitPanel(pl, prm, ic)
 
 	r := &Rank{
 		World:   world,
 		Cart:    cart,
 		Layout:  l,
 		Panel:   panel,
-		PL:      pl,
+		PL:      mhd.NewPanel(patch, prm.Omega),
 		Prm:     prm,
 		pool:    patch.Par,
 		overlap: true,
@@ -182,7 +209,6 @@ func NewRankWorkers(world *mpi.Comm, l *Layout, prm mhd.Params, ic mhd.InitialCo
 		r.Close()
 		return nil, err
 	}
-	r.applyConstraints()
 	return r, nil
 }
 

@@ -2,6 +2,8 @@ package decomp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -163,4 +165,82 @@ func TestScatterInteriorRejectsMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "does not match layout") {
 		t.Fatalf("want a grid-mismatch rejection, got: %v", err)
 	}
+}
+
+// TestBlankRankAndGatherInterior is the equivalence property behind the
+// campaign's segment boundary, over random small grids and world sizes
+// 2, 4 and 8: a rank built blank and scattered into continues exactly
+// like one built from an (unrelated) initial condition and scattered
+// into; GatherInterior returns slab for slab what InteriorOf(GatherState())
+// does; and both worlds end on the sha256 of the serial trajectory.
+func TestBlankRankAndGatherInterior(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 3; trial++ {
+		s := grid.NewSpec(5+rng.Intn(6), 9+2*rng.Intn(4))
+		const dt = 2e-3
+		src := runSerial(t, s, 1, dt)
+		start := snapshot.InteriorOf(src)
+		ref := runSerial(t, s, 3, dt)
+		want := sha256.Sum256(encode(t, snapshot.InteriorOf(ref)))
+
+		for _, nProcs := range []int{2, 4, 8} {
+			l, err := NewLayout(s, nProcs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, blank := range []bool{true, false} {
+				var got, viaState []byte
+				err := mpi.Run(nProcs, func(w *mpi.Comm) {
+					var r *Rank
+					var err error
+					if blank {
+						r, err = NewBlankRank(w, l, mhd.Default(), 1)
+					} else {
+						ic := mhd.DefaultIC()
+						ic.Seed = 99
+						r, err = NewRankWorkers(w, l, mhd.Default(), ic, 1)
+					}
+					if err != nil {
+						w.Abort(err)
+					}
+					defer r.Close()
+					var in *snapshot.Interior
+					if w.Rank() == 0 {
+						in = start
+					}
+					if err := r.ScatterInterior(in); err != nil {
+						w.Abort(err)
+					}
+					r.Advance(dt)
+					r.Advance(dt)
+					gathered := r.GatherInterior()
+					sv, err := r.GatherState()
+					if err != nil {
+						w.Abort(err)
+					}
+					if w.Rank() == 0 {
+						got, viaState = encode(t, gathered), encode(t, snapshot.InteriorOf(sv))
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if sha256.Sum256(got) != want {
+					t.Errorf("grid %+v, %d ranks, blank=%v: final state differs from the serial trajectory", s, nProcs, blank)
+				}
+				if !bytes.Equal(got, viaState) {
+					t.Errorf("grid %+v, %d ranks: GatherInterior differs from InteriorOf(GatherState())", s, nProcs)
+				}
+			}
+		}
+	}
+}
+
+func encode(t *testing.T, in *snapshot.Interior) []byte {
+	t.Helper()
+	raw, err := in.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }

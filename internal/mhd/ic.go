@@ -139,24 +139,59 @@ func window(r, ri, ro float64) float64 {
 	return math.Sin(math.Pi*x) * math.Sin(math.Pi*x)
 }
 
+// conductionProfiles samples the hydrostatic conduction state once per
+// padded radius of the patch.
+func conductionProfiles(p *grid.Patch, prm Params) (rho, temp []float64) {
+	s := p.Spec
+	pf := NewProfile(prm, s.RI, s.RO)
+	nrP, _, _ := p.Padded()
+	rho = make([]float64, nrP)
+	temp = make([]float64, nrP)
+	for i := range rho {
+		r := math.Max(p.R[i], 0.1*s.RI) // halos can poke slightly inward
+		rho[i] = pf.Rho(r)
+		temp[i] = pf.T(r)
+	}
+	return rho, temp
+}
+
+// FillConductionState sets every padded node of the panel to the
+// unperturbed conduction state: rho and p from the radial profile, no
+// flow, no field — what InitPanel leaves in the padding whatever the
+// initial conditions, since perturbation and seed are windowed to the
+// shell. It is the state of a panel built to be restored into: the
+// restore overwrites the interior and the constraints rebuild what the
+// stencils read, while the padding no one writes stays finite (derived
+// fields divide by rho over whole arrays) and equal to a fresh start's.
+// It costs two array fills, against InitPanel's trigonometry per node.
+func FillConductionState(pl *Panel, prm Params) {
+	p := pl.Patch
+	rho, temp := conductionProfiles(p, prm)
+	pres := make([]float64, len(rho))
+	for i := range pres {
+		pres[i] = rho[i] * temp[i]
+	}
+	_, ntP, npP := p.Padded()
+	for k := 0; k < npP; k++ {
+		for j := 0; j < ntP; j++ {
+			copy(pl.U.Rho.Row(j, k), rho)
+			copy(pl.U.P.Row(j, k), pres)
+		}
+	}
+}
+
 // InitPanel fills one panel's state with the perturbed conduction state.
 // All padded nodes (halos included) are filled so that derived pointwise
 // quantities remain finite everywhere.
 func InitPanel(pl *Panel, prm Params, ic InitialConditions) {
 	p := pl.Patch
 	s := p.Spec
-	pf := NewProfile(prm, s.RI, s.RO)
 	pert := newPerturbation(ic.Modes, ic.Seed)
 
 	nrP, ntP, npP := p.Padded()
-	// Radial profile sampled once per padded radius.
-	rhoProf := make([]float64, nrP)
-	tProf := make([]float64, nrP)
+	rhoProf, tProf := conductionProfiles(p, prm)
 	wProf := make([]float64, nrP)
 	for i := 0; i < nrP; i++ {
-		r := math.Max(p.R[i], 0.1*s.RI) // halos can poke slightly inward
-		rhoProf[i] = pf.Rho(r)
-		tProf[i] = pf.T(r)
 		wProf[i] = window(p.R[i], s.RI, s.RO)
 	}
 

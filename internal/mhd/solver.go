@@ -32,7 +32,9 @@ type Solver struct {
 
 // NewSolver builds a solver for the given grid spec and parameters and
 // initializes it with the perturbed conduction state, using the paper's
-// bilinear rim interpolation.
+// bilinear rim interpolation. It is the fresh-start entry point; a
+// solver about to be overwritten from a checkpoint is built with
+// NewBlankSolver.
 func NewSolver(s grid.Spec, prm Params, ic InitialConditions) (*Solver, error) {
 	return newSolver(s, prm, ic, 2)
 }
@@ -48,6 +50,46 @@ func NewSolverInterp(s grid.Spec, prm Params, ic InitialConditions, order int) (
 }
 
 func newSolver(s grid.Spec, prm Params, ic InitialConditions, order int) (*Solver, error) {
+	sv, err := newStatelessSolver(s, prm)
+	if err != nil {
+		return nil, err
+	}
+	sv.IC = ic
+	for _, pl := range sv.Panels {
+		InitPanel(pl, prm, ic)
+	}
+	if order == 3 {
+		plan3, err := overset.NewPlan3(s)
+		if err != nil {
+			return nil, err
+		}
+		sv.ex3 = overset.NewExchanger3(plan3, sv.Panels[0].Patch.H)
+	}
+	sv.applyConstraints()
+	return sv, nil
+}
+
+// NewBlankSolver is the restore path's constructor: a solver in the
+// unperturbed conduction state (FillConductionState) with no initial
+// condition evaluated and no constraint exchange run, as NewPanel +
+// FillConductionState is for one decomposed block. The caller must
+// overwrite the whole interior and call ApplyConstraints before
+// stepping, as snapshot.Interior.Solver does.
+func NewBlankSolver(s grid.Spec, prm Params) (*Solver, error) {
+	sv, err := newStatelessSolver(s, prm)
+	if err != nil {
+		return nil, err
+	}
+	for _, pl := range sv.Panels {
+		FillConductionState(pl, prm)
+	}
+	return sv, nil
+}
+
+// newStatelessSolver builds everything of a solver that does not depend
+// on the state — geometry, rotation vector, workspaces, the bilinear
+// overset exchanger — and leaves the state arrays zeroed.
+func newStatelessSolver(s grid.Spec, prm Params) (*Solver, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -59,20 +101,11 @@ func newSolver(s grid.Spec, prm Params, ic InitialConditions, order int) (*Solve
 		return nil, err
 	}
 	const halo = 1
-	sv := &Solver{Prm: prm, Spec: s, IC: ic}
+	sv := &Solver{Prm: prm, Spec: s}
 	for _, panel := range []grid.Panel{grid.Yin, grid.Yang} {
 		sv.Panels[panel] = NewPanel(grid.NewPatch(s, panel, halo), prm.Omega)
-		InitPanel(sv.Panels[panel], prm, ic)
 	}
 	sv.ex = overset.NewExchanger(plan, halo)
-	if order == 3 {
-		plan3, err := overset.NewPlan3(s)
-		if err != nil {
-			return nil, err
-		}
-		sv.ex3 = overset.NewExchanger3(plan3, halo)
-	}
-	sv.applyConstraints()
 	return sv, nil
 }
 

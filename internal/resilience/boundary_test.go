@@ -1,0 +1,131 @@
+package resilience
+
+import (
+	"encoding/binary"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/mhd"
+	"repro/internal/snapshot"
+)
+
+// TestSegmentCommitAllocBudget pins what the Interior-based segment
+// boundary bought: committing a gathered segment — validation, encode,
+// durable write, ledger append or rename, prune — allocates at most 4x
+// the checkpoint's size through either sink, where the per-row encoder
+// scratch used to cost about 130x.
+func TestSegmentCommitAllocBudget(t *testing.T) {
+	cfg, _, _ := storeConfig(t, 2, 2)
+	cfg = cfg.withDefaults()
+	sv, err := mhd.NewSolver(cfg.Core.Spec(), *cfg.Core.Params, *cfg.Core.IC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := snapshot.InteriorOf(sv)
+	raw, err := state.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sink := range map[string]ckptSink{
+		"store": cfg.sink(),
+		"dir":   &dirSink{dir: t.TempDir()},
+	} {
+		state.Step = 0
+		if err := sink.write(state, segMeta{note: "origin"}); err != nil {
+			t.Fatal(err)
+		}
+		const commits = 3
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		for i := 0; i < commits; i++ {
+			state.Step += 2
+			state.Fields[0][0][i]++ // a new blob every commit, as a run produces
+			if err := validate(state, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.write(state, segMeta{note: "segment"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.prune(cfg.Keep); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms1)
+		per := (ms1.TotalAlloc - ms0.TotalAlloc) / commits
+		t.Logf("%s sink: %d bytes allocated per commit of a %d-byte checkpoint", name, per, len(raw))
+		if budget := uint64(4 * len(raw)); per > budget {
+			t.Errorf("%s sink: %d bytes allocated per committed segment of a %d-byte checkpoint, budget %d",
+				name, per, len(raw), budget)
+		}
+	}
+}
+
+// TestCampaignWorldSizeEquivalence: over random small grids, campaigns
+// of world size 1 (the serial segment path), 2, 4 and 8 — blank ranks
+// scattered into at every segment — all commit the final sha256 of the
+// plain serial solver stepping from the initial condition.
+func TestCampaignWorldSizeEquivalence(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 2; trial++ {
+		ccfg := core.Config{Nr: 5 + rng.Intn(6), Nt: 9 + 2*rng.Intn(4)}.WithDefaults()
+		const dt = 2e-3
+		ref, err := mhd.NewSolver(ccfg.Spec(), *ccfg.Params, *ccfg.IC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			ref.Advance(dt)
+		}
+		want := finalSHA(t, &Result{Final: ref})
+		for _, nProcs := range []int{1, 2, 4, 8} {
+			res, err := RunCampaign(Config{
+				Core: ccfg, NProcs: nProcs, Steps: 4, CheckpointEvery: 2,
+				Dir: t.TempDir(), DTSchedule: []float64{dt, dt},
+			})
+			if err != nil {
+				t.Fatalf("grid %dx%d, %d ranks: %v", ccfg.Nr, ccfg.Nt, nProcs, err)
+			}
+			if res.Retries != 0 || finalSHA(t, res) != want {
+				t.Errorf("grid %dx%d, %d ranks: retries %d, final state differs from the serial solver's: %v",
+					ccfg.Nr, ccfg.Nt, nProcs, res.Retries, finalSHA(t, res) != want)
+			}
+		}
+	}
+}
+
+// TestResumeFallsBackPastLyingHeader: a ~100-byte "newest" checkpoint
+// whose header passes every sanity bound while describing a grid of
+// 1.3e13 values a slab is skipped by the fallback ladder like any other
+// corrupt file — the old decoder allocated from the header before it
+// read a payload byte and took the resuming campaign down with it.
+func TestResumeFallsBackPastLyingHeader(t *testing.T) {
+	cfg := testConfig(t, 4, 2)
+	if _, err := RunCampaign(cfg); err != nil {
+		t.Fatal(err)
+	}
+	newest := filepath.Join(cfg.Dir, ckptName(4))
+	raw, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lying := raw[:116] // magic + header
+	binary.LittleEndian.PutUint32(lying[8:], 1<<14)
+	binary.LittleEndian.PutUint32(lying[12:], 1<<14)
+	binary.LittleEndian.PutUint32(lying[16:], 3<<14)
+	if err := os.WriteFile(newest, lying, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Steps = 6
+	res, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Resumed || res.StartStep != 2 || res.FinalStep != 6 {
+		t.Errorf("Resumed=%v StartStep=%d FinalStep=%d, want a fallback resume from step 2 to 6",
+			res.Resumed, res.StartStep, res.FinalStep)
+	}
+}

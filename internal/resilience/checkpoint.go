@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/grid"
-	"repro/internal/mhd"
 	"repro/internal/mpi"
 	"repro/internal/snapshot"
 )
@@ -76,14 +75,14 @@ func noteSync(op, path string) {
 // under a checkpoint name; the two fsyncs keep a host crash right after
 // the rename from leaving a zero-length (data never flushed) or
 // unlinked (directory entry never flushed) "newest" checkpoint.
-func writeCheckpointFile(dir string, sv *mhd.Solver) (string, error) {
-	final := filepath.Join(dir, ckptName(sv.Step))
-	tmp, err := os.CreateTemp(dir, ckptName(sv.Step)+".tmp-*")
+func writeCheckpointFile(dir string, in *snapshot.Interior) (string, error) {
+	final := filepath.Join(dir, ckptName(in.Step))
+	tmp, err := os.CreateTemp(dir, ckptName(in.Step)+".tmp-*")
 	if err != nil {
 		return "", fmt.Errorf("resilience: creating checkpoint temp file: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op once the rename has happened
-	if err := snapshot.WriteCheckpoint(tmp, sv); err != nil {
+	if err := in.Encode(tmp); err != nil {
 		tmp.Close()
 		return "", fmt.Errorf("resilience: writing checkpoint: %w", err)
 	}
@@ -120,57 +119,41 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// loadNewest restores the newest checkpoint in dir that reads back
-// valid. Corrupt or truncated files are skipped (collected in skipped)
+// newestValid restores the newest of a sink's checkpoints (steps
+// ascending, named by label, read by load) that reads back valid.
+// Corrupt, truncated or missing ones are skipped (collected in skipped)
 // and the scan falls back to the next-newest — a half-written or
 // bit-rotted newest checkpoint must not strand a resumable campaign. A
 // checkpoint that reads back fine but holds a different grid resolution
 // is a hard error, not a skip: the campaign was pointed at the wrong
-// directory (or reconfigured), and silently resuming an older
-// same-resolution file would fork the trajectory. Returns
-// (nil, skipped, nil) when no valid checkpoint exists.
-func loadNewest(dir string, spec grid.Spec) (*mhd.Solver, []string, error) {
-	steps, err := listCheckpoints(dir)
-	if err != nil {
-		return nil, nil, err
-	}
+// place (a directory, a run id) or reconfigured, and silently resuming
+// an older same-resolution checkpoint would fork the trajectory.
+// Returns (nil, skipped, nil) when no valid checkpoint exists.
+func newestValid(steps []int, label func(step int) string, load func(step int) (*snapshot.Interior, error), spec grid.Spec, place string) (*snapshot.Interior, []string, error) {
 	var skipped []string
 	for i := len(steps) - 1; i >= 0; i-- {
-		name := ckptName(steps[i])
-		sv, err := readCheckpointFile(filepath.Join(dir, name))
+		name := label(steps[i])
+		in, err := load(steps[i])
 		if err != nil {
 			skipped = append(skipped, fmt.Sprintf("%s: %v", name, err))
 			continue
 		}
-		if sv.Spec != spec {
-			return nil, skipped, fmt.Errorf("resilience: checkpoint %s holds grid %dx%dx%d, campaign wants %dx%dx%d — wrong directory or reconfigured resolution",
-				name, sv.Spec.Nr, sv.Spec.Nt, sv.Spec.Np, spec.Nr, spec.Nt, spec.Np)
+		if in.Spec != spec {
+			return nil, skipped, fmt.Errorf("resilience: checkpoint %s holds grid %dx%dx%d, campaign wants %dx%dx%d — wrong %s or reconfigured resolution",
+				name, in.Spec.Nr, in.Spec.Nt, in.Spec.Np, spec.Nr, spec.Nt, spec.Np, place)
 		}
-		return sv, skipped, nil
+		return in, skipped, nil
 	}
 	return nil, skipped, nil
 }
 
-func readCheckpointFile(path string) (*mhd.Solver, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return snapshot.ReadCheckpoint(f)
-}
-
-// prune deletes all but the newest keep checkpoints.
-func prune(dir string, keep int) error {
-	steps, err := listCheckpoints(dir)
-	if err != nil {
-		return err
-	}
-	for len(steps) > keep {
-		if err := os.Remove(filepath.Join(dir, ckptName(steps[0]))); err != nil {
+// pruneOldest retires, through remove, all but the newest keep of a
+// sink's checkpoint steps (ascending).
+func pruneOldest(steps []int, keep int, remove func(step int) error) error {
+	for ; len(steps) > keep; steps = steps[1:] {
+		if err := remove(steps[0]); err != nil {
 			return err
 		}
-		steps = steps[1:]
 	}
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/mhd"
 	"repro/internal/mpi"
+	"repro/internal/snapshot"
 )
 
 // TestCheckpointDurabilitySequence asserts the write-rename-sync order
@@ -31,7 +32,7 @@ func TestCheckpointDurabilitySequence(t *testing.T) {
 	}
 	defer func() { ckptSyncHook = nil }()
 
-	final, err := writeCheckpointFile(cfg.Dir, sv)
+	final, err := writeCheckpointFile(cfg.Dir, snapshot.InteriorOf(sv))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,7 +236,7 @@ type Result struct {
 }
 
 // RunCampaign executes (or resumes) a checkpointed campaign.
-func RunCampaign(cfg Config) (*Result, error) {
+func RunCampaign(cfg Config) (res *Result, err error) {
 	cfg = cfg.withDefaults()
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("resilience: campaign needs a positive step count, got %d", cfg.Steps)
@@ -291,7 +291,7 @@ func RunCampaign(cfg Config) (*Result, error) {
 	drv.Open()
 	defer drv.Close()
 
-	res := &Result{}
+	res = &Result{}
 	// Recovery decisions are appended from two places: the campaign
 	// goroutine (rollbacks, rewinds) and the runtime's monitor goroutine
 	// (a replacement fence firing mid-segment via OnReplace).
@@ -313,7 +313,11 @@ func RunCampaign(cfg Config) (*Result, error) {
 		}
 		rc.Elastic = &el
 	}
-	defer func() { res.Events = events.Events() }()
+	defer func() {
+		if res != nil {
+			res.Events = events.Events()
+		}
+	}()
 	// A crash between a past commit's temp write and its rename strands
 	// a *.tmp file that nothing would ever reclaim; sweep such orphans
 	// before touching the checkpoints.
@@ -343,14 +347,15 @@ func RunCampaign(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if state == nil {
-		state, err = mhd.NewSolver(spec, *cfg.Core.Params, *cfg.Core.IC)
+		origin, err := mhd.NewSolver(spec, *cfg.Core.Params, *cfg.Core.IC)
 		if err != nil {
 			return nil, err
 		}
+		state = snapshot.InteriorOf(origin)
 		// Commit the origin so the very first rollback has a checkpoint
 		// to reload.
 		cw := drv.Begin(obs.SpanCkptWrite)
-		err := sink.write(state, commitMeta("origin"))
+		err = sink.write(state, commitMeta("origin"))
 		cw.End()
 		if err != nil {
 			return nil, err
@@ -360,7 +365,15 @@ func RunCampaign(cfg Config) (*Result, error) {
 	}
 	res.StartStep = state.Step
 	res.FinalStep = state.Step
-	res.Final = state
+	// Final is the last committed state on every way out: the one solver
+	// a call builds from it. Everything else about the committed state —
+	// commit, scatter, validation — works on the Interior.
+	defer func() {
+		final, ferr := state.Solver()
+		if res.Final = final; err == nil {
+			err = ferr
+		}
+	}()
 
 	// commitEnds records the end step of every segment this run
 	// committed (parallel to res.Diags/res.DTs), so a rewind can
@@ -385,14 +398,14 @@ func RunCampaign(cfg Config) (*Result, error) {
 			cr := drv.Begin(obs.SpanCkptRead)
 			defer cr.End()
 			in, err := sink.segment(segStart)
+			if err == nil && in.Spec != spec {
+				err = fmt.Errorf("resilience: replacement checkpoint grid %+v does not match campaign %+v", in.Spec, spec)
+			}
+			if err == nil && in.Step != segStart {
+				err = fmt.Errorf("resilience: replacement checkpoint holds step %d, want segment start %d", in.Step, segStart)
+			}
 			if err != nil {
-				return nil, err
-			}
-			if in.Spec != spec {
-				return nil, fmt.Errorf("resilience: replacement checkpoint grid %+v does not match campaign %+v", in.Spec, spec)
-			}
-			if in.Step != segStart {
-				return nil, fmt.Errorf("resilience: replacement checkpoint holds step %d, want segment start %d", in.Step, segStart)
+				return nil, fmt.Errorf("resilience: restoring checkpoint after rank replacement: %w", err)
 			}
 			return in, nil
 		}
@@ -453,13 +466,23 @@ func RunCampaign(cfg Config) (*Result, error) {
 			if segIdx < len(cfg.DTSchedule) {
 				dt = cfg.DTSchedule[segIdx]
 			} else {
-				dt = state.EstimateDT(cfg.Core.SafetyFactor)
+				sv, err := state.Solver()
+				if err != nil {
+					return res, err
+				}
+				dt = sv.EstimateDT(cfg.Core.SafetyFactor)
 				for b := 0; b < blowUps; b++ {
 					dt *= cfg.Backoff
 				}
 			}
+			start := state
 			if cfg.Perturb != nil {
-				cfg.Perturb(segIdx, attempt, state)
+				sv, err := state.Solver()
+				if err != nil {
+					return res, err
+				}
+				cfg.Perturb(segIdx, attempt, sv)
+				start = snapshot.InteriorOf(sv)
 			}
 			recMu.Lock()
 			curSeg, curAttempt = segIdx, attempt
@@ -475,14 +498,14 @@ func RunCampaign(cfg Config) (*Result, error) {
 				prof = telemetry.StartSegProfile()
 			}
 			var (
-				next *mhd.Solver
+				next *snapshot.Interior
 				diag mhd.Diagnostics
 				err  error
 			)
 			if cfg.NProcs == 1 {
-				next, diag, err = runSerialSegment(state, dt, n)
+				next, diag, err = runSerialSegment(start, dt, n)
 			} else {
-				next, diag, err = runSegment(cfg.Core, layout, rc, plane, state, dt, n, reload)
+				next, diag, err = runSegment(cfg.Core, layout, rc, plane, start, dt, n, reload)
 			}
 			cpuProfile := prof.Stop()
 			if err == nil {
@@ -492,19 +515,20 @@ func RunCampaign(cfg Config) (*Result, error) {
 				events.Notef("note", "segment start=%d attempt=%d failed: %v", segStart, attempt, err)
 			}
 			if err == nil {
-				state = next
-				res.Diags = append(res.Diags, diag)
-				res.DTs = append(res.DTs, dt)
-				commitEnds = append(commitEnds, state.Step)
 				cw := drv.Begin(obs.SpanCkptWrite)
-				werr := sink.write(state, commitMeta("segment"))
+				werr := sink.write(next, commitMeta("segment"))
 				cw.End()
 				if werr != nil {
 					// Checkpoint-write failures abort immediately — never
 					// into the dt-backoff retry ladder. In particular a
 					// full disk surfaces as the typed *store.DiskFullError.
+					// state, hence Final, stays at the last commit.
 					return res, werr
 				}
+				state = next
+				res.Diags = append(res.Diags, diag)
+				res.DTs = append(res.DTs, dt)
+				commitEnds = append(commitEnds, state.Step)
 				if err := sink.prune(cfg.Keep); err != nil {
 					return res, err
 				}
@@ -551,69 +575,56 @@ func RunCampaign(cfg Config) (*Result, error) {
 				segStart, cfg.MaxRetries+1, pm, lastErr)
 		}
 		res.FinalStep = state.Step
-		res.Final = state
 	}
 	plane.Finish(res.FinalStep)
 	return res, nil
 }
 
 // runSerialSegment is the NProcs-1 path: no decomposition, no runtime —
-// the segment advances a clone of the committed state directly. The
-// clone goes through the layout-neutral interior form, the same restore
-// a decomposed world performs, so serial segments commit byte-identical
+// the segment advances a solver restored from the committed state
+// through the layout-neutral interior form, the same restore a
+// decomposed world performs, so serial segments commit byte-identical
 // checkpoints to any world size (the 1↔N halves of the reshard gates).
-func runSerialSegment(src *mhd.Solver, dt float64, steps int) (*mhd.Solver, mhd.Diagnostics, error) {
-	sv, err := snapshot.InteriorOf(src).Solver()
+func runSerialSegment(src *snapshot.Interior, dt float64, steps int) (*snapshot.Interior, mhd.Diagnostics, error) {
+	sv, err := src.Solver()
 	if err != nil {
 		return nil, mhd.Diagnostics{}, err
 	}
 	for i := 0; i < steps; i++ {
 		sv.Advance(dt)
 	}
-	return sv, sv.Diagnose(), nil
+	return snapshot.InteriorOf(sv), sv.Diagnose(), nil
 }
 
 // runSegment executes one checkpoint interval on the decomposed
-// runtime: scatter the committed state, advance steps at dt, gather and
-// diagnose on rank 0. Rank-side errors abort the world so no peer is
+// runtime: ranks built blank, the committed state scattered into them,
+// steps advanced at dt, the result gathered into a new Interior and
+// diagnosed on rank 0. Rank-side errors abort the world so no peer is
 // left blocked. Under rc.Elastic the rank function may re-enter at a
 // later membership epoch after a replacement fence; re-entries restore
 // from the segment's checkpoint via reload instead of the in-memory
 // src, and rank 0's gathered result is overwritten so the final epoch
 // wins.
-func runSegment(ccfg core.Config, layout *decomp.Layout, rc mpi.RunConfig, plane *telemetry.Plane, src *mhd.Solver, dt float64, steps int, reload func() (*snapshot.Interior, error)) (*mhd.Solver, mhd.Diagnostics, error) {
+func runSegment(ccfg core.Config, layout *decomp.Layout, rc mpi.RunConfig, plane *telemetry.Plane, src *snapshot.Interior, dt float64, steps int, reload func() (*snapshot.Interior, error)) (*snapshot.Interior, mhd.Diagnostics, error) {
 	var (
 		mu   sync.Mutex
-		next *mhd.Solver
+		next *snapshot.Interior
 		diag mhd.Diagnostics
 	)
-	err := core.RunRanks(ccfg, layout, rc, plane, func(w *mpi.Comm, r *decomp.Rank, _ *obs.RankRec) {
-		var in *snapshot.Interior
-		if w.Rank() == 0 {
-			if w.Epoch() > 0 {
-				ld, err := reload()
-				if err != nil {
-					w.Abort(fmt.Errorf("resilience: restoring checkpoint after rank replacement: %w", err))
-				}
-				in = ld
-			} else {
-				in = snapshot.InteriorOf(src)
-			}
+	state := func(epoch int) (*snapshot.Interior, error) {
+		if epoch == 0 {
+			return src, nil
 		}
-		if err := r.ScatterInterior(in); err != nil {
-			w.Abort(err)
-		}
+		return reload()
+	}
+	err := core.RunRanksFrom(ccfg, layout, rc, plane, state, func(w *mpi.Comm, r *decomp.Rank, _ *obs.RankRec) {
 		for i := 0; i < steps; i++ {
 			r.Advance(dt)
 		}
 		d := r.Diagnose()
-		sv, err := r.GatherState()
-		if err != nil {
-			w.Abort(err)
-		}
-		if w.Rank() == 0 {
+		if in := r.GatherInterior(); in != nil {
 			mu.Lock()
-			next, diag = sv, d
+			next, diag = in, d
 			mu.Unlock()
 		}
 	})
@@ -624,11 +635,17 @@ func runSegment(ccfg core.Config, layout *decomp.Layout, rc mpi.RunConfig, plane
 }
 
 // validate decides whether a gathered segment result is committable.
-func validate(sv *mhd.Solver, cfg Config) error {
-	if err := sv.CheckFinite(); err != nil {
+// Finiteness is checked on the slabs; only the MinDT floor needs the
+// state in a solver.
+func validate(in *snapshot.Interior, cfg Config) error {
+	if err := in.CheckFinite(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBlowUp, err)
 	}
 	if cfg.MinDT > 0 {
+		sv, err := in.Solver()
+		if err != nil {
+			return err
+		}
 		if dt := sv.EstimateDT(cfg.Core.SafetyFactor); dt < cfg.MinDT {
 			return fmt.Errorf("%w: CFL collapse: stable dt %.3e fell below the %.3e floor", ErrBlowUp, dt, cfg.MinDT)
 		}

@@ -23,7 +23,6 @@ import (
 	"syscall"
 
 	"repro/internal/grid"
-	"repro/internal/mhd"
 	"repro/internal/mpi"
 	"repro/internal/snapshot"
 	"repro/internal/store"
@@ -48,11 +47,11 @@ type ckptSink interface {
 	// returns their names.
 	sweep() ([]string, error)
 	// newest restores the newest checkpoint that reads back valid,
-	// skipping corrupt ones (returned in skipped), exactly like
-	// loadNewest. (nil, skipped, nil) means a fresh campaign.
-	newest(spec grid.Spec) (sv *mhd.Solver, skipped []string, err error)
-	// write durably commits a checkpoint of sv.
-	write(sv *mhd.Solver, meta segMeta) error
+	// skipping corrupt ones (returned in skipped): the newestValid
+	// ladder. (nil, skipped, nil) means a fresh campaign.
+	newest(spec grid.Spec) (in *snapshot.Interior, skipped []string, err error)
+	// write encodes in and durably commits the checkpoint.
+	write(in *snapshot.Interior, meta segMeta) error
 	// segment loads the checkpoint committed at exactly the given
 	// step, in layout-neutral form (the rank-replacement reload path).
 	segment(step int) (*snapshot.Interior, error)
@@ -142,12 +141,16 @@ func (d *dirSink) sweep() ([]string, error) {
 	return swept, nil
 }
 
-func (d *dirSink) newest(spec grid.Spec) (*mhd.Solver, []string, error) {
-	return loadNewest(d.dir, spec)
+func (d *dirSink) newest(spec grid.Spec) (*snapshot.Interior, []string, error) {
+	steps, err := listCheckpoints(d.dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	return newestValid(steps, ckptName, d.segment, spec, "directory")
 }
 
-func (d *dirSink) write(sv *mhd.Solver, _ segMeta) error {
-	_, err := writeCheckpointFile(d.dir, sv)
+func (d *dirSink) write(in *snapshot.Interior, _ segMeta) error {
+	_, err := writeCheckpointFile(d.dir, in)
 	if errors.Is(err, syscall.ENOSPC) {
 		// Surface a full disk as the typed error so callers (and the
 		// campaign's own abort path) can tell it apart from transient
@@ -172,7 +175,13 @@ func (d *dirSink) segment(step int) (*snapshot.Interior, error) {
 }
 
 func (d *dirSink) prune(keep int) error {
-	return prune(d.dir, keep)
+	steps, err := listCheckpoints(d.dir)
+	if err != nil {
+		return err
+	}
+	return pruneOldest(steps, keep, func(step int) error {
+		return os.Remove(filepath.Join(d.dir, ckptName(step)))
+	})
 }
 
 func (d *dirSink) postmortem(text string) string {
@@ -240,62 +249,31 @@ func (s *storeSink) ckptSteps() ([]int, error) {
 	return steps, nil
 }
 
-func (s *storeSink) newest(spec grid.Spec) (*mhd.Solver, []string, error) {
+func (s *storeSink) newest(spec grid.Spec) (*snapshot.Interior, []string, error) {
 	steps, err := s.ckptSteps()
 	if err != nil {
 		return nil, nil, err
 	}
-	var skipped []string
-	// The same fallback ladder as loadNewest: a corrupt, missing or
-	// undecodable newest checkpoint is skipped (the store's typed
-	// errors land in skipped) and the scan falls back to the
-	// next-newest; only a readable checkpoint with the wrong grid is a
-	// hard error.
-	for i := len(steps) - 1; i >= 0; i-- {
-		name := s.refName(steps[i])
-		sv, err := s.readCkpt(steps[i])
-		if err != nil {
-			skipped = append(skipped, fmt.Sprintf("%s: %v", name, err))
-			continue
-		}
-		if sv.Spec != spec {
-			return nil, skipped, fmt.Errorf("resilience: checkpoint %s holds grid %dx%dx%d, campaign wants %dx%dx%d — wrong run id or reconfigured resolution",
-				name, sv.Spec.Nr, sv.Spec.Nt, sv.Spec.Np, spec.Nr, spec.Nt, spec.Np)
-		}
-		return sv, skipped, nil
-	}
-	return nil, skipped, nil
+	// The store's typed errors (corrupt, missing blob) land in skipped.
+	return newestValid(steps, s.refName, s.segment, spec, "run id")
 }
 
-func (s *storeSink) readCkpt(step int) (*mhd.Solver, error) {
-	h, err := s.st.Ref(s.refName(step))
+func (s *storeSink) write(in *snapshot.Interior, meta segMeta) error {
+	data, err := in.Bytes()
 	if err != nil {
-		return nil, err
-	}
-	data, err := s.st.Get(h)
-	if err != nil {
-		return nil, err
-	}
-	return snapshot.ReadCheckpoint(bytes.NewReader(data))
-}
-
-func (s *storeSink) write(sv *mhd.Solver, meta segMeta) error {
-	var buf bytes.Buffer
-	if err := snapshot.WriteCheckpoint(&buf, sv); err != nil {
 		return fmt.Errorf("resilience: encoding checkpoint: %w", err)
 	}
-	data := buf.Bytes()
 	h, err := s.st.Put(data)
 	if err != nil {
 		return err
 	}
-	name := fmt.Sprintf("ckpt-%09d", sv.Step)
-	if err := s.st.SetRef(s.refName(sv.Step), h); err != nil {
+	name := fmt.Sprintf("ckpt-%09d", in.Step)
+	if err := s.st.SetRef(s.refName(in.Step), h); err != nil {
 		return err
 	}
 	m := store.Manifest{
 		Run:  s.run,
-		Step: sv.Step,
+		Step: in.Step,
 		Note: meta.note,
 		Artifacts: []store.Artifact{
 			{Name: name, Role: "checkpoint", Hash: h, Size: int64(len(data))},
@@ -339,13 +317,7 @@ func (s *storeSink) prune(keep int) error {
 	if err != nil {
 		return err
 	}
-	for len(steps) > keep {
-		if err := s.st.DelRef(s.refName(steps[0])); err != nil {
-			return err
-		}
-		steps = steps[1:]
-	}
-	return nil
+	return pruneOldest(steps, keep, func(step int) error { return s.st.DelRef(s.refName(step)) })
 }
 
 func (s *storeSink) postmortem(text string) string {

@@ -182,6 +182,27 @@ func TestCampaignENOSPCTypedError(t *testing.T) {
 	}
 }
 
+// TestFailedCommitLeavesFinalAtLastCommit: when a segment's checkpoint
+// write fails, the history handed back with the error ends at the last
+// commit — Final, FinalStep and Diags alike; the gathered but
+// uncommitted segment is not in it.
+func TestFailedCommitLeavesFinalAtLastCommit(t *testing.T) {
+	cfg, _, b := storeConfig(t, 2, 2)
+	if _, err := RunCampaign(cfg); err != nil {
+		t.Fatal(err)
+	}
+	b.SetFaults(store.NewFaultPlan([]store.Fault{{Op: -1, Kind: store.FaultENOSPC}}))
+	cfg.Steps = 4
+	res, err := RunCampaign(cfg)
+	var full *store.DiskFullError
+	if !errors.As(err, &full) {
+		t.Fatalf("campaign error = %v, want *store.DiskFullError", err)
+	}
+	if res == nil || res.Final == nil || res.FinalStep != 2 || res.Final.Step != 2 || len(res.Diags) != 0 {
+		t.Fatalf("after a failed commit of step 4: %+v, want Final and FinalStep at step 2, no diagnostics", res)
+	}
+}
+
 // TestCampaignStoreCorruptNewestFallsBack: resuming through the store
 // with a bit-rotted newest checkpoint falls back to the next-newest,
 // exactly like the loose-file ladder.

@@ -6,19 +6,15 @@
 //
 // The checkpoint format is a self-describing little-endian binary
 // container: a magic header, the grid spec and physical parameters, then
-// the eight state scalars of each panel including halos, and a trailing
-// CRC-32. Restarting from a checkpoint is bit-exact (tested).
+// the interior of the eight state scalars of each panel, and a trailing
+// CRC-32 (codec.go). Restarting from a checkpoint is bit-exact (tested).
 package snapshot
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
-	"hash/crc32"
 	"io"
-	"math"
-	"os"
 
 	"repro/internal/coords"
 	"repro/internal/grid"
@@ -31,195 +27,6 @@ const (
 	Magic   = "YYGO"
 	Version = 2
 )
-
-// header is the fixed-size preamble of a checkpoint.
-type header struct {
-	Version            uint32
-	Nr, Nt, Np         int32
-	RI, RO             float64
-	Gamma, Mu, Kappa   float64
-	Eta, G0, Omega, Ti float64
-	MagBC              int32
-	Pad                int32 // keep 8-byte alignment explicit
-	Time               float64
-	Step               int64
-}
-
-// WriteCheckpoint serializes the solver state (both panels, halos
-// included) so that ReadCheckpoint restores it bit-exactly.
-func WriteCheckpoint(w io.Writer, sv *mhd.Solver) error {
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	bw := bufio.NewWriterSize(mw, 1<<16)
-
-	if _, err := bw.WriteString(Magic); err != nil {
-		return err
-	}
-	h := header{
-		Version: Version,
-		Nr:      int32(sv.Spec.Nr), Nt: int32(sv.Spec.Nt), Np: int32(sv.Spec.Np),
-		RI: sv.Spec.RI, RO: sv.Spec.RO,
-		Gamma: sv.Prm.Gamma, Mu: sv.Prm.Mu, Kappa: sv.Prm.Kappa,
-		Eta: sv.Prm.Eta, G0: sv.Prm.G0, Omega: sv.Prm.Omega, Ti: sv.Prm.TIn,
-		MagBC: int32(sv.Prm.MagBC),
-		Time:  sv.Time,
-		Step:  int64(sv.Step),
-	}
-	if err := binary.Write(bw, binary.LittleEndian, &h); err != nil {
-		return err
-	}
-	for _, pl := range sv.Panels {
-		for _, s := range pl.U.Scalars() {
-			var werr error
-			s.EachInteriorRow(func(i0 int, row []float64) {
-				if werr == nil {
-					werr = writeFloats(bw, row)
-				}
-			})
-			if werr != nil {
-				return werr
-			}
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	// Trailing checksum over everything written so far.
-	return binary.Write(w, binary.LittleEndian, crc.Sum32())
-}
-
-// countingReader tracks how many bytes have been consumed, so decode
-// and checksum failures can name the byte offset of the damage instead
-// of forcing a manual hexdump hunt.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// readHeader consumes and validates a checkpoint's magic and header
-// through a CRC tee; the returned hash and tee reader continue the
-// checksummed payload read.
-func readHeader(r io.Reader) (hash.Hash32, io.Reader, header, error) {
-	crc := crc32.NewIEEE()
-	br := io.TeeReader(r, crc)
-	var h header
-
-	magic := make([]byte, len(Magic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, nil, h, fmt.Errorf("snapshot: reading magic: %w", err)
-	}
-	if string(magic) != Magic {
-		return nil, nil, h, fmt.Errorf("snapshot: bad magic %q", magic)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &h); err != nil {
-		return nil, nil, h, fmt.Errorf("snapshot: reading header: %w", err)
-	}
-	if h.Version != Version {
-		return nil, nil, h, fmt.Errorf("snapshot: unsupported version %d", h.Version)
-	}
-	// Sanity-bound the header before allocating anything from it: a
-	// corrupt (truncated, bit-flipped) file would otherwise request
-	// absurd grid allocations or build a nonsense solver long before the
-	// trailing checksum could reject it.
-	const maxNodes = 1 << 14
-	if h.Nr < 3 || h.Nt < 3 || h.Np < 3 || h.Nr > maxNodes || h.Nt > maxNodes || h.Np > 3*maxNodes {
-		return nil, nil, h, fmt.Errorf("snapshot: implausible grid %dx%dx%d in header", h.Nr, h.Nt, h.Np)
-	}
-	if !(h.RI > 0 && h.RO > h.RI) || math.IsNaN(h.RI) || math.IsNaN(h.RO) || math.IsInf(h.RO, 0) {
-		return nil, nil, h, fmt.Errorf("snapshot: implausible shell radii [%g, %g] in header", h.RI, h.RO)
-	}
-	if h.Step < 0 || h.Step > 1<<40 || math.IsNaN(h.Time) || math.IsInf(h.Time, 0) {
-		return nil, nil, h, fmt.Errorf("snapshot: implausible clock t=%g step=%d in header", h.Time, h.Step)
-	}
-	return crc, br, h, nil
-}
-
-// verifyChecksum reads the stored trailing CRC-32 from the raw
-// (un-teed) reader and compares it against the hash of everything
-// consumed so far; payloadEnd is the byte offset where the hashed
-// payload stopped (and the stored checksum begins).
-func verifyChecksum(r io.Reader, crc hash.Hash32, payloadEnd int64) error {
-	sum := crc.Sum32()
-	var stored uint32
-	if err := binary.Read(r, binary.LittleEndian, &stored); err != nil {
-		return fmt.Errorf("snapshot: reading checksum at byte offset %d: %w", payloadEnd, err)
-	}
-	if stored != sum {
-		return fmt.Errorf("snapshot: checksum mismatch over bytes 0..%d: stored %08x at offset %d, computed %08x",
-			payloadEnd-1, stored, payloadEnd, sum)
-	}
-	return nil
-}
-
-// ReadCheckpoint reconstructs a solver from a checkpoint. The restored
-// solver carries the stored parameters and the interior state; the
-// constraint application (walls + overset exchange) is re-run to
-// rebuild the padded halo values the payload does not carry.
-func ReadCheckpoint(r io.Reader) (*mhd.Solver, error) {
-	in, err := ReadInterior(r)
-	if err != nil {
-		return nil, err
-	}
-	return in.Solver()
-}
-
-// ReadCheckpointFile reads a checkpoint from disk, prefixing every
-// failure with the file path so a corrupt checkpoint names both the
-// file and (via the decode errors) the byte offset of the damage.
-func ReadCheckpointFile(path string) (*mhd.Solver, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sv, err := ReadCheckpoint(f)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
-	}
-	return sv, nil
-}
-
-func writeFloats(w io.Writer, data []float64) error {
-	buf := make([]byte, 8*4096)
-	for len(data) > 0 {
-		n := len(data)
-		if n > 4096 {
-			n = 4096
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(data[i]))
-		}
-		if _, err := w.Write(buf[:8*n]); err != nil {
-			return err
-		}
-		data = data[n:]
-	}
-	return nil
-}
-
-func readFloats(r io.Reader, data []float64) error {
-	buf := make([]byte, 8*4096)
-	for len(data) > 0 {
-		n := len(data)
-		if n > 4096 {
-			n = 4096
-		}
-		if _, err := io.ReadFull(r, buf[:8*n]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-		}
-		data = data[n:]
-	}
-	return nil
-}
 
 // VizExport is the visualization product of section V: the Cartesian
 // components of B, v and omega plus T, in single precision, on the panel
