@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
 	"testing"
 )
 
@@ -43,6 +45,23 @@ func TestCheckpointDeterminism(t *testing.T) {
 	c := checkpointSum(t, pooled, steps, dt)
 	if a != c {
 		t.Fatalf("pooled kernels diverged from serial: %x vs %x", a, c)
+	}
+}
+
+// TestAbsoluteGolden pins the serial 9x13 checkpoint after 10 steps at
+// dt = 2e-3 to a fixed hash. Every other golden compares one run against
+// another in the same process, so an arithmetic change shared by the
+// serial and decomposed paths (the Runge-Kutta combine, a stencil) passes
+// them all; this one does not. The hash is the amd64 result: arm64 fuses
+// x*y + z into FMAs and rounds differently.
+func TestAbsoluteGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden hash is the amd64 result; %s fuses multiply-adds", runtime.GOARCH)
+	}
+	const want = "c971ea5ebb92af381c5aec794e0e792d4b8f767675a6f9f1c26bb75c64e14fea"
+	sum := checkpointSum(t, Config{Nr: 9, Nt: 13}, 10, 2e-3)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("checkpoint sha256 %s, want %s", got, want)
 	}
 }
 

@@ -752,7 +752,7 @@ func (r *Rank) Advance(dt float64) {
 }
 
 // AdvanceScheme advances one step with an explicit integrator choice,
-// using the same stage tables as the serial solver. The leading Tick is
+// through the same stage loop as the serial solver. The leading Tick is
 // the fault-injection checkpoint: a scripted FaultPlan.Kill for this
 // world rank fires here, before the step's first exchange.
 func (r *Rank) AdvanceScheme(dt float64, scheme mhd.Integrator) {
@@ -761,20 +761,9 @@ func (r *Rank) AdvanceScheme(dt float64, scheme mhd.Integrator) {
 	defer r.obs.Begin(obs.SpanStep).End()
 	r.obs.SetGauge("dt", dt)
 	r.lastDT = dt
-	pl := r.PL
-	pl.SaveU0()
-	pl.ZeroAcc()
-	stages, finalCoeff := mhd.SchemeStages(scheme)
-	for si, stg := range stages {
-		r.rhs(&pl.U, pl.K())
-		pl.AccumulateK(stg.AccCoeff)
-		if si < len(stages)-1 {
-			pl.RestoreU0PlusK(stg.StepCoeff * dt)
-			r.applyConstraints()
-		}
-	}
-	pl.RestoreU0PlusAcc(finalCoeff * dt)
-	r.applyConstraints()
+	scheme.Advance(dt, []*mhd.Panel{r.PL}, func(pl *mhd.Panel, k *mhd.State) {
+		r.rhs(&pl.U, k)
+	}, r.applyConstraints)
 	r.Time += dt
 	r.StepN++
 	if r.tele != nil {

@@ -27,7 +27,8 @@ func ApplyWallBC(pl *Panel, prm Params) {
 		i    int
 		temp float64
 	}
-	var walls []wall
+	var wallsA [2]wall
+	walls := wallsA[:0]
 	if p.GlobalEdge(0) {
 		walls = append(walls, wall{h, prm.TIn})
 	}

@@ -26,7 +26,7 @@ func TestIntegratorMeta(t *testing.T) {
 	if Integrator(9).String() == "" {
 		t.Error("unknown scheme has no name")
 	}
-	tbl, fin := SchemeStages(RK4)
+	tbl, fin := RK4.stages()
 	if len(tbl) != 4 || fin != 1.0/6.0 {
 		t.Errorf("RK4 table %v %v", tbl, fin)
 	}

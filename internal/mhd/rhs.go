@@ -7,14 +7,14 @@ import (
 
 // ComputeVTB fills the subsidiary fields V = f/rho, T = p/rho (pointwise,
 // valid over the full padded arrays) and B = curl A (valid over the patch
-// nodes; a decomposed run must exchange B halos before FinishRHS because
-// the current density differentiates B).
+// nodes, by the column-fused curl; a decomposed run must exchange B halos
+// before FinishRHS because the current density differentiates B).
 func ComputeVTB(pl *Panel, u *State) {
 	pl.V.R.Quot(u.F.R, u.Rho)
 	pl.V.T.Quot(u.F.T, u.Rho)
 	pl.V.P.Quot(u.F.P, u.Rho)
 	fillDerivedT(u, pl.T)
-	sphops.Curl(pl.Patch, u.A, pl.B, pl.W)
+	sphops.CurlOn(pl.Patch, pl.Patch.OwnedRegion(), u.A, pl.B, pl.W)
 }
 
 // FinishRHS evaluates the right-hand sides of the normalized MHD system,
@@ -59,5 +59,5 @@ func FinishRHS(pl *Panel, prm Params, u, out *State, sync func(fs ...*field.Scal
 // field; ComputeVTB must have run. Diagnostics (e.g. the magnetic
 // moment) use it outside the right-hand-side path.
 func ComputeJ(pl *Panel) {
-	sphops.Curl(pl.Patch, pl.B, pl.J, pl.W)
+	RHSCurlJ(pl, pl.Patch.OwnedRegion())
 }

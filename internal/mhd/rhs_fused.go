@@ -79,27 +79,21 @@ type rhsRows struct {
 
 const rhsRowCount = 23
 
-func newRHSRows(nrP int) *rhsRows {
-	backing := make([]float64, rhsRowCount*nrP)
+// bindRHSRows lays the rows of one set over backing, rhsRowCount padded
+// radial rows long.
+func bindRHSRows(backing []float64, nrP int) rhsRows {
 	next := func() []float64 {
 		r := backing[:nrP:nrP]
 		backing = backing[nrP:]
 		return r
 	}
-	s := &rhsRows{}
-	ptrs := []*[]float64{
-		&s.dPr, &s.dPt, &s.dPp,
-		&s.dF, &s.lT,
-		&s.gDr, &s.gDt, &s.gDp,
-	}
+	var s rhsRows
+	s.dPr, s.dPt, s.dPp = next(), next(), next()
+	s.dF, s.lT = next(), next()
+	s.gDr, s.gDt, s.gDp = next(), next(), next()
 	for c := 0; c < 3; c++ {
-		ptrs = append(ptrs,
-			&s.vD1r[c], &s.vD1t[c], &s.vD1p[c],
-			&s.lap[c], &s.adv[c],
-		)
-	}
-	for _, dst := range ptrs {
-		*dst = next()
+		s.vD1r[c], s.vD1t[c], s.vD1p[c] = next(), next(), next()
+		s.lap[c], s.adv[c] = next(), next()
 	}
 	return s
 }
@@ -111,19 +105,21 @@ func newRHSRows(nrP int) *rhsRows {
 // columns of reg only.
 func RHSUpdate(pl *Panel, prm Params, u, out *State, reg grid.Region) {
 	p := pl.Patch
+	nrP, _, _ := p.Padded()
 	for _, rc := range reg {
 		if rc.Empty() {
 			continue
 		}
 		rc := rc
 		p.Par.For(rc.K1-rc.K0, func(klo, khi int) {
-			s := pl.getRows()
+			backing := pl.W.Rows(rhsRowCount)
+			s := bindRHSRows(backing, nrP)
 			for k := rc.K0 + klo; k < rc.K0+khi; k++ {
 				for j := rc.J0; j < rc.J1; j++ {
-					fusedRHSColumn(pl, prm, u, out, s, j, k)
+					fusedRHSColumn(pl, prm, u, out, &s, j, k)
 				}
 			}
-			pl.putRows(s)
+			pl.W.PutRows(backing)
 		})
 	}
 	chargeRHSUpdate(p, reg)

@@ -12,8 +12,8 @@ import (
 // equivalence suite (rhs_reference_test.go) pins FinishRHS against,
 // bit for bit, and (b) as the baseline TestFusedRHSSpeedupTripwire and
 // benchmark/'s mhd.finish_rhs_ref_ratio measure the fusion speedup
-// from. It must not be edited except in lockstep with a deliberate
-// re-derivation of the fused kernel.
+// from. Its arithmetic must not be edited except in lockstep with a
+// deliberate re-derivation of the fused kernel.
 func FinishRHSReference(pl *Panel, prm Params, u, out *State, sync func(fs ...*field.Scalar)) {
 	p := pl.Patch
 	w := pl.W
@@ -36,13 +36,23 @@ func FinishRHSReference(pl *Panel, prm Params, u, out *State, sync func(fs ...*f
 	sphops.LapScalar(p, pl.T, lapT, w)
 	sphops.StrainSquared(p, pl.V, strain, w)
 
-	sphops.DivTensorVF(p, pl.V, u.F, pl.adv, w)
-	sphops.Grad(p, u.P, pl.gp, w)
-	sphops.LapVector(p, pl.V, pl.lap, w)
+	// The momentum equation's operator outputs, from the same pool: only
+	// a panel that runs the reference ever holds them.
+	vec := func() *field.Vector { return &field.Vector{R: w.Get(), T: w.Get(), P: w.Get()} }
+	adv, gp, lap, gdv := vec(), vec(), vec(), vec()
+	defer func() {
+		for _, v := range [...]*field.Vector{adv, gp, lap, gdv} {
+			w.Put(v.R, v.T, v.P)
+		}
+	}()
+
+	sphops.DivTensorVF(p, pl.V, u.F, adv, w)
+	sphops.Grad(p, u.P, gp, w)
+	sphops.LapVector(p, pl.V, lap, w)
 	if sync != nil {
 		sync(divV)
 	}
-	sphops.Grad(p, divV, pl.gdv, w)
+	sphops.Grad(p, divV, gdv, w)
 
 	gamma, mu, kappa, eta, g0 := prm.Gamma, prm.Mu, prm.Kappa, prm.Eta, prm.G0
 	_, ntP, _ := p.Padded()
@@ -81,18 +91,18 @@ func FinishRHSReference(pl *Panel, prm Params, u, out *State, sync func(fs ...*f
 				vg := vgp.Row(j, k)
 				lT := lapT.Row(j, k)
 				st := strain.Row(j, k)
-				advR := pl.adv.R.Row(j, k)
-				advT := pl.adv.T.Row(j, k)
-				advP := pl.adv.P.Row(j, k)
-				gpR := pl.gp.R.Row(j, k)
-				gpT := pl.gp.T.Row(j, k)
-				gpP := pl.gp.P.Row(j, k)
-				lapR := pl.lap.R.Row(j, k)
-				lapTc := pl.lap.T.Row(j, k)
-				lapP := pl.lap.P.Row(j, k)
-				gdvR := pl.gdv.R.Row(j, k)
-				gdvT := pl.gdv.T.Row(j, k)
-				gdvP := pl.gdv.P.Row(j, k)
+				advR := adv.R.Row(j, k)
+				advT := adv.T.Row(j, k)
+				advP := adv.P.Row(j, k)
+				gpR := gp.R.Row(j, k)
+				gpT := gp.T.Row(j, k)
+				gpP := gp.P.Row(j, k)
+				lapR := lap.R.Row(j, k)
+				lapTc := lap.T.Row(j, k)
+				lapP := lap.P.Row(j, k)
+				gdvR := gdv.R.Row(j, k)
+				gdvT := gdv.T.Row(j, k)
+				gdvP := gdv.P.Row(j, k)
 
 				for i := h; i < h+p.Nr; i++ {
 					// Continuity, eq. (2).

@@ -152,48 +152,16 @@ func (sv *Solver) applyConstraints() {
 	}
 }
 
-// rhs evaluates the full right-hand side for the current U of every
-// panel into each panel's k scratch state.
-func (sv *Solver) rhs() {
-	sv.eachPanel(func(pl *Panel) {
-		ComputeVTB(pl, &pl.U)
-		FinishRHS(pl, sv.Prm, &pl.U, &pl.k, nil)
-	})
-}
-
-// eachPanel runs fn on both panels in turn.
-func (sv *Solver) eachPanel(fn func(pl *Panel)) {
-	for _, pl := range sv.Panels {
-		fn(pl)
-	}
-}
-
-// Advance performs one classical RK4 step of size dt:
-//
-//	k1 = R(u0)            u <- u0 + dt/2 k1
-//	k2 = R(u)             u <- u0 + dt/2 k2
-//	k3 = R(u)             u <- u0 + dt   k3
-//	k4 = R(u)             u <- u0 + dt/6 (k1 + 2 k2 + 2 k3 + k4)
-//
-// with boundary conditions and the overset exchange applied after every
-// stage update, following the paper's use of interpolation as the
-// internal boundary condition of each component grid.
+// Advance performs one step of size dt with the solver's scheme
+// (Integrator.Advance, classical RK4 by default), with boundary
+// conditions and the overset exchange applied after every stage update,
+// following the paper's use of interpolation as the internal boundary
+// condition of each component grid.
 func (sv *Solver) Advance(dt float64) {
-	stages, finalCoeff := sv.Scheme.stages()
-	for _, pl := range sv.Panels {
-		pl.SaveU0()
-		pl.ZeroAcc()
-	}
-	for si, stg := range stages {
-		sv.rhs()
-		sv.eachPanel(func(pl *Panel) { pl.AccumulateK(stg.accCoeff) })
-		if si < len(stages)-1 {
-			sv.eachPanel(func(pl *Panel) { pl.RestoreU0PlusK(stg.stepCoeff * dt) })
-			sv.applyConstraints()
-		}
-	}
-	sv.eachPanel(func(pl *Panel) { pl.RestoreU0PlusAcc(finalCoeff * dt) })
-	sv.applyConstraints()
+	sv.Scheme.Advance(dt, sv.Panels[:], func(pl *Panel, k *State) {
+		ComputeVTB(pl, &pl.U)
+		FinishRHS(pl, sv.Prm, &pl.U, k, nil)
+	}, sv.applyConstraints)
 	sv.Time += dt
 	sv.Step++
 }

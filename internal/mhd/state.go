@@ -2,7 +2,6 @@ package mhd
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/coords"
 	"repro/internal/field"
@@ -26,30 +25,6 @@ func NewState(s field.Shape) State {
 		F:   field.NewVector(s),
 		A:   field.NewVector(s),
 	}
-}
-
-// CopyFrom deep-copies src into st.
-func (st *State) CopyFrom(src *State) {
-	st.Rho.CopyFrom(src.Rho)
-	st.P.CopyFrom(src.P)
-	st.F.CopyFrom(src.F)
-	st.A.CopyFrom(src.A)
-}
-
-// AXPY sets st = st + a*k for every variable.
-func (st *State) AXPY(a float64, k *State) {
-	st.Rho.AXPY(a, k.Rho)
-	st.P.AXPY(a, k.P)
-	st.F.AXPY(a, k.F)
-	st.A.AXPY(a, k.A)
-}
-
-// LinComb sets st = a*x + b*y for every variable.
-func (st *State) LinComb(a float64, x *State, b float64, y *State) {
-	st.Rho.LinComb(a, x.Rho, b, y.Rho)
-	st.P.LinComb(a, x.P, b, y.P)
-	st.F.LinComb(a, x.F, b, y.F)
-	st.A.LinComb(a, x.A, b, y.A)
 }
 
 // Scalars returns the eight scalar fields of the state in a fixed order
@@ -82,18 +57,9 @@ type Panel struct {
 	// differentiating it for the compressive viscous force.
 	DivV *field.Scalar
 
-	// Operator-output scratch for the momentum equation (used by the
-	// unfused reference evaluation only; the fused kernel keeps these
-	// intermediates in per-worker rows).
-	adv, gp, lap, gdv *field.Vector
-
+	// Scratch of the kernels: per-worker radial rows while stepping,
+	// full fields only for the reference and diagnostic operators.
 	W *sphops.Workspace
-
-	// Per-worker scratch rows of the fused update kernel, recycled
-	// across evaluations through a mutex-guarded free list (workers grab
-	// one set per pool range, not per column, so contention is nil).
-	rowsMu   sync.Mutex
-	rowsFree []*rhsRows
 
 	// Rotation vector Omega in this panel's local spherical components,
 	// indexed [k*ntPadded + j] (independent of radius).
@@ -120,10 +86,6 @@ func NewPanel(p *grid.Patch, omega float64) *Panel {
 		J:     p.NewVector(),
 		T:     p.NewScalar(),
 		DivV:  p.NewScalar(),
-		adv:   p.NewVector(),
-		gp:    p.NewVector(),
-		lap:   p.NewVector(),
-		gdv:   p.NewVector(),
 		W:     sphops.NewWorkspace(p),
 	}
 	pl.precomputeOmega(omega)
@@ -183,28 +145,6 @@ func (pl *Panel) precomputeOwnership() {
 	}
 }
 
-// getRows hands a worker a scratch-row set for the fused update kernel,
-// allocating on first use and recycling thereafter.
-func (pl *Panel) getRows() *rhsRows {
-	pl.rowsMu.Lock()
-	if n := len(pl.rowsFree); n > 0 {
-		s := pl.rowsFree[n-1]
-		pl.rowsFree = pl.rowsFree[:n-1]
-		pl.rowsMu.Unlock()
-		return s
-	}
-	pl.rowsMu.Unlock()
-	nrP, _, _ := pl.Patch.Padded()
-	return newRHSRows(nrP)
-}
-
-// putRows returns a scratch-row set to the free list.
-func (pl *Panel) putRows(s *rhsRows) {
-	pl.rowsMu.Lock()
-	pl.rowsFree = append(pl.rowsFree, s)
-	pl.rowsMu.Unlock()
-}
-
 // rimDistance returns the angular distance from (theta, phi) to the patch
 // rim; negative if outside the patch footprint.
 func rimDistance(theta, phi float64) float64 {
@@ -225,32 +165,4 @@ func min4(a, b, c, d float64) float64 {
 		m = d
 	}
 	return m
-}
-
-// The following helpers expose the Runge-Kutta scratch operations used by
-// both the serial two-panel solver and the decomposed per-rank driver, so
-// the two advance loops stay arithmetically identical.
-
-// SaveU0 snapshots the current state as the step's base point.
-func (pl *Panel) SaveU0() { pl.u0.CopyFrom(&pl.U) }
-
-// ZeroAcc clears the Runge-Kutta accumulator.
-func (pl *Panel) ZeroAcc() { pl.acc.LinComb(0, &pl.u0, 0, &pl.u0) }
-
-// K returns the scratch state receiving right-hand-side evaluations.
-func (pl *Panel) K() *State { return &pl.k }
-
-// AccumulateK adds c*k to the accumulator.
-func (pl *Panel) AccumulateK(c float64) { pl.acc.AXPY(c, &pl.k) }
-
-// RestoreU0PlusK sets U = u0 + c*k (an intermediate Runge-Kutta stage).
-func (pl *Panel) RestoreU0PlusK(c float64) {
-	pl.U.CopyFrom(&pl.u0)
-	pl.U.AXPY(c, &pl.k)
-}
-
-// RestoreU0PlusAcc sets U = u0 + c*acc (the final Runge-Kutta update).
-func (pl *Panel) RestoreU0PlusAcc(c float64) {
-	pl.U.CopyFrom(&pl.u0)
-	pl.U.AXPY(c, &pl.acc)
 }

@@ -20,24 +20,66 @@ import (
 // the full-field forms, so for any region cover the results are bitwise
 // identical to the corresponding full-field sweep.
 
-// sweepOn runs fn over every column of reg. Each rectangle's phi extent
-// is range-split over the patch worker pool; distinct (j, k) columns own
-// disjoint output rows, so the parallel form is bit-identical to the
-// serial one. fn must only write rows of its own (j, k).
-func sweepOn(p *grid.Patch, reg grid.Region, fn func(j, k int)) {
+// colArgs carries one column-fused kernel call's operands and stencil
+// constants to its per-column body: divColumn when div is set, else
+// curlColumn. The bodies are called directly, not through a func value,
+// so a serial sweep keeps colArgs on the stack.
+type colArgs struct {
+	p                  *grid.Patch
+	v                  *field.Vector
+	out                *field.Vector // CurlOn's output
+	div                *field.Scalar // DivOn's output
+	cr, ct, cp         float64
+	loT, hiT, loP, hiP bool
+}
+
+func newColArgs(p *grid.Patch, v, out *field.Vector, div *field.Scalar) colArgs {
+	return colArgs{
+		p: p, v: v, out: out, div: div,
+		cr: 1 / (2 * p.Dr), ct: 1 / (2 * p.Dt), cp: 1 / (2 * p.Dp),
+		loT: p.GlobalEdge(2), hiT: p.GlobalEdge(3),
+		loP: p.GlobalEdge(4), hiP: p.GlobalEdge(5),
+	}
+}
+
+// sweepOn runs a's column body over every column of reg, handing each
+// pool range one set of rows padded radial scratch rows from w. Each
+// rectangle's phi extent is range-split over the patch worker pool;
+// distinct (j, k) columns own disjoint output rows, and a body writes
+// only its own column's output rows and the scratch rows, so the
+// parallel form is bit-identical to the serial one. Without a pool the
+// sweep runs inline and, once w holds a row set, allocates nothing; a
+// pooled sweep allocates the closure it hands the workers.
+func sweepOn(reg grid.Region, w *Workspace, rows int, a colArgs) {
 	for _, rc := range reg {
 		if rc.Empty() {
 			continue
 		}
-		rc := rc
-		p.Par.For(rc.K1-rc.K0, func(klo, khi int) {
-			for k := rc.K0 + klo; k < rc.K0+khi; k++ {
-				for j := rc.J0; j < rc.J1; j++ {
-					fn(j, k)
-				}
-			}
+		if a.p.Par == nil {
+			sweepRange(rc, w, rows, &a, 0, rc.K1-rc.K0)
+			continue
+		}
+		rc, a := rc, a // the closure's own copies: only they move to the heap
+		a.p.Par.For(rc.K1-rc.K0, func(klo, khi int) {
+			sweepRange(rc, w, rows, &a, klo, khi)
 		})
 	}
+}
+
+// sweepRange runs a's column body over the columns of rc in phi offsets
+// [klo, khi).
+func sweepRange(rc grid.Rect, w *Workspace, rows int, a *colArgs, klo, khi int) {
+	s := w.Rows(rows)
+	for k := rc.K0 + klo; k < rc.K0+khi; k++ {
+		for j := rc.J0; j < rc.J1; j++ {
+			if a.div != nil {
+				divColumn(a, j, k, s)
+			} else {
+				curlColumn(a, j, k, s)
+			}
+		}
+	}
+	w.PutRows(s)
 }
 
 // countOn charges the aggregate a region evaluation owes the counters:
@@ -60,93 +102,92 @@ func countOn(p *grid.Patch, reg grid.Region, flopsPerNode, loopsPerColumn int) {
 // combine statement matches the full-field sweep, so the values are
 // exact.
 func DivOn(p *grid.Patch, reg grid.Region, v *field.Vector, out *field.Scalar, w *Workspace) {
-	dt := w.Get()
-	dp := w.Get()
-	defer w.Put(dt, dp)
+	sweepOn(reg, w, 2, newColArgs(p, v, nil, out))
+	countOn(p, reg, 18, 4)
+}
+
+// divColumn is DivOn's body for column (j, k), with its two angular
+// derivative rows in s.
+func divColumn(a *colArgs, j, k int, s []float64) {
+	p, v, out := a.p, a.v, a.div
 	h := p.H
 	n := p.Nr
-	cr := 1 / (2 * p.Dr)
-	ct := 1 / (2 * p.Dt)
-	cp := 1 / (2 * p.Dp)
-	loT, hiT := p.GlobalEdge(2), p.GlobalEdge(3)
-	loP, hiP := p.GlobalEdge(4), p.GlobalEdge(5)
-	sweepOn(p, reg, func(j, k int) {
-		dtr := dt.Row(j, k)
-		dpr := dp.Row(j, k)
+	cr, ct, cp := a.cr, a.ct, a.cp
+	loT, hiT, loP, hiP := a.loT, a.hiT, a.loP, a.hiP
+	nrP := n + 2*h
+	dtr, dpr := s[:nrP], s[nrP:2*nrP]
 
-		// Theta pass: d/dtheta of v_theta.
-		{
-			bw := dtr[h:][:n]
-			switch {
-			case loT && j == h:
-				t0, t1, t2 := v.T.Row(j, k)[h:][:n], v.T.Row(j+1, k)[h:][:n], v.T.Row(j+2, k)[h:][:n]
-				for i := 0; i < n; i++ {
-					bw[i] = ct * (-3*t0[i] + 4*t1[i] - t2[i])
-				}
-			case hiT && j == h+p.Nt-1:
-				t0, t1, t2 := v.T.Row(j, k)[h:][:n], v.T.Row(j-1, k)[h:][:n], v.T.Row(j-2, k)[h:][:n]
-				for i := 0; i < n; i++ {
-					bw[i] = ct * (3*t0[i] - 4*t1[i] + t2[i])
-				}
-			default:
-				tP, tM := v.T.Row(j+1, k)[h:][:n], v.T.Row(j-1, k)[h:][:n]
-				for i := 0; i < n; i++ {
-					bw[i] = ct * (tP[i] - tM[i])
-				}
+	// Theta pass: d/dtheta of v_theta.
+	{
+		bw := dtr[h:][:n]
+		switch {
+		case loT && j == h:
+			t0, t1, t2 := v.T.Row(j, k)[h:][:n], v.T.Row(j+1, k)[h:][:n], v.T.Row(j+2, k)[h:][:n]
+			for i := 0; i < n; i++ {
+				bw[i] = ct * (-3*t0[i] + 4*t1[i] - t2[i])
+			}
+		case hiT && j == h+p.Nt-1:
+			t0, t1, t2 := v.T.Row(j, k)[h:][:n], v.T.Row(j-1, k)[h:][:n], v.T.Row(j-2, k)[h:][:n]
+			for i := 0; i < n; i++ {
+				bw[i] = ct * (3*t0[i] - 4*t1[i] + t2[i])
+			}
+		default:
+			tP, tM := v.T.Row(j+1, k)[h:][:n], v.T.Row(j-1, k)[h:][:n]
+			for i := 0; i < n; i++ {
+				bw[i] = ct * (tP[i] - tM[i])
 			}
 		}
+	}
 
-		// Phi pass: d/dphi of v_phi.
-		{
-			cw := dpr[h:][:n]
-			switch {
-			case loP && k == h:
-				p0, p1, p2 := v.P.Row(j, k)[h:][:n], v.P.Row(j, k+1)[h:][:n], v.P.Row(j, k+2)[h:][:n]
-				for i := 0; i < n; i++ {
-					cw[i] = cp * (-3*p0[i] + 4*p1[i] - p2[i])
-				}
-			case hiP && k == h+p.Np-1:
-				p0, p1, p2 := v.P.Row(j, k)[h:][:n], v.P.Row(j, k-1)[h:][:n], v.P.Row(j, k-2)[h:][:n]
-				for i := 0; i < n; i++ {
-					cw[i] = cp * (3*p0[i] - 4*p1[i] + p2[i])
-				}
-			default:
-				pP, pM := v.P.Row(j, k+1)[h:][:n], v.P.Row(j, k-1)[h:][:n]
-				for i := 0; i < n; i++ {
-					cw[i] = cp * (pP[i] - pM[i])
-				}
+	// Phi pass: d/dphi of v_phi.
+	{
+		cw := dpr[h:][:n]
+		switch {
+		case loP && k == h:
+			p0, p1, p2 := v.P.Row(j, k)[h:][:n], v.P.Row(j, k+1)[h:][:n], v.P.Row(j, k+2)[h:][:n]
+			for i := 0; i < n; i++ {
+				cw[i] = cp * (-3*p0[i] + 4*p1[i] - p2[i])
+			}
+		case hiP && k == h+p.Np-1:
+			p0, p1, p2 := v.P.Row(j, k)[h:][:n], v.P.Row(j, k-1)[h:][:n], v.P.Row(j, k-2)[h:][:n]
+			for i := 0; i < n; i++ {
+				cw[i] = cp * (3*p0[i] - 4*p1[i] + p2[i])
+			}
+		default:
+			pP, pM := v.P.Row(j, k+1)[h:][:n], v.P.Row(j, k-1)[h:][:n]
+			for i := 0; i < n; i++ {
+				cw[i] = cp * (pP[i] - pM[i])
 			}
 		}
+	}
 
-		// Combine, with the radial stencil formed in place.
-		vrR := v.R.Row(j, k)
-		orR := out.Row(j, k)
-		or := orR[h:][:n]
-		vr := vrR[h:][:n]
-		vrp, vrm := vrR[h+1:][:n], vrR[h-1:][:n]
-		vt := v.T.Row(j, k)[h:][:n]
-		invr := p.InvR[h:][:n]
-		db, dc := dtr[h:][:n], dpr[h:][:n]
-		cot := p.CotT[j]
-		ist := p.InvSinT[j]
-		for i := 0; i < n; i++ {
-			ir := invr[i]
-			or[i] = (cr * (vrp[i] - vrm[i])) + 2*vr[i]*ir + ir*(db[i]+cot*vt[i]) + ir*ist*dc[i]
-		}
-		if p.GlobalEdge(0) {
-			i := h
-			ir := p.InvR[i]
-			orR[i] = (cr * (-3*vrR[i] + 4*vrR[i+1] - vrR[i+2])) + 2*vrR[i]*ir +
-				ir*(dtr[i]+cot*v.T.Row(j, k)[i]) + ir*ist*dpr[i]
-		}
-		if p.GlobalEdge(1) {
-			i := h + n - 1
-			ir := p.InvR[i]
-			orR[i] = (cr * (3*vrR[i] - 4*vrR[i-1] + vrR[i-2])) + 2*vrR[i]*ir +
-				ir*(dtr[i]+cot*v.T.Row(j, k)[i]) + ir*ist*dpr[i]
-		}
-	})
-	countOn(p, reg, 18, 4)
+	// Combine, with the radial stencil formed in place.
+	vrR := v.R.Row(j, k)
+	orR := out.Row(j, k)
+	or := orR[h:][:n]
+	vr := vrR[h:][:n]
+	vrp, vrm := vrR[h+1:][:n], vrR[h-1:][:n]
+	vt := v.T.Row(j, k)[h:][:n]
+	invr := p.InvR[h:][:n]
+	db, dc := dtr[h:][:n], dpr[h:][:n]
+	cot := p.CotT[j]
+	ist := p.InvSinT[j]
+	for i := 0; i < n; i++ {
+		ir := invr[i]
+		or[i] = (cr * (vrp[i] - vrm[i])) + 2*vr[i]*ir + ir*(db[i]+cot*vt[i]) + ir*ist*dc[i]
+	}
+	if p.GlobalEdge(0) {
+		i := h
+		ir := p.InvR[i]
+		orR[i] = (cr * (-3*vrR[i] + 4*vrR[i+1] - vrR[i+2])) + 2*vrR[i]*ir +
+			ir*(dtr[i]+cot*v.T.Row(j, k)[i]) + ir*ist*dpr[i]
+	}
+	if p.GlobalEdge(1) {
+		i := h + n - 1
+		ir := p.InvR[i]
+		orR[i] = (cr * (3*vrR[i] - 4*vrR[i-1] + vrR[i-2])) + 2*vrR[i]*ir +
+			ir*(dtr[i]+cot*v.T.Row(j, k)[i]) + ir*ist*dpr[i]
+	}
 }
 
 // CurlOn computes Curl over the columns of reg only (same metric form,
@@ -155,123 +196,115 @@ func DivOn(p *grid.Patch, reg grid.Region, v *field.Vector, out *field.Scalar, w
 // pass's input rows — before the combine; every stencil and combine
 // statement matches the full-field sweep, so the values are exact.
 func CurlOn(p *grid.Patch, reg grid.Region, v *field.Vector, out *field.Vector, w *Workspace) {
-	dtvp := w.Get()
-	dpvt := w.Get()
-	dpvr := w.Get()
-	drvp := w.Get()
-	drvt := w.Get()
-	dtvr := w.Get()
-	defer w.Put(dtvp, dpvt, dpvr, drvp, drvt, dtvr)
+	sweepOn(reg, w, 6, newColArgs(p, v, out, nil))
+	countOn(p, reg, 31, 7)
+}
+
+// curlColumn is CurlOn's body for column (j, k), with its six derivative
+// rows in s.
+func curlColumn(cv *colArgs, j, k int, s []float64) {
+	p, v, out := cv.p, cv.v, cv.out
 	h := p.H
 	n := p.Nr
-	cr := 1 / (2 * p.Dr)
-	ct := 1 / (2 * p.Dt)
-	cp := 1 / (2 * p.Dp)
-	loT, hiT := p.GlobalEdge(2), p.GlobalEdge(3)
-	loP, hiP := p.GlobalEdge(4), p.GlobalEdge(5)
-	sweepOn(p, reg, func(j, k int) {
-		a := dtvp.Row(j, k)
-		b := dpvt.Row(j, k)
-		c := dpvr.Row(j, k)
-		d := drvp.Row(j, k)
-		e := drvt.Row(j, k)
-		f := dtvr.Row(j, k)
-		vtR := v.T.Row(j, k)
-		vpR := v.P.Row(j, k)
+	cr, ct, cp := cv.cr, cv.ct, cv.cp
+	loT, hiT, loP, hiP := cv.loT, cv.hiT, cv.loP, cv.hiP
+	nrP := n + 2*h
+	a, b, c := s[:nrP], s[nrP:2*nrP], s[2*nrP:3*nrP]
+	d, e, f := s[3*nrP:4*nrP], s[4*nrP:5*nrP], s[5*nrP:6*nrP]
+	vtR := v.T.Row(j, k)
+	vpR := v.P.Row(j, k)
 
-		// Radial pass: d/dr of v_theta and v_phi.
-		{
-			ew, dw := e[h:][:n], d[h:][:n]
-			tp, tm := vtR[h+1:][:n], vtR[h-1:][:n]
-			pp, pm := vpR[h+1:][:n], vpR[h-1:][:n]
-			for i := 0; i < n; i++ {
-				ew[i] = cr * (tp[i] - tm[i])
-				dw[i] = cr * (pp[i] - pm[i])
-			}
-			if p.GlobalEdge(0) {
-				i := h
-				e[i] = cr * (-3*vtR[i] + 4*vtR[i+1] - vtR[i+2])
-				d[i] = cr * (-3*vpR[i] + 4*vpR[i+1] - vpR[i+2])
-			}
-			if p.GlobalEdge(1) {
-				i := h + n - 1
-				e[i] = cr * (3*vtR[i] - 4*vtR[i-1] + vtR[i-2])
-				d[i] = cr * (3*vpR[i] - 4*vpR[i-1] + vpR[i-2])
-			}
-		}
-
-		// Theta pass: d/dtheta of v_phi and v_r.
-		{
-			aw, fw := a[h:][:n], f[h:][:n]
-			switch {
-			case loT && j == h:
-				p0, p1, p2 := v.P.Row(j, k)[h:][:n], v.P.Row(j+1, k)[h:][:n], v.P.Row(j+2, k)[h:][:n]
-				r0, r1, r2 := v.R.Row(j, k)[h:][:n], v.R.Row(j+1, k)[h:][:n], v.R.Row(j+2, k)[h:][:n]
-				for i := 0; i < n; i++ {
-					aw[i] = ct * (-3*p0[i] + 4*p1[i] - p2[i])
-					fw[i] = ct * (-3*r0[i] + 4*r1[i] - r2[i])
-				}
-			case hiT && j == h+p.Nt-1:
-				p0, p1, p2 := v.P.Row(j, k)[h:][:n], v.P.Row(j-1, k)[h:][:n], v.P.Row(j-2, k)[h:][:n]
-				r0, r1, r2 := v.R.Row(j, k)[h:][:n], v.R.Row(j-1, k)[h:][:n], v.R.Row(j-2, k)[h:][:n]
-				for i := 0; i < n; i++ {
-					aw[i] = ct * (3*p0[i] - 4*p1[i] + p2[i])
-					fw[i] = ct * (3*r0[i] - 4*r1[i] + r2[i])
-				}
-			default:
-				pP, pM := v.P.Row(j+1, k)[h:][:n], v.P.Row(j-1, k)[h:][:n]
-				rP, rM := v.R.Row(j+1, k)[h:][:n], v.R.Row(j-1, k)[h:][:n]
-				for i := 0; i < n; i++ {
-					aw[i] = ct * (pP[i] - pM[i])
-					fw[i] = ct * (rP[i] - rM[i])
-				}
-			}
-		}
-
-		// Phi pass: d/dphi of v_theta and v_r.
-		{
-			bw, cw := b[h:][:n], c[h:][:n]
-			switch {
-			case loP && k == h:
-				t0, t1, t2 := v.T.Row(j, k)[h:][:n], v.T.Row(j, k+1)[h:][:n], v.T.Row(j, k+2)[h:][:n]
-				r0, r1, r2 := v.R.Row(j, k)[h:][:n], v.R.Row(j, k+1)[h:][:n], v.R.Row(j, k+2)[h:][:n]
-				for i := 0; i < n; i++ {
-					bw[i] = cp * (-3*t0[i] + 4*t1[i] - t2[i])
-					cw[i] = cp * (-3*r0[i] + 4*r1[i] - r2[i])
-				}
-			case hiP && k == h+p.Np-1:
-				t0, t1, t2 := v.T.Row(j, k)[h:][:n], v.T.Row(j, k-1)[h:][:n], v.T.Row(j, k-2)[h:][:n]
-				r0, r1, r2 := v.R.Row(j, k)[h:][:n], v.R.Row(j, k-1)[h:][:n], v.R.Row(j, k-2)[h:][:n]
-				for i := 0; i < n; i++ {
-					bw[i] = cp * (3*t0[i] - 4*t1[i] + t2[i])
-					cw[i] = cp * (3*r0[i] - 4*r1[i] + r2[i])
-				}
-			default:
-				tP, tM := v.T.Row(j, k+1)[h:][:n], v.T.Row(j, k-1)[h:][:n]
-				rP, rM := v.R.Row(j, k+1)[h:][:n], v.R.Row(j, k-1)[h:][:n]
-				for i := 0; i < n; i++ {
-					bw[i] = cp * (tP[i] - tM[i])
-					cw[i] = cp * (rP[i] - rM[i])
-				}
-			}
-		}
-
-		orr := out.R.Row(j, k)[h:][:n]
-		otr := out.T.Row(j, k)[h:][:n]
-		opr := out.P.Row(j, k)[h:][:n]
-		vt := vtR[h:][:n]
-		vp := vpR[h:][:n]
-		invr := p.InvR[h:][:n]
-		aw, bw, cw := a[h:][:n], b[h:][:n], c[h:][:n]
-		dw, ew, fw := d[h:][:n], e[h:][:n], f[h:][:n]
-		cot := p.CotT[j]
-		ist := p.InvSinT[j]
+	// Radial pass: d/dr of v_theta and v_phi.
+	{
+		ew, dw := e[h:][:n], d[h:][:n]
+		tp, tm := vtR[h+1:][:n], vtR[h-1:][:n]
+		pp, pm := vpR[h+1:][:n], vpR[h-1:][:n]
 		for i := 0; i < n; i++ {
-			ir := invr[i]
-			orr[i] = ir*(aw[i]+cot*vp[i]) - ir*ist*bw[i]
-			otr[i] = ir*ist*cw[i] - dw[i] - vp[i]*ir
-			opr[i] = ew[i] + vt[i]*ir - ir*fw[i]
+			ew[i] = cr * (tp[i] - tm[i])
+			dw[i] = cr * (pp[i] - pm[i])
 		}
-	})
-	countOn(p, reg, 31, 7)
+		if p.GlobalEdge(0) {
+			i := h
+			e[i] = cr * (-3*vtR[i] + 4*vtR[i+1] - vtR[i+2])
+			d[i] = cr * (-3*vpR[i] + 4*vpR[i+1] - vpR[i+2])
+		}
+		if p.GlobalEdge(1) {
+			i := h + n - 1
+			e[i] = cr * (3*vtR[i] - 4*vtR[i-1] + vtR[i-2])
+			d[i] = cr * (3*vpR[i] - 4*vpR[i-1] + vpR[i-2])
+		}
+	}
+
+	// Theta pass: d/dtheta of v_phi and v_r.
+	{
+		aw, fw := a[h:][:n], f[h:][:n]
+		switch {
+		case loT && j == h:
+			p0, p1, p2 := v.P.Row(j, k)[h:][:n], v.P.Row(j+1, k)[h:][:n], v.P.Row(j+2, k)[h:][:n]
+			r0, r1, r2 := v.R.Row(j, k)[h:][:n], v.R.Row(j+1, k)[h:][:n], v.R.Row(j+2, k)[h:][:n]
+			for i := 0; i < n; i++ {
+				aw[i] = ct * (-3*p0[i] + 4*p1[i] - p2[i])
+				fw[i] = ct * (-3*r0[i] + 4*r1[i] - r2[i])
+			}
+		case hiT && j == h+p.Nt-1:
+			p0, p1, p2 := v.P.Row(j, k)[h:][:n], v.P.Row(j-1, k)[h:][:n], v.P.Row(j-2, k)[h:][:n]
+			r0, r1, r2 := v.R.Row(j, k)[h:][:n], v.R.Row(j-1, k)[h:][:n], v.R.Row(j-2, k)[h:][:n]
+			for i := 0; i < n; i++ {
+				aw[i] = ct * (3*p0[i] - 4*p1[i] + p2[i])
+				fw[i] = ct * (3*r0[i] - 4*r1[i] + r2[i])
+			}
+		default:
+			pP, pM := v.P.Row(j+1, k)[h:][:n], v.P.Row(j-1, k)[h:][:n]
+			rP, rM := v.R.Row(j+1, k)[h:][:n], v.R.Row(j-1, k)[h:][:n]
+			for i := 0; i < n; i++ {
+				aw[i] = ct * (pP[i] - pM[i])
+				fw[i] = ct * (rP[i] - rM[i])
+			}
+		}
+	}
+
+	// Phi pass: d/dphi of v_theta and v_r.
+	{
+		bw, cw := b[h:][:n], c[h:][:n]
+		switch {
+		case loP && k == h:
+			t0, t1, t2 := v.T.Row(j, k)[h:][:n], v.T.Row(j, k+1)[h:][:n], v.T.Row(j, k+2)[h:][:n]
+			r0, r1, r2 := v.R.Row(j, k)[h:][:n], v.R.Row(j, k+1)[h:][:n], v.R.Row(j, k+2)[h:][:n]
+			for i := 0; i < n; i++ {
+				bw[i] = cp * (-3*t0[i] + 4*t1[i] - t2[i])
+				cw[i] = cp * (-3*r0[i] + 4*r1[i] - r2[i])
+			}
+		case hiP && k == h+p.Np-1:
+			t0, t1, t2 := v.T.Row(j, k)[h:][:n], v.T.Row(j, k-1)[h:][:n], v.T.Row(j, k-2)[h:][:n]
+			r0, r1, r2 := v.R.Row(j, k)[h:][:n], v.R.Row(j, k-1)[h:][:n], v.R.Row(j, k-2)[h:][:n]
+			for i := 0; i < n; i++ {
+				bw[i] = cp * (3*t0[i] - 4*t1[i] + t2[i])
+				cw[i] = cp * (3*r0[i] - 4*r1[i] + r2[i])
+			}
+		default:
+			tP, tM := v.T.Row(j, k+1)[h:][:n], v.T.Row(j, k-1)[h:][:n]
+			rP, rM := v.R.Row(j, k+1)[h:][:n], v.R.Row(j, k-1)[h:][:n]
+			for i := 0; i < n; i++ {
+				bw[i] = cp * (tP[i] - tM[i])
+				cw[i] = cp * (rP[i] - rM[i])
+			}
+		}
+	}
+
+	orr := out.R.Row(j, k)[h:][:n]
+	otr := out.T.Row(j, k)[h:][:n]
+	opr := out.P.Row(j, k)[h:][:n]
+	vt := vtR[h:][:n]
+	vp := vpR[h:][:n]
+	invr := p.InvR[h:][:n]
+	aw, bw, cw := a[h:][:n], b[h:][:n], c[h:][:n]
+	dw, ew, fw := d[h:][:n], e[h:][:n], f[h:][:n]
+	cot := p.CotT[j]
+	ist := p.InvSinT[j]
+	for i := 0; i < n; i++ {
+		ir := invr[i]
+		orr[i] = ir*(aw[i]+cot*vp[i]) - ir*ist*bw[i]
+		otr[i] = ir*ist*cw[i] - dw[i] - vp[i]*ir
+		opr[i] = ew[i] + vt[i]*ir - ir*fw[i]
+	}
 }

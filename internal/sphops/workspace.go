@@ -11,17 +11,26 @@
 package sphops
 
 import (
+	"sync"
+
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/perfcount"
 )
 
-// Workspace pools scratch fields for operator evaluation so repeated
-// right-hand-side evaluations do not allocate.
+// Workspace pools scratch for operator evaluation so repeated
+// right-hand-side evaluations do not allocate: full-field scalars for
+// the full-field operators, created on their first use, and sets of
+// padded radial rows for the column-fused kernels.
 type Workspace struct {
 	patch *grid.Patch
 	free  []*field.Scalar
 	total int
+
+	// Row sets recycled through a mutex-guarded free list: workers take
+	// one set per pool range, not per column, so contention is nil.
+	rowsMu sync.Mutex
+	rows   [][]float64
 }
 
 // NewWorkspace creates a scratch pool for fields shaped like p.
@@ -48,6 +57,32 @@ func (w *Workspace) Put(fs ...*field.Scalar) {
 // Allocated reports how many scratch fields the pool ever created; useful
 // for asserting that steady-state stepping does not grow the pool.
 func (w *Workspace) Allocated() int { return w.total }
+
+// Rows hands a worker n padded radial rows in one backing slice
+// (contents unspecified), recycling a returned set that is large enough
+// and allocating only when none is.
+func (w *Workspace) Rows(n int) []float64 {
+	nrP, _, _ := w.patch.Padded()
+	size := n * nrP
+	w.rowsMu.Lock()
+	defer w.rowsMu.Unlock()
+	for i, r := range w.rows {
+		if cap(r) >= size {
+			last := len(w.rows) - 1
+			w.rows[i] = w.rows[last]
+			w.rows = w.rows[:last]
+			return r[:size]
+		}
+	}
+	return make([]float64, size)
+}
+
+// PutRows returns a set taken with Rows.
+func (w *Workspace) PutRows(r []float64) {
+	w.rowsMu.Lock()
+	w.rows = append(w.rows, r)
+	w.rowsMu.Unlock()
+}
 
 // countN charges n nodes across rows vector loops with fl flops per node.
 func countN(n, rows, fl int64) {

@@ -149,8 +149,11 @@ go run ./cmd/yystore -root "$store_dir" gc
 # the machine-readable report for upload.
 go run ./cmd/yystore -root "$store_dir" verify ${STORE_REPORT:+-o "$STORE_REPORT"}
 
-# The tracked size of the codebase (ROADMAP north star 2): every PR
-# description owes the delta of this number against its parent.
-echo "non-test Go LoC outside benchmark/: $(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs cat | wc -l)"
+# The tracked size of the codebase (ROADMAP north star 2) and of what a
+# stepping solver holds per padded grid point (mhd.TestPanelFootprint):
+# every PR description owes the delta of these numbers against its parent.
+loc=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs cat | wc -l)
+dpp=$(go test -count=1 -run '^TestPanelFootprint$' -v ./internal/mhd | sed -n 's/.*doubles per padded point: //p')
+echo "non-test Go LoC outside benchmark/: $loc; doubles per padded point: $dpp"
 
 echo "==> all checks passed"
