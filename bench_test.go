@@ -11,13 +11,10 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/decomp"
 	"repro/internal/es"
 	"repro/internal/grid"
 	"repro/internal/latlon"
 	"repro/internal/mhd"
-	"repro/internal/mpi"
-	"repro/internal/overset"
 	"repro/internal/viz"
 )
 
@@ -265,101 +262,4 @@ func BenchmarkDecompositionShape(b *testing.B) {
 			b.ReportMetric(p.Efficiency*100, "model-eff-pct")
 		})
 	}
-}
-
-// BenchmarkOversetExchange: the Yin<->Yang rim interpolation cost per
-// application, serial two-panel path.
-func BenchmarkOversetExchange(b *testing.B) {
-	s := grid.NewSpec(33, 33)
-	plan, err := overset.NewPlan(s)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ex := overset.NewExchanger(plan, 1)
-	yin := grid.NewPatch(s, grid.Yin, 1).NewScalar()
-	yang := grid.NewPatch(s, grid.Yang, 1).NewScalar()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex.ExchangeScalar(yin, yang)
-	}
-}
-
-// BenchmarkParallelStep: one RK4 step on 8 goroutine ranks including all
-// halo and overset communication, amortized over a short run.
-func BenchmarkParallelStep(b *testing.B) {
-	spec := grid.NewSpec(17, 17)
-	layout, err := decomp.NewLayout(spec, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	err = mpi.Run(8, func(w *mpi.Comm) {
-		r, err := decomp.NewRank(w, layout, mhd.Default(), mhd.DefaultIC())
-		if err != nil {
-			b.Fatal(err)
-		}
-		dt := r.EstimateDT(0.3)
-		for i := 0; i < b.N; i++ {
-			r.Advance(dt)
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkStepOverlap: one RK4 step on 4 goroutine ranks with the
-// interior/rim overlapped halo schedule on and off. On a 1-CPU host the
-// goroutine transport completes instantly, so the pair mostly bounds the
-// scheduling overhead of the split; the latency-hiding win needs real
-// wire time (see DESIGN.md).
-func BenchmarkStepOverlap(b *testing.B) {
-	spec := grid.NewSpec(17, 17)
-	layout, err := decomp.NewLayout(spec, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, cse := range []struct {
-		name    string
-		overlap bool
-	}{
-		{"overlap", true},
-		{"sequential", false},
-	} {
-		cse := cse
-		b.Run(cse.name, func(b *testing.B) {
-			err := mpi.Run(4, func(w *mpi.Comm) {
-				r, err := decomp.NewRank(w, layout, mhd.Default(), mhd.DefaultIC())
-				if err != nil {
-					b.Fatal(err)
-				}
-				r.SetOverlap(cse.overlap)
-				dt := r.EstimateDT(0.3)
-				for i := 0; i < b.N; i++ {
-					r.Advance(dt)
-				}
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkRHS: one full right-hand-side evaluation (the solver's hot
-// loop) on a single panel.
-func BenchmarkRHS(b *testing.B) {
-	sv, err := mhd.NewSolver(grid.NewSpec(33, 33), mhd.Default(), mhd.DefaultIC())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pl := sv.Panels[0]
-	out := mhd.NewState(pl.Patch.Shape)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mhd.ComputeVTB(pl, &pl.U)
-		mhd.FinishRHS(pl, sv.Prm, &pl.U, &out, nil)
-	}
-	pts := float64(pl.Patch.Nr) * float64(pl.Patch.Nt) * float64(pl.Patch.Np)
-	b.ReportMetric(float64(b.N)*pts/b.Elapsed().Seconds()/1e6, "Mpoints/s")
 }

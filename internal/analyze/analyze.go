@@ -188,18 +188,12 @@ func (m *Module) report(analyzer string, pos token.Position, msg string) {
 	m.mu.Unlock()
 }
 
-// Run applies every analyzer to every package with the default
-// parallelism and returns the combined findings sorted by position then
-// analyzer name.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	return RunN(pkgs, analyzers, 0)
-}
-
-// RunN is Run with an explicit worker count for the analysis phase
-// (workers <= 0 selects GOMAXPROCS). Per-package analyzers fan out over
-// (analyzer, package) pairs; each module analyzer is one task. Findings
-// are accumulated under a lock and sorted, so the output is
-// deterministic regardless of schedule.
+// RunN applies every analyzer to every package and returns the combined
+// findings sorted by position then analyzer name; workers caps the
+// analysis phase (workers <= 0 selects GOMAXPROCS). Per-package
+// analyzers fan out over (analyzer, package) pairs; each module analyzer
+// is one task. Findings are accumulated under a lock and sorted, so the
+// output is deterministic regardless of schedule.
 func RunN(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Finding, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"fmt"
 	"go/token"
 	"path/filepath"
 	"regexp"
@@ -21,9 +22,7 @@ type expectation struct {
 
 // runFixture loads the fixture package in testdata/<dir>, runs the
 // given analyzers and checks the findings against the fixture's
-// `// want "substring"` comments: every annotated line must produce a
-// finding containing the substring, and no unannotated finding may
-// appear.
+// `// want "substring"` comments (checkWants).
 func runFixture(t *testing.T, dir string, analyzers ...*Analyzer) {
 	t.Helper()
 	path := filepath.Join("testdata", dir)
@@ -35,8 +34,18 @@ func runFixture(t *testing.T, dir string, analyzers ...*Analyzer) {
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", path, err)
 	}
+	checkWants(t, findings, path)
+}
 
-	wants := collectWants(t, path)
+// checkWants matches findings against the `// want` comments of the
+// fixture files in dirs: every annotated line must produce a finding
+// containing the substring, and no unannotated finding may appear.
+func checkWants(t *testing.T, findings []Finding, dirs ...string) {
+	t.Helper()
+	var wants []expectation
+	for _, dir := range dirs {
+		wants = append(wants, collectWants(t, dir)...)
+	}
 	matched := make([]bool, len(findings))
 	for _, w := range wants {
 		found := false
@@ -169,4 +178,28 @@ func TestFindingString(t *testing.T) {
 	if got, want := f.String(), "a/b.go:3:7: float-eq: msg"; got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
+}
+
+// Run is RunN with the default parallelism.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
+	return RunN(pkgs, analyzers, 0)
+}
+
+// LoadDir parses and type-checks the single package in dir under the
+// given import path; imports resolve against the standard library only.
+func LoadDir(dir, importPath string) (*Package, error) {
+	fset := token.NewFileSet()
+	files, testFiles, err := parseDir(fset, dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(files) == 0 && len(testFiles) == 0 {
+		return nil, fmt.Errorf("analyze: no Go files in %s", dir)
+	}
+	pkg, err := typeCheck(fset, importPath, files, testFiles, newModuleImporter(fset))
+	if err != nil {
+		return nil, err
+	}
+	pkg.Dir = dir
+	return pkg, nil
 }

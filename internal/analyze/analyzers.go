@@ -14,6 +14,7 @@ func All() []*Analyzer {
 		OverlapOrder,
 		PoolDisjoint,
 		Pow2Stride,
+		Reach,
 		RunWithDeadline,
 		SpanEnd,
 		TagSpace,

@@ -31,8 +31,6 @@ type FuncNode struct {
 	Decl  *ast.FuncDecl
 	Pkg   *Package
 	Calls []*CallSite // outgoing, in source order
-
-	callers []*CallSite
 }
 
 // CallSite is one call expression inside Caller.
@@ -61,9 +59,6 @@ func (g *CallGraph) Nodes() []*FuncNode {
 	return out
 }
 
-// Callers returns the resolved call sites targeting n.
-func (g *CallGraph) Callers(n *FuncNode) []*CallSite { return n.callers }
-
 // buildCallGraph indexes every FuncDecl of the packages' production
 // files and resolves their static call edges.
 func buildCallGraph(pkgs []*Package) *CallGraph {
@@ -90,23 +85,10 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 			if !ok {
 				return true
 			}
-			site := &CallSite{Caller: caller, Call: call}
-			if callee := g.Node(calleeObj(pkg.Info, call)); callee != nil {
-				site.Callee = callee
-				callee.callers = append(callee.callers, site)
-			}
-			caller.Calls = append(caller.Calls, site)
+			caller.Calls = append(caller.Calls, &CallSite{
+				Caller: caller, Callee: g.Node(calleeObj(pkg.Info, call)), Call: call,
+			})
 			return true
-		})
-	}
-	// Deterministic caller lists regardless of map iteration order.
-	for _, n := range g.nodes {
-		sort.Slice(n.callers, func(i, j int) bool {
-			a, b := n.callers[i], n.callers[j]
-			if a.Caller != b.Caller {
-				return a.Caller.Obj.FullName() < b.Caller.Obj.FullName()
-			}
-			return a.Call.Pos() < b.Call.Pos()
 		})
 	}
 	return g

@@ -50,16 +50,6 @@ func TestCallGraphEdges(t *testing.T) {
 	if calls(a, c) {
 		t.Error("spurious A→C edge")
 	}
-	// Caller edges mirror the call sites.
-	sawA := false
-	for _, site := range g.Callers(b) {
-		if site.Caller == a {
-			sawA = true
-		}
-	}
-	if !sawA {
-		t.Error("Callers(B) does not include the site in A")
-	}
 }
 
 func TestCallGraphClosureAttribution(t *testing.T) {

@@ -101,6 +101,16 @@ func (ds *directiveSet) suppress(pos token.Position, analyzer string) bool {
 	return false
 }
 
+// excuse marks every directive used for analyzer: it declined to judge
+// this selection, so its directives are not stale here.
+func (ds *directiveSet) excuse(analyzer string) {
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	for _, d := range ds.all {
+		d.used[analyzer] = true
+	}
+}
+
 // audit reports one ignore-audit finding per defective directive:
 // unknown analyzer names (not in the suite at all), missing
 // justifications, and names that suppressed nothing even though the

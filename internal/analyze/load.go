@@ -219,26 +219,6 @@ func LoadModule(root string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks the single package in dir under the
-// given import path; imports resolve against the standard library only.
-// It is the fixture loader used by the analyzer tests.
-func LoadDir(dir, importPath string) (*Package, error) {
-	fset := token.NewFileSet()
-	files, testFiles, err := parseDir(fset, dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 && len(testFiles) == 0 {
-		return nil, fmt.Errorf("analyze: no Go files in %s", dir)
-	}
-	pkg, err := typeCheck(fset, importPath, files, testFiles, newModuleImporter(fset))
-	if err != nil {
-		return nil, err
-	}
-	pkg.Dir = dir
-	return pkg, nil
-}
-
 // parseDir parses every .go file in dir (non-recursive), with comments
 // retained for ignore directives, returning non-test and _test.go
 // files separately. External test packages (package foo_test) are not

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-
-	"repro/internal/store"
 )
 
 // CorpusEntry is one committed regression scenario with the verdict it
@@ -30,13 +28,4 @@ func LoadCorpus(path string) ([]CorpusEntry, error) {
 		return nil, fmt.Errorf("chaos: corpus %s: %w", path, err)
 	}
 	return entries, nil
-}
-
-// SaveCorpus writes entries as an indented JSON array.
-func SaveCorpus(path string, entries []CorpusEntry) error {
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return store.WriteFileAtomic(path, append(data, '\n'), 0o644)
 }

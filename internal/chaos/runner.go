@@ -75,9 +75,6 @@ func NewRunner(cfg Config) *Runner {
 	return &Runner{cfg: cfg.withDefaults()}
 }
 
-// Config returns the runner's resolved configuration.
-func (r *Runner) Config() Config { return r.cfg }
-
 func (r *Runner) coreConfig() core.Config {
 	return core.Config{Nr: r.cfg.Nr, Nt: r.cfg.Nt}
 }

@@ -413,12 +413,3 @@ func LoadStoreCorpus(path string) ([]StoreCorpusEntry, error) {
 	}
 	return entries, nil
 }
-
-// SaveStoreCorpus writes entries as an indented JSON array.
-func SaveStoreCorpus(path string, entries []StoreCorpusEntry) error {
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return store.WriteFileAtomic(path, append(data, '\n'), 0o644)
-}

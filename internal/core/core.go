@@ -18,7 +18,6 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/coords"
 	"repro/internal/decomp"
 	"repro/internal/grid"
 	"repro/internal/mhd"
@@ -26,7 +25,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/snapshot"
-	"repro/internal/sph"
 	"repro/internal/telemetry"
 	"repro/internal/viz"
 )
@@ -174,9 +172,6 @@ func (s *Simulation) Step(n int) error {
 	return nil
 }
 
-// DT returns the last time step used.
-func (s *Simulation) DT() float64 { return s.dt }
-
 // Time returns the simulated time.
 func (s *Simulation) Time() float64 { return s.Solver.Time }
 
@@ -189,12 +184,6 @@ func (s *Simulation) Diagnostics() mhd.Diagnostics {
 // the initial state.
 func (s *Simulation) History() []mhd.Diagnostics { return s.history }
 
-// DipoleMoment returns the magnetic dipole moment of the internal
-// currents in geographic Cartesian components.
-func (s *Simulation) DipoleMoment() coords.Cartesian {
-	return sph.MagneticMoment(s.Solver)
-}
-
 // Sampler returns a point sampler over the current state.
 func (s *Simulation) Sampler() *viz.Sampler { return viz.NewSampler(s.Solver) }
 
@@ -202,13 +191,6 @@ func (s *Simulation) Sampler() *viz.Sampler { return viz.NewSampler(s.Solver) }
 func (s *Simulation) WriteEquatorialPPM(w io.Writer, q viz.Quantity, n int) error {
 	im := viz.EquatorialSlice(s.Sampler(), q, n)
 	return viz.WritePPM(w, im)
-}
-
-// ColumnCount detects cyclonic and anti-cyclonic convection columns on
-// the equatorial vorticity slice (Fig. 2 of the paper).
-func (s *Simulation) ColumnCount(n int, threshold float64) (cyclonic, anticyclonic int) {
-	im := viz.EquatorialSlice(s.Sampler(), viz.VortZ, n)
-	return viz.CountColumns(im, threshold)
 }
 
 // OverlapDisagreement reports the relative "double solution" difference
@@ -339,26 +321,6 @@ func RunParallel(cfg Config, nProcs, steps, recordEvery int, dt float64) ([]mhd.
 		return nil, err
 	}
 	return out, nil
-}
-
-// DipoleSeries records the axial dipole moment after every batch of
-// steps; feed it to sph.DetectReversals to hunt for polarity flips in
-// long campaigns (the goal runs of section V).
-func (s *Simulation) DipoleSeries(batches, stepsPerBatch int) ([]float64, error) {
-	out := make([]float64, 0, batches+1)
-	out = append(out, s.DipoleMoment().Z)
-	for b := 0; b < batches; b++ {
-		if err := s.Step(stepsPerBatch); err != nil {
-			return out, err
-		}
-		out = append(out, s.DipoleMoment().Z)
-	}
-	return out, nil
-}
-
-// Reversals runs DetectReversals over a recorded axial-moment series.
-func Reversals(mz []float64, persist int, floor float64) []sph.ReversalEvent {
-	return sph.DetectReversals(mz, persist, floor)
 }
 
 // RunParallelWithCheckpoint runs the decomposed simulation like

@@ -167,31 +167,3 @@ func (l *Layout) SubPatch(world, halo int) *grid.Patch {
 	jlo, jhi, klo, khi := l.BlockRange(bt, bp)
 	return grid.NewSubPatch(l.Spec, p, halo, 0, l.Spec.Nr, jlo, jhi, klo, khi)
 }
-
-// HaloBytesPerExchange returns the total bytes moved by one halo exchange
-// of nFields scalar fields over the whole machine, used by the
-// performance model.
-func (l *Layout) HaloBytesPerExchange(nFields int) int64 {
-	nrP := int64(l.Spec.Nr + 2)
-	var rows int64
-	for bt := 0; bt < l.PT; bt++ {
-		for bp := 0; bp < l.PP; bp++ {
-			jlo, jhi, klo, khi := l.BlockRange(bt, bp)
-			nt, np := int64(jhi-jlo), int64(khi-klo)
-			// One row (or column) per existing neighbour, both directions.
-			if bt > 0 {
-				rows += np
-			}
-			if bt < l.PT-1 {
-				rows += np
-			}
-			if bp > 0 {
-				rows += nt
-			}
-			if bp < l.PP-1 {
-				rows += nt
-			}
-		}
-	}
-	return 2 /*panels*/ * rows * nrP * int64(nFields) * 8
-}

@@ -134,21 +134,6 @@ func TestLayoutBlocksTile(t *testing.T) {
 	}
 }
 
-func TestHaloBytes(t *testing.T) {
-	s := grid.NewSpec(9, 17)
-	l, _ := NewLayout(s, 8)
-	b1 := l.HaloBytesPerExchange(1)
-	b8 := l.HaloBytesPerExchange(8)
-	if b1 <= 0 || b8 != 8*b1 {
-		t.Errorf("halo bytes %d, %d", b1, b8)
-	}
-	// Two ranks (one block per panel) exchange nothing.
-	l2, _ := NewLayout(s, 2)
-	if got := l2.HaloBytesPerExchange(8); got != 0 {
-		t.Errorf("single-block halo bytes = %d", got)
-	}
-}
-
 // runSerial advances the serial reference and returns it.
 func runSerial(t *testing.T, s grid.Spec, steps int, dt float64) *mhd.Solver {
 	t.Helper()

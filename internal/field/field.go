@@ -80,6 +80,8 @@ func (f *Scalar) Row(j, k int) []float64 {
 }
 
 // Clone returns a deep copy.
+//
+//yyvet:ignore reach oracle for TestCombineMatchesSweeps
 func (f *Scalar) Clone() *Scalar {
 	g := NewScalar(f.Shape)
 	copy(g.Data, f.Data)
@@ -98,6 +100,8 @@ func (f *Scalar) mustMatch(gs ...*Scalar) {
 }
 
 // Fill sets every element (halo included) to v.
+//
+//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
 func (f *Scalar) Fill(v float64) {
 	for i := range f.Data {
 		f.Data[i] = v
@@ -105,6 +109,8 @@ func (f *Scalar) Fill(v float64) {
 }
 
 // CopyFrom copies g into f.
+//
+//yyvet:ignore reach oracle for TestCombineMatchesSweeps
 func (f *Scalar) CopyFrom(g *Scalar) {
 	f.mustMatch(g)
 	copy(f.Data, g.Data)
@@ -122,6 +128,8 @@ func (f *Scalar) countSweep(fl int) {
 }
 
 // Scale multiplies every element by a.
+//
+//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
 func (f *Scalar) Scale(a float64) {
 	for i := range f.Data {
 		f.Data[i] *= a
@@ -130,6 +138,8 @@ func (f *Scalar) Scale(a float64) {
 }
 
 // AXPY sets f = f + a*g element-wise.
+//
+//yyvet:ignore reach oracle for TestCombineMatchesSweeps
 func (f *Scalar) AXPY(a float64, g *Scalar) {
 	f.mustMatch(g)
 	fd, gd := f.Data, g.Data
@@ -140,6 +150,8 @@ func (f *Scalar) AXPY(a float64, g *Scalar) {
 }
 
 // LinComb sets f = a*x + b*y element-wise.
+//
+//yyvet:ignore reach oracle for TestCombineMatchesSweeps
 func (f *Scalar) LinComb(a float64, x *Scalar, b float64, y *Scalar) {
 	f.mustMatch(x, y)
 	fd, xd, yd := f.Data, x.Data, y.Data
@@ -160,6 +172,8 @@ func (f *Scalar) Add(g *Scalar) {
 }
 
 // Mul sets f = f * g element-wise.
+//
+//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
 func (f *Scalar) Mul(g *Scalar) {
 	f.mustMatch(g)
 	fd, gd := f.Data, g.Data
@@ -180,6 +194,8 @@ func (f *Scalar) Quot(x, y *Scalar) {
 }
 
 // InteriorSum returns the sum of the interior elements (halo excluded).
+//
+//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
 func (f *Scalar) InteriorSum() float64 {
 	var s float64
 	f.EachInteriorRow(func(i0 int, row []float64) {
@@ -192,6 +208,8 @@ func (f *Scalar) InteriorSum() float64 {
 }
 
 // InteriorSumSq returns the sum of squares over the interior.
+//
+//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
 func (f *Scalar) InteriorSumSq() float64 {
 	var s float64
 	f.EachInteriorRow(func(i0 int, row []float64) {
@@ -248,15 +266,16 @@ func NewVector(s Shape) *Vector {
 	return &Vector{R: NewScalar(s), T: NewScalar(s), P: NewScalar(s)}
 }
 
-// Shape returns the common component shape.
-func (v *Vector) Shape() Shape { return v.R.Shape }
-
 // Clone returns a deep copy.
+//
+//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
 func (v *Vector) Clone() *Vector {
 	return &Vector{R: v.R.Clone(), T: v.T.Clone(), P: v.P.Clone()}
 }
 
 // CopyFrom copies w into v.
+//
+//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
 func (v *Vector) CopyFrom(w *Vector) {
 	v.R.CopyFrom(w.R)
 	v.T.CopyFrom(w.T)
@@ -264,6 +283,8 @@ func (v *Vector) CopyFrom(w *Vector) {
 }
 
 // Fill sets every component element to c.
+//
+//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
 func (v *Vector) Fill(c float64) {
 	v.R.Fill(c)
 	v.T.Fill(c)
@@ -271,6 +292,8 @@ func (v *Vector) Fill(c float64) {
 }
 
 // Scale multiplies every component by a.
+//
+//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
 func (v *Vector) Scale(a float64) {
 	v.R.Scale(a)
 	v.T.Scale(a)
@@ -278,6 +301,8 @@ func (v *Vector) Scale(a float64) {
 }
 
 // AXPY sets v = v + a*w component-wise.
+//
+//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
 func (v *Vector) AXPY(a float64, w *Vector) {
 	v.R.AXPY(a, w.R)
 	v.T.AXPY(a, w.T)
@@ -285,6 +310,8 @@ func (v *Vector) AXPY(a float64, w *Vector) {
 }
 
 // LinComb sets v = a*x + b*y component-wise.
+//
+//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
 func (v *Vector) LinComb(a float64, x *Vector, b float64, y *Vector) {
 	v.R.LinComb(a, x.R, b, y.R)
 	v.T.LinComb(a, x.T, b, y.T)
@@ -296,6 +323,8 @@ func (v *Vector) Components() [3]*Scalar { return [3]*Scalar{v.R, v.T, v.P} }
 
 // InteriorEnergy returns sum over the interior of
 // (R^2 + T^2 + P^2), the squared magnitude (no volume weighting).
+//
+//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
 func (v *Vector) InteriorEnergy() float64 {
 	return v.R.InteriorSumSq() + v.T.InteriorSumSq() + v.P.InteriorSumSq()
 }

@@ -20,11 +20,6 @@ func (r Rect) Columns() int {
 	return (r.J1 - r.J0) * (r.K1 - r.K0)
 }
 
-// Contains reports whether padded column (j, k) lies in the rectangle.
-func (r Rect) Contains(j, k int) bool {
-	return j >= r.J0 && j < r.J1 && k >= r.K0 && k < r.K1
-}
-
 // Region is a set of pairwise-disjoint rectangles, evaluated in order.
 // Kernels that take a Region touch exactly the columns it covers, so a
 // computation split into {interior} then {rim} phases visits every owned

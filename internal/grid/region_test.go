@@ -96,7 +96,7 @@ func TestSplitInteriorRimPartition(t *testing.T) {
 			for k := own.K0; k < own.K1; k++ {
 				hits := 0
 				for _, a := range tiles {
-					if a.Contains(j, k) {
+					if j >= a.J0 && j < a.J1 && k >= a.K0 && k < a.K1 {
 						hits++
 					}
 				}

@@ -70,11 +70,6 @@ type Field []float64
 // NewField allocates a zeroed field for the grid.
 func (g *SurfaceGrid) NewField() Field { return make(Field, g.Nt*g.Np) }
 
-// At returns the value at row j, column k (k taken modulo Np).
-func (g *SurfaceGrid) At(f Field, j, k int) float64 {
-	return f[j*g.Np+mod(k, g.Np)]
-}
-
 func mod(k, n int) int {
 	k %= n
 	if k < 0 {
@@ -238,6 +233,3 @@ func (s *HeatSolver) SetFromFunc(fn func(theta, phi float64) float64) {
 		}
 	}
 }
-
-// Phi returns the longitude of column k in (-pi, pi].
-func (g *SurfaceGrid) Phi(k int) float64 { return float64(k)*g.Dp - math.Pi }

@@ -36,7 +36,7 @@ func lapErr(t *testing.T, nt int, fn func(th, ph float64) float64, l int, jlo, j
 	out := g.NewField()
 	for j := 0; j < g.Nt; j++ {
 		for k := 0; k < g.Np; k++ {
-			f[j*g.Np+k] = fn(g.Theta[j], g.Phi(k))
+			f[j*g.Np+k] = fn(g.Theta[j], (float64(k)*g.Dp - math.Pi))
 		}
 	}
 	g.Laplacian(f, out)
@@ -155,7 +155,7 @@ func TestSolidRotationAdvection(t *testing.T) {
 	var m float64
 	for j := 0; j < g.Nt; j++ {
 		for k := 0; k < g.Np; k++ {
-			want := math.Sin(g.Theta[j]) * math.Cos(g.Phi(k)-tEnd)
+			want := math.Sin(g.Theta[j]) * math.Cos((float64(k)*g.Dp-math.Pi)-tEnd)
 			if e := math.Abs(s.F[j*g.Np+k] - want); e > m {
 				m = e
 			}
@@ -224,7 +224,7 @@ func TestCrossGridAgreement(t *testing.T) {
 	for j := 2; j < g.Nt-2; j += 3 {
 		for k := 0; k < g.Np; k += 3 {
 			a := ll.F[j*g.Np+k]
-			b := yy.SampleAt(g.Theta[j], g.Phi(k))
+			b := yy.SampleAt(g.Theta[j], (float64(k)*g.Dp - math.Pi))
 			if e := math.Abs(a - b); e > m {
 				m = e
 			}

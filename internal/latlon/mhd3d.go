@@ -54,10 +54,6 @@ const (
 	iAp
 )
 
-// parity lists the cross-pole sign of each state field: scalars and
-// radial components continue evenly; tangential components flip.
-var parity = [8]float64{1, 1, 1, -1, -1, 1, -1, -1}
-
 // NewMHD3D builds and initializes the lat-lon solver with the same
 // hydrostatic conduction state and smooth global perturbation as
 // mhd.InitPanel, so runs are directly comparable to the Yin-Yang solver.
@@ -458,84 +454,4 @@ func (s *MHD3D) MaxStableDt(safety float64) float64 {
 		dtDiff = minDx * minDx / (4 * diff)
 	}
 	return safety * math.Min(dtAdv, dtDiff)
-}
-
-// SampleScalar trilinearly samples a derived quantity ("T", "rho", "p",
-// "vr") at spherical point (r, theta, phi); derived fields must be
-// current (call Refresh first).
-func (s *MHD3D) SampleScalar(name string, r, theta, phi float64) (float64, bool) {
-	var f []float64
-	switch name {
-	case "T":
-		f = s.tt
-	case "rho":
-		f = s.U[iRho]
-	case "p":
-		f = s.U[iP]
-	case "vr":
-		f = s.vr
-	default:
-		return 0, false
-	}
-	if r < s.R[0] || r > s.R[s.Nr-1] {
-		return 0, false
-	}
-	fi := (r - s.R[0]) / s.Dr
-	i0 := clampI(int(math.Floor(fi)), 0, s.Nr-2)
-	ai := fi - float64(i0)
-	fj := theta/s.Dt - 0.5
-	j0 := clampI(int(math.Floor(fj)), 0, s.Nt-2)
-	aj := fj - float64(j0)
-	fk := (phi + math.Pi) / s.Dp
-	k0 := int(math.Floor(fk))
-	ak := fk - float64(k0)
-	val := 0.0
-	for di := 0; di <= 1; di++ {
-		wi := 1 - ai
-		if di == 1 {
-			wi = ai
-		}
-		for dj := 0; dj <= 1; dj++ {
-			wj := 1 - aj
-			if dj == 1 {
-				wj = aj
-			}
-			for dk := 0; dk <= 1; dk++ {
-				wk := 1 - ak
-				if dk == 1 {
-					wk = ak
-				}
-				kk := (k0 + dk) % s.Np
-				if kk < 0 {
-					kk += s.Np
-				}
-				val += wi * wj * wk * f[s.idx(i0+di, j0+dj, kk)]
-			}
-		}
-	}
-	return val, true
-}
-
-// Refresh recomputes the derived fields from the current state.
-func (s *MHD3D) Refresh() { s.computeDerived(&s.U) }
-
-// Energies returns volume-integrated kinetic and magnetic energy
-// (trapezoid in r, node weights in angle). Refresh must be current.
-func (s *MHD3D) Energies() (ek, em float64) {
-	for k := 0; k < s.Np; k++ {
-		for j := 0; j < s.Nt; j++ {
-			for i := 0; i < s.Nr; i++ {
-				w := s.R[i] * s.R[i] * s.sinT[j] * s.Dr * s.Dt * s.Dp
-				if i == 0 || i == s.Nr-1 {
-					w *= 0.5
-				}
-				id := s.idx(i, j, k)
-				v2 := s.vr[id]*s.vr[id] + s.vt[id]*s.vt[id] + s.vp[id]*s.vp[id]
-				b2 := s.br[id]*s.br[id] + s.bt[id]*s.bt[id] + s.bp[id]*s.bp[id]
-				ek += 0.5 * w * s.U[iRho][id] * v2
-				em += 0.5 * w * b2
-			}
-		}
-	}
-	return ek, em
 }

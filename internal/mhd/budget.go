@@ -16,6 +16,8 @@ import "repro/internal/sphops"
 //	d(Em)/dt = -LorentzWork - JouleHeat
 //
 // which TestMagneticEnergyBalance verifies against the measured d(Em)/dt.
+//
+//yyvet:ignore reach oracle for TestBudgetSigns and TestPooledEnergyBalance
 type Budget struct {
 	BuoyancyWork       float64
 	LorentzWork        float64
@@ -24,6 +26,8 @@ type Budget struct {
 }
 
 // ComputeBudget evaluates the energy channels for the current state.
+//
+//yyvet:ignore reach oracle for TestBudgetSigns and TestPooledEnergyBalance
 func ComputeBudget(sv *Solver) Budget {
 	var b Budget
 	for _, pl := range sv.Panels {

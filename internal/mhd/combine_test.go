@@ -129,11 +129,12 @@ func TestCombineMatchesSweeps(t *testing.T) {
 		if gotCount != wantCount || wantCount.Flops == 0 {
 			t.Errorf("%v: counters %+v, sweeps charged %+v", in, gotCount, wantCount)
 		}
-		if len(got) != len(want) || len(want) != 2*in.StageCount() {
+		tbl, _ := in.stages()
+		if len(got) != len(want) || len(want) != 2*len(tbl) {
 			t.Fatalf("%v: %d constraint calls, sweeps made %d", in, len(got), len(want))
 		}
 		for c := range want {
-			live := c%in.StageCount() != in.StageCount()-1
+			live := c%len(tbl) != len(tbl)-1
 			for fi := 0; fi < 8; fi++ {
 				check := func(name string, a, b []float64) {
 					if n := firstBitDiff(a, b); n >= 0 {

@@ -131,6 +131,8 @@ func OverlapDisagreement(sv *Solver) float64 {
 // conductive heat flux through r = RO divided by the flux the pure
 // conduction profile would carry. Nu = 1 for the conduction state and
 // rises as convection takes over the heat transport.
+//
+//yyvet:ignore reach ROADMAP 1b: second onset indicator of the regime map
 func (sv *Solver) NusseltOuter() float64 {
 	pf := NewProfile(sv.Prm, sv.Spec.RI, sv.Spec.RO)
 	// Conduction reference: -K dT/dr * 4 pi r^2 = 4 pi K b (independent

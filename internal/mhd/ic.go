@@ -73,9 +73,6 @@ func (pf *Profile) Rho(r float64) float64 {
 	return y
 }
 
-// P returns the hydrostatic pressure rho*T at radius r.
-func (pf *Profile) P(r float64) float64 { return pf.Rho(r) * pf.T(r) }
-
 // perturbation is a smooth, globally defined pseudo-random scalar field:
 // a superposition of plane-wave modes with deterministic pseudo-random
 // wave vectors and phases. Being a function of physical (Cartesian)

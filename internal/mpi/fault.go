@@ -77,24 +77,6 @@ func (p *FaultPlan) Add(f Fault) *FaultPlan {
 	return p
 }
 
-// Drop scripts dropping the epoch-th (src, dst, tag) message on the
-// world communicator.
-func (p *FaultPlan) Drop(src, dst, tag, epoch int) *FaultPlan {
-	return p.Add(Fault{Src: src, Dst: dst, Tag: tag, Epoch: epoch, Action: Drop})
-}
-
-// DelayMsg scripts delaying the epoch-th (src, dst, tag) message on the
-// world communicator by d.
-func (p *FaultPlan) DelayMsg(src, dst, tag, epoch int, d time.Duration) *FaultPlan {
-	return p.Add(Fault{Src: src, Dst: dst, Tag: tag, Epoch: epoch, Action: Delay, Delay: d})
-}
-
-// Duplicate scripts duplicating the epoch-th (src, dst, tag) message on
-// the world communicator.
-func (p *FaultPlan) Duplicate(src, dst, tag, epoch int) *FaultPlan {
-	return p.Add(Fault{Src: src, Dst: dst, Tag: tag, Epoch: epoch, Action: Duplicate})
-}
-
 // Kill scripts killing the given world rank at the first Comm.Tick whose
 // step reaches step. The kill fires once; a retried run continues clean.
 func (p *FaultPlan) Kill(rank, step int) *FaultPlan {

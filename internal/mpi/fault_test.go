@@ -87,7 +87,7 @@ func TestAbortReturnsFirstError(t *testing.T) {
 // level: a dropped message surfaces a deadline error naming the blocked
 // (src, dst, tag) instead of hanging.
 func TestDroppedMessageDeadline(t *testing.T) {
-	plan := NewFaultPlan().Drop(0, 1, 3, 0)
+	plan := NewFaultPlan().Add(Fault{Src: 0, Dst: 1, Tag: 3, Epoch: 0, Action: Drop})
 	err := RunWith(2, RunConfig{Deadline: 200 * time.Millisecond, Faults: plan}, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 3, []float64{1, 2})
@@ -160,7 +160,7 @@ func TestCleanRunUnderDeadline(t *testing.T) {
 // TestDelayedMessage: a delayed message still arrives and the run
 // completes; the receiver simply blocks until delivery.
 func TestDelayedMessage(t *testing.T) {
-	plan := NewFaultPlan().DelayMsg(0, 1, 0, 0, 50*time.Millisecond)
+	plan := NewFaultPlan().Add(Fault{Src: 0, Dst: 1, Tag: 0, Epoch: 0, Action: Delay, Delay: 50 * time.Millisecond})
 	err := RunWith(2, RunConfig{Deadline: 5 * time.Second, Faults: plan}, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 0, []float64{42})
@@ -180,7 +180,7 @@ func TestDelayedMessage(t *testing.T) {
 // TestDuplicatedMessage: a duplicated message is delivered twice with
 // identical payloads.
 func TestDuplicatedMessage(t *testing.T) {
-	plan := NewFaultPlan().Duplicate(0, 1, 2, 0)
+	plan := NewFaultPlan().Add(Fault{Src: 0, Dst: 1, Tag: 2, Epoch: 0, Action: Duplicate})
 	err := RunWith(2, RunConfig{Deadline: 5 * time.Second, Faults: plan}, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 2, []float64{7})
@@ -203,7 +203,7 @@ func TestDuplicatedMessage(t *testing.T) {
 // epoch 1 to satisfy the receive — the fault hits exactly the scripted
 // occurrence.
 func TestFaultEpochSelectivity(t *testing.T) {
-	plan := NewFaultPlan().Drop(0, 1, 4, 0)
+	plan := NewFaultPlan().Add(Fault{Src: 0, Dst: 1, Tag: 4, Epoch: 0, Action: Drop})
 	err := RunWith(2, RunConfig{Deadline: 5 * time.Second, Faults: plan}, func(c *Comm) {
 		if c.Rank() == 0 {
 			c.Send(1, 4, []float64{1}) // dropped
@@ -306,10 +306,10 @@ func TestInternalCollectiveTagsStillWork(t *testing.T) {
 		if v[0] != 5 {
 			t.Errorf("allreduce = %v", v[0])
 		}
-		c.Bcast(0, v)
-		all := c.Gather(0, v)
-		if c.Rank() == 0 && len(all) != 5 {
-			t.Errorf("gather len = %d", len(all))
+		v[0] = float64(c.Rank())
+		c.Bcast(3, v)
+		if v[0] != 3 {
+			t.Errorf("bcast = %v", v[0])
 		}
 	})
 	if err != nil {

@@ -896,22 +896,6 @@ func (c *Comm) Irecv(src, tag int, buf []float64) *Request {
 	return req
 }
 
-// Waitall completes every pending request in order and returns the
-// element counts, the analogue of MPI_WAITALL. Nil requests (receives
-// that were never posted, e.g. at a domain edge) are skipped with a
-// count of -1.
-func Waitall(reqs ...*Request) []int {
-	counts := make([]int, len(reqs))
-	for i, r := range reqs {
-		if r == nil {
-			counts[i] = -1
-			continue
-		}
-		counts[i] = r.Wait()
-	}
-	return counts
-}
-
 // Barrier blocks until every rank of the communicator has entered it.
 func (c *Comm) Barrier() {
 	site := callerSite()
@@ -979,12 +963,11 @@ func (o Op) apply(a, b float64) float64 {
 
 // internal tags live in a reserved negative space so they can never
 // collide with user tags (which must be non-negative; Send/Recv/Irecv
-// enforce the contract).
+// enforce the contract). Each collective epoch steps them down by 4.
 const (
-	tagReduceUp = -1000 - iota
-	tagReduceDown
-	tagGather
-	tagBcast
+	tagReduceUp   = -1000
+	tagReduceDown = -1001
+	tagBcast      = -1003
 )
 
 // Allreduce combines vals element-wise across all ranks with op, in rank
@@ -1031,33 +1014,6 @@ func (c *Comm) Bcast(root int, vals []float64) {
 		return
 	}
 	c.recv(root, tag, vals, site)
-}
-
-// Gather collects each rank's vals at root, concatenated in rank order;
-// non-root ranks get nil.
-func (c *Comm) Gather(root int, vals []float64) []float64 {
-	site := callerSite()
-	epoch := c.reduceEpoch
-	c.reduceEpoch++
-	tag := tagGather - 4*epoch
-	if c.rank != root {
-		c.send(root, tag, vals)
-		return nil
-	}
-	out := make([]float64, 0, len(vals)*c.size)
-	buf := make([]float64, len(vals))
-	for src := 0; src < c.size; src++ {
-		if src == root {
-			out = append(out, vals...)
-			continue
-		}
-		n := c.recv(src, tag, buf, site)
-		if n != len(vals) {
-			panic("mpi: gather length mismatch")
-		}
-		out = append(out, buf[:n]...)
-	}
-	return out
 }
 
 // Split partitions the communicator by color, ordering ranks within each

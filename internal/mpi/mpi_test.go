@@ -142,33 +142,6 @@ func TestIrecvWait(t *testing.T) {
 	}
 }
 
-// TestWaitall: multiple outstanding Irecvs complete together in order;
-// nil entries (edge-of-grid neighbours) are skipped with count -1.
-func TestWaitall(t *testing.T) {
-	err := Run(3, func(c *Comm) {
-		if c.Rank() == 0 {
-			buf1 := make([]float64, 2)
-			buf2 := make([]float64, 3)
-			req1 := c.Irecv(1, 1, buf1)
-			req2 := c.Irecv(2, 2, buf2)
-			counts := Waitall(req1, nil, req2)
-			if counts[0] != 2 || counts[1] != -1 || counts[2] != 3 {
-				t.Errorf("Waitall counts = %v", counts)
-			}
-			if buf1[0] != 10 || buf2[2] != 22 {
-				t.Errorf("payloads %v %v", buf1, buf2)
-			}
-		} else if c.Rank() == 1 {
-			c.Send(0, 1, []float64{10, 11})
-		} else {
-			c.Send(0, 2, []float64{20, 21, 22})
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestConcurrentIrecvStress is the race-detector regression for the
 // mailbox and condition-variable paths: every rank keeps several
 // receives outstanding while sending, splitting and reducing, so
@@ -196,7 +169,9 @@ func TestConcurrentIrecvStress(t *testing.T) {
 			c.Send(next, iter*3+0, payload)
 			c.Send(next, iter*3+1, payload)
 			c.Send(prev, iter*3+2, payload)
-			Waitall(reqA, reqB, reqC)
+			for _, r := range []*Request{reqA, reqB, reqC} {
+				r.Wait()
+			}
 			if bufA[0] != float64(prev*100+iter) || bufB[0] != bufA[0] {
 				t.Errorf("iter %d: prev payload %v %v", iter, bufA[0], bufB[0])
 			}
@@ -263,7 +238,7 @@ func TestAllreduce(t *testing.T) {
 	}
 }
 
-func TestBcastGather(t *testing.T) {
+func TestBcast(t *testing.T) {
 	err := Run(4, func(c *Comm) {
 		v := []float64{0}
 		if c.Rank() == 2 {
@@ -272,17 +247,6 @@ func TestBcastGather(t *testing.T) {
 		c.Bcast(2, v)
 		if v[0] != 3.5 {
 			t.Errorf("bcast got %v", v[0])
-		}
-		all := c.Gather(0, []float64{float64(c.Rank() * 10)})
-		if c.Rank() == 0 {
-			want := []float64{0, 10, 20, 30}
-			for i := range want {
-				if all[i] != want[i] {
-					t.Errorf("gather = %v", all)
-				}
-			}
-		} else if all != nil {
-			t.Error("non-root gather returned data")
 		}
 	})
 	if err != nil {

@@ -14,7 +14,7 @@ func relCfg() *Reliability {
 // TestReliableSurvivesDrop: a scripted drop that fails fast (watchdog
 // abort) without reliability is absorbed by a retransmission with it.
 func TestReliableSurvivesDrop(t *testing.T) {
-	mkPlan := func() *FaultPlan { return NewFaultPlan().Drop(0, 1, 7, 0) }
+	mkPlan := func() *FaultPlan { return NewFaultPlan().Add(Fault{Src: 0, Dst: 1, Tag: 7, Epoch: 0, Action: Drop}) }
 
 	// Fail-fast baseline: the dropped message wedges rank 1 until the
 	// watchdog fires.
@@ -70,7 +70,7 @@ func TestReliableSurvivesDrop(t *testing.T) {
 // TestReliableSuppressesDuplicate: a duplicated message is delivered to
 // the application exactly once; the stream stays in order.
 func TestReliableSuppressesDuplicate(t *testing.T) {
-	plan := NewFaultPlan().Duplicate(0, 1, 5, 0)
+	plan := NewFaultPlan().Add(Fault{Src: 0, Dst: 1, Tag: 5, Epoch: 0, Action: Duplicate})
 	var got []float64
 	err := RunWith(2, RunConfig{
 		Deadline:    2 * time.Second,
@@ -104,7 +104,7 @@ func TestReliableSuppressesDuplicate(t *testing.T) {
 // second overtake it — the retransmission of message 0 (or its delayed
 // original, whichever lands first) is released before message 1.
 func TestReliableDelayKeepsOrder(t *testing.T) {
-	plan := NewFaultPlan().DelayMsg(0, 1, 9, 0, 30*time.Millisecond)
+	plan := NewFaultPlan().Add(Fault{Src: 0, Dst: 1, Tag: 9, Epoch: 0, Action: Delay, Delay: 30 * time.Millisecond})
 	var got []float64
 	err := RunWith(2, RunConfig{
 		Deadline:    2 * time.Second,
@@ -136,7 +136,7 @@ func TestReliableDelayKeepsOrder(t *testing.T) {
 func TestReliableGivesUp(t *testing.T) {
 	plan := NewFaultPlan()
 	for epoch := 0; epoch < 10; epoch++ {
-		plan.Drop(0, 1, 3, epoch)
+		plan.Add(Fault{Src: 0, Dst: 1, Tag: 3, Epoch: epoch, Action: Drop})
 	}
 	events := NewEventLog()
 	err := RunWith(2, RunConfig{

@@ -246,6 +246,8 @@ func (e *Exchanger) scatterVector(rv *field.Vector, t Target, buf [3][]float64) 
 // patch p at angular point (theta, phi) and padded radial index i. It is
 // used by diagnostics and visualization to sample a panel at arbitrary
 // angles; theta and phi must lie within the panel footprint.
+//
+//yyvet:ignore reach oracle for TestSampleEntryMatchesInterpAt
 func InterpAt(p *grid.Patch, f *field.Scalar, theta, phi float64, i int) float64 {
 	h := p.H
 	fj := (theta - grid.ThetaMin) / p.Dt

@@ -77,15 +77,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers reports the parallel width of the pool (1 for the nil/serial
-// pool).
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
 // Close stops the worker goroutines. The pool must not be used after
 // Close; calling Close on a nil or already-closed pool is a no-op.
 func (p *Pool) Close() {

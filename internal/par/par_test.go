@@ -38,9 +38,6 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 // TestNilPoolIsSerial checks the serial degradations of the nil pool.
 func TestNilPoolIsSerial(t *testing.T) {
 	var p *Pool
-	if w := p.Workers(); w != 1 {
-		t.Fatalf("nil pool Workers() = %d, want 1", w)
-	}
 	calls := 0
 	p.For(10, func(lo, hi int) {
 		calls++

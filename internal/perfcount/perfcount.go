@@ -71,16 +71,6 @@ func Read() Snapshot {
 	}
 }
 
-// Reset zeroes every counter.
-func Reset() {
-	flops.Store(0)
-	vectorLoops.Store(0)
-	vectorElems.Store(0)
-	scalarOps.Store(0)
-	commBytes.Store(0)
-	commMsgs.Store(0)
-}
-
 // Sub returns s - t component-wise; use it to charge an interval of work.
 func (s Snapshot) Sub(t Snapshot) Snapshot {
 	return Snapshot{

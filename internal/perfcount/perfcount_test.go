@@ -6,26 +6,21 @@ import (
 )
 
 func TestCountersAccumulate(t *testing.T) {
-	Reset()
+	before := Read()
 	AddFlops(100)
 	AddVectorLoops(2, 500)
 	AddScalarOps(7)
 	AddComm(4096)
-	s := Read()
+	s := Read().Sub(before)
 	if s.Flops != 100 || s.VectorLoops != 2 || s.VectorElems != 500 || s.ScalarOps != 7 {
 		t.Errorf("unexpected snapshot %+v", s)
 	}
 	if s.CommBytes != 4096 || s.CommMsgs != 1 {
 		t.Errorf("comm counters %+v", s)
 	}
-	Reset()
-	if got := Read(); got != (Snapshot{}) {
-		t.Errorf("reset left %+v", got)
-	}
 }
 
 func TestSub(t *testing.T) {
-	Reset()
 	AddFlops(10)
 	before := Read()
 	AddFlops(25)
@@ -57,7 +52,7 @@ func TestVectorOperationRatio(t *testing.T) {
 }
 
 func TestConcurrentAdds(t *testing.T) {
-	Reset()
+	before := Read()
 	var wg sync.WaitGroup
 	const workers, per = 8, 1000
 	for w := 0; w < workers; w++ {
@@ -71,7 +66,7 @@ func TestConcurrentAdds(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s := Read()
+	s := Read().Sub(before)
 	if s.Flops != workers*per || s.VectorLoops != workers*per || s.VectorElems != workers*per*10 {
 		t.Errorf("lost updates: %+v", s)
 	}

@@ -73,7 +73,7 @@ func TestPostmortemTimeline(t *testing.T) {
 	// both die, exhausting the budget.
 	plan := mpi.NewFaultPlan()
 	for epoch := 0; epoch < 64; epoch++ {
-		plan.Drop(0, 1, 100, epoch)
+		plan.Add(mpi.Fault{Src: 0, Dst: 1, Tag: 100, Epoch: epoch, Action: mpi.Drop})
 	}
 	cfg.Faults = plan
 
@@ -101,8 +101,8 @@ func TestCampaignReliabilityAbsorbsDrops(t *testing.T) {
 	cfg.Deadline = 10 * time.Second
 	cfg.Reliability = &mpi.Reliability{AckTimeout: 2 * time.Millisecond}
 	cfg.Faults = mpi.NewFaultPlan().
-		Drop(0, 1, 100, 0).
-		Duplicate(1, 0, 100, 1)
+		Add(mpi.Fault{Src: 0, Dst: 1, Tag: 100, Epoch: 0, Action: mpi.Drop}).
+		Add(mpi.Fault{Src: 1, Dst: 0, Tag: 100, Epoch: 1, Action: mpi.Duplicate})
 
 	res, err := RunCampaign(cfg)
 	if err != nil {

@@ -201,7 +201,7 @@ func TestDroppedMessageRetries(t *testing.T) {
 	cfg := testConfig(t, 2, 2)
 	// With one rank per panel the overset exchange is the only world
 	// traffic: drop rank 1's first donation to rank 0.
-	cfg.Faults = mpi.NewFaultPlan().Drop(1, 0, 100, 0)
+	cfg.Faults = mpi.NewFaultPlan().Add(mpi.Fault{Src: 1, Dst: 0, Tag: 100, Epoch: 0, Action: mpi.Drop})
 	cfg.Deadline = 500 * time.Millisecond
 	cfg.MaxRetries = 2
 	res, err := RunCampaign(cfg)

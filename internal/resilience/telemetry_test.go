@@ -104,8 +104,8 @@ func TestCampaignCommitsProfiles(t *testing.T) {
 			if a.Size == 0 {
 				t.Errorf("artifact %s (%s) committed empty", a.Name, a.Role)
 			}
-			if !st.Has(a.Hash) {
-				t.Errorf("artifact %s hash not in store", a.Name)
+			if _, err := st.Get(a.Hash); err != nil {
+				t.Errorf("artifact %s not readable from the store: %v", a.Name, err)
 			}
 		}
 	}
@@ -122,7 +122,7 @@ func TestCampaignCommitsProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Clean() {
+	if rep.Severe() != 0 {
 		t.Fatalf("store not clean after profile commits:\n%+v", rep.Findings)
 	}
 	// GC must treat ledger-pinned profiles as live.
@@ -135,8 +135,8 @@ func TestCampaignCommitsProfiles(t *testing.T) {
 	}
 	for _, m := range entries {
 		for _, a := range m.Artifacts {
-			if !st.Has(a.Hash) {
-				t.Errorf("gc dropped %s (%s)", a.Name, a.Role)
+			if _, err := st.Get(a.Hash); err != nil {
+				t.Errorf("gc dropped %s (%s): %v", a.Name, a.Role, err)
 			}
 		}
 	}

@@ -42,11 +42,6 @@ type VizExport struct {
 	KeptNt, KeptNp int
 }
 
-// FieldNames lists the export field order.
-func FieldNames() [10]string {
-	return [10]string{"Bx", "By", "Bz", "Vx", "Vy", "Vz", "Wx", "Wy", "Wz", "T"}
-}
-
 // BuildVizExport converts the solver's state into the section-V product.
 // The spherical components of v, B and the derived vorticity are rotated
 // into geographic Cartesian components exactly as the paper stored them
@@ -125,7 +120,7 @@ func (ex *VizExport) Bytes() int64 {
 
 // WriteVizExport streams the export as a simple binary container:
 // magic "YYVZ", spec ints, subsample, time, then each panel's ten field
-// arrays in FieldNames order.
+// arrays in Fields order (Bx, By, Bz, Vx, Vy, Vz, Wx, Wy, Wz, T).
 func WriteVizExport(w io.Writer, ex *VizExport) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString("YYVZ"); err != nil {

@@ -145,9 +145,6 @@ func NewTransform(L int) (*Transform, error) {
 // Grid allocates a field on the transform grid, indexed j*NLon + k.
 func (t *Transform) Grid() []float64 { return make([]float64, t.NLat*t.NLon) }
 
-// Theta returns the colatitude of latitude row j.
-func (t *Transform) Theta(j int) float64 { return math.Acos(t.X[j]) }
-
 // Analyze projects a grid field onto the harmonic coefficients.
 func (t *Transform) Analyze(f []float64, c *Coeffs) error {
 	if c.L != t.L || len(f) != t.NLat*t.NLon {

@@ -169,61 +169,3 @@ func MagneticMoment(sv *mhd.Solver) coords.Cartesian {
 func MomentMagnitude(m coords.Cartesian) float64 {
 	return math.Sqrt(m.X*m.X + m.Y*m.Y + m.Z*m.Z)
 }
-
-// Reversal detection: the group's earlier work (Li, Sato & Kageyama
-// 2002) followed spontaneous sign flips of the axial dipole; section V
-// names longer runs toward such reversals as the goal. DetectReversals
-// scans a time series of dipole moments for sign changes of the axial
-// component that persist (not single-sample noise).
-
-// ReversalEvent marks one polarity flip in a moment series.
-type ReversalEvent struct {
-	Index int     // series index where the new polarity is established
-	From  float64 // axial moment before
-	To    float64 // axial moment after
-}
-
-// DetectReversals finds persistent sign changes of m_z in the series:
-// the sign must hold for at least persist consecutive samples on both
-// sides, and the magnitude must exceed floor (to ignore noise around
-// zero crossings).
-func DetectReversals(mz []float64, persist int, floor float64) []ReversalEvent {
-	if persist < 1 {
-		persist = 1
-	}
-	holds := func(i int, sign float64) bool {
-		for k := 0; k < persist; k++ {
-			idx := i + k
-			if idx >= len(mz) {
-				return false
-			}
-			if mz[idx]*sign <= floor {
-				return false
-			}
-		}
-		return true
-	}
-	var events []ReversalEvent
-	i := 0
-	// Find the first established polarity.
-	var cur float64
-	established := false
-	for ; i < len(mz); i++ {
-		switch {
-		case holds(i, 1):
-			cur, established = 1, true
-		case holds(i, -1):
-			cur, established = -1, true
-		}
-		if established {
-			break
-		}
-	}
-	for ; i < len(mz); i++ {
-		if holds(i, -cur) {
-			events = append(events, ReversalEvent{Index: i, From: cur, To: -cur})
-			cur = -cur
-		}
-	}
-	return events
-}

@@ -103,32 +103,3 @@ func TestMomentZeroWithoutField(t *testing.T) {
 		t.Errorf("moment %v for field-free state", m)
 	}
 }
-
-// TestDetectReversals: a synthetic dipole series with two persistent
-// flips and one noise blip yields exactly two events.
-func TestDetectReversals(t *testing.T) {
-	mz := []float64{
-		1, 1.1, 0.9, 1.0, // established positive
-		-0.05, // noise blip below floor: ignored
-		1.0, 1.2,
-		-0.8, -0.9, -1.0, // first reversal
-		-1.1, -0.9,
-		0.7, 0.9, 1.1, // second reversal
-	}
-	ev := DetectReversals(mz, 3, 0.1)
-	if len(ev) != 2 {
-		t.Fatalf("events = %+v", ev)
-	}
-	if ev[0].From != 1 || ev[0].To != -1 || ev[1].From != -1 || ev[1].To != 1 {
-		t.Errorf("polarities wrong: %+v", ev)
-	}
-	if ev[0].Index != 7 || ev[1].Index != 12 {
-		t.Errorf("indices: %+v", ev)
-	}
-	if got := DetectReversals([]float64{1, 1, 1, 1}, 2, 0.1); len(got) != 0 {
-		t.Errorf("steady series produced events %+v", got)
-	}
-	if got := DetectReversals(nil, 2, 0.1); len(got) != 0 {
-		t.Errorf("empty series produced events %+v", got)
-	}
-}

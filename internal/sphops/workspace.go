@@ -56,6 +56,8 @@ func (w *Workspace) Put(fs ...*field.Scalar) {
 
 // Allocated reports how many scratch fields the pool ever created; useful
 // for asserting that steady-state stepping does not grow the pool.
+//
+//yyvet:ignore reach oracle for TestPanelFootprint and TestWorkspaceReuse
 func (w *Workspace) Allocated() int { return w.total }
 
 // Rows hands a worker n padded radial rows in one backing slice

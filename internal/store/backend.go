@@ -86,9 +86,6 @@ func NewDirBackend(root string) (*DirBackend, error) {
 	return &DirBackend{root: root}, nil
 }
 
-// Root returns the backing directory.
-func (b *DirBackend) Root() string { return b.root }
-
 // SetFaults installs (or clears, with nil) the seeded fault plan.
 // Subsequent Puts count as ops 0,1,2,… for Op matching.
 func (b *DirBackend) SetFaults(p *FaultPlan) {

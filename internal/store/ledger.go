@@ -120,13 +120,6 @@ func (s *Store) Append(m Manifest) (Hash, error) {
 	return s.head, nil
 }
 
-// Head returns the current chain head and the number of entries.
-func (s *Store) Head() (Hash, int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.head, s.seq
-}
-
 // Entries decodes the full ledger in sequence order. Decode failures
 // abort — a damaged ledger is a Verify/Scrub matter, not something to
 // silently skip here.
@@ -191,54 +184,4 @@ func MerkleRoot(hashes []Hash) Hash {
 		level = next
 	}
 	return level[0]
-}
-
-// MerkleProof returns the sibling path proving hashes[i] is under
-// MerkleRoot(hashes), for offline spot-checks of a single artifact
-// without re-reading every blob the entry pins.
-func MerkleProof(hashes []Hash, i int) ([]Hash, error) {
-	if i < 0 || i >= len(hashes) {
-		return nil, fmt.Errorf("store: merkle proof index %d out of range [0,%d)", i, len(hashes))
-	}
-	level := make([]Hash, len(hashes))
-	for j, h := range hashes {
-		level[j] = merkleLeaf(h)
-	}
-	var proof []Hash
-	for len(level) > 1 {
-		sib := i ^ 1
-		if sib >= len(level) {
-			sib = i // odd node pairs with itself
-		}
-		proof = append(proof, level[sib])
-		next := make([]Hash, 0, len(level)/2+1)
-		for j := 0; j < len(level); j += 2 {
-			if j+1 < len(level) {
-				next = append(next, merkleNode(level[j], level[j+1]))
-			} else {
-				next = append(next, merkleNode(level[j], level[j]))
-			}
-		}
-		level = next
-		i /= 2
-	}
-	return proof, nil
-}
-
-// VerifyProof checks a MerkleProof: that leaf h at index i under a
-// tree of n leaves hashes up to root.
-func VerifyProof(root Hash, h Hash, i, n int, proof []Hash) bool {
-	if i < 0 || i >= n {
-		return false
-	}
-	cur := merkleLeaf(h)
-	for _, sib := range proof {
-		if i%2 == 0 {
-			cur = merkleNode(cur, sib)
-		} else {
-			cur = merkleNode(sib, cur)
-		}
-		i /= 2
-	}
-	return cur == root
 }

@@ -18,7 +18,7 @@ func TestScrubRepairsFromReplica(t *testing.T) {
 	hashes := populate(t, s, "a", 2)
 
 	// Rot one primary object; the replica still holds good bytes.
-	flipBit(filepath.Join(b.Root(), filepath.FromSlash(objectName(hashes[0]))), 6)
+	flipBit(filepath.Join(b.root, filepath.FromSlash(objectName(hashes[0]))), 6)
 	rep, err := s.Scrub(true)
 	if err != nil {
 		t.Fatalf("Scrub: %v", err)
@@ -33,7 +33,7 @@ func TestScrubRepairsFromReplica(t *testing.T) {
 		t.Fatalf("Get after repair = %v", err)
 	}
 	after, _ := s.Verify()
-	if !after.Clean() {
+	if after.Severe() != 0 {
 		t.Fatalf("store not clean after repair:\n%s", after)
 	}
 }
@@ -46,8 +46,8 @@ func TestScrubIgnoresRottenReplica(t *testing.T) {
 	s, b := newTestStore(t, replica)
 	hashes := populate(t, s, "a", 1)
 	// Both copies rot: the replica must be hash-checked, not trusted.
-	flipBit(filepath.Join(b.Root(), filepath.FromSlash(objectName(hashes[0]))), 6)
-	flipBit(filepath.Join(replica.Root(), filepath.FromSlash(objectName(hashes[0]))), 9)
+	flipBit(filepath.Join(b.root, filepath.FromSlash(objectName(hashes[0]))), 6)
+	flipBit(filepath.Join(replica.root, filepath.FromSlash(objectName(hashes[0]))), 9)
 	rep, err := s.Scrub(true)
 	if err != nil {
 		t.Fatalf("Scrub: %v", err)
@@ -71,7 +71,7 @@ func TestScrubQuarantineThenRederive(t *testing.T) {
 		Artifacts: []Artifact{{Name: "ckpt-000000000", Role: "checkpoint", Hash: h, Size: int64(len(data))}}}); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	flipBit(filepath.Join(b.Root(), filepath.FromSlash(objectName(h))), 3)
+	flipBit(filepath.Join(b.root, filepath.FromSlash(objectName(h))), 3)
 
 	rep, err := s.Scrub(true)
 	if err != nil {
@@ -113,7 +113,7 @@ func TestScrubQuarantineThenRederive(t *testing.T) {
 func TestScrubWithoutRepairOnlyReports(t *testing.T) {
 	s, b := newTestStore(t)
 	hashes := populate(t, s, "a", 1)
-	flipBit(filepath.Join(b.Root(), filepath.FromSlash(objectName(hashes[0]))), 3)
+	flipBit(filepath.Join(b.root, filepath.FromSlash(objectName(hashes[0]))), 3)
 	rep, err := s.Scrub(false)
 	if err != nil {
 		t.Fatalf("Scrub: %v", err)
@@ -155,7 +155,7 @@ func TestGCKeepsReachableSweepsGarbage(t *testing.T) {
 			t.Fatalf("reachable %s collected: %v", h.Short(), err)
 		}
 	}
-	if s.Has(garbage) {
+	if _, ok := s.index[garbage]; ok {
 		t.Fatal("swept object still indexed")
 	}
 }
@@ -164,7 +164,7 @@ func TestGCRefusesUnreadableLedger(t *testing.T) {
 	s, b := newTestStore(t)
 	populate(t, s, "a", 2)
 	garbage, _ := s.Put([]byte("unreachable"))
-	flipBit(filepath.Join(b.Root(), "ledger", "000000000"), 4)
+	flipBit(filepath.Join(b.root, "ledger", "000000000"), 4)
 	if _, err := s.GC(); err == nil {
 		t.Fatal("GC ran over an undecodable ledger")
 	}
@@ -202,7 +202,7 @@ func TestScrubDropsBadRef(t *testing.T) {
 		t.Fatalf("Actions = %+v, want one dropped-ref", rep.Actions)
 	}
 	after, _ := s.Verify()
-	if !after.Clean() {
+	if after.Severe() != 0 {
 		t.Fatalf("store not clean after dropping the ref:\n%s", after)
 	}
 }
@@ -253,7 +253,7 @@ func TestScrubReanchors(t *testing.T) {
 				t.Fatalf("no re-anchored action in %+v", rep.Actions)
 			}
 			after, _ := s.Verify()
-			if !after.Clean() || len(after.Findings) != 0 {
+			if after.Severe() != 0 || len(after.Findings) != 0 {
 				t.Fatalf("anchor still unhealthy after scrub:\n%s", after)
 			}
 		})
@@ -266,7 +266,7 @@ func TestScrubReanchors(t *testing.T) {
 func TestScrubLeavesMismatchedAnchor(t *testing.T) {
 	s, b := newTestStore(t)
 	populate(t, s, "a", 2)
-	path := filepath.Join(b.Root(), "ledger", "000000001")
+	path := filepath.Join(b.root, "ledger", "000000001")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
@@ -368,7 +368,7 @@ func TestGCNeverCollectsReachableProperty(t *testing.T) {
 				}
 			}
 			for h := range unreachable {
-				if s.Has(h) {
+				if _, ok := s.index[h]; ok {
 					t.Fatalf("unreachable %s survived GC", h.Short())
 				}
 			}

@@ -238,14 +238,6 @@ func (s *Store) Put(data []byte) (Hash, error) {
 	return h, nil
 }
 
-// Has reports whether the store's index holds the object.
-func (s *Store) Has(h Hash) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.index[h]
-	return ok
-}
-
 // Objects returns the number of indexed blobs.
 func (s *Store) Objects() int {
 	s.mu.RLock()

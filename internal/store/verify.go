@@ -101,9 +101,6 @@ func (r *VerifyReport) Severe() int {
 	return n
 }
 
-// Clean reports whether the walk found no integrity damage.
-func (r *VerifyReport) Clean() bool { return r.Severe() == 0 }
-
 func (r *VerifyReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "store verify: %d ledger entries, %d objects, %d refs: %d findings (%d severe)\n",

@@ -53,7 +53,7 @@ func TestVerifyCleanStore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
-	if !rep.Clean() || len(rep.Findings) != 0 {
+	if rep.Severe() != 0 || len(rep.Findings) != 0 {
 		t.Fatalf("clean store yields findings:\n%s", rep)
 	}
 	if rep.Entries != 3 || rep.Objects != 3 || rep.Refs != 3 {
@@ -64,7 +64,7 @@ func TestVerifyCleanStore(t *testing.T) {
 func TestVerifyDetectsBitRot(t *testing.T) {
 	s, b := newTestStore(t)
 	hashes := populate(t, s, "a", 3)
-	flipBit(filepath.Join(b.Root(), filepath.FromSlash(objectName(hashes[1]))), 5)
+	flipBit(filepath.Join(b.root, filepath.FromSlash(objectName(hashes[1]))), 5)
 	rep, err := s.Verify()
 	if err != nil {
 		t.Fatalf("Verify: %v", err)
@@ -89,7 +89,7 @@ func TestVerifyDetectsChainBreak(t *testing.T) {
 	s, b := newTestStore(t)
 	populate(t, s, "a", 3)
 	// Tamper with entry 1 in place: entry 2's Prev no longer matches.
-	path := filepath.Join(b.Root(), "ledger", "000000001")
+	path := filepath.Join(b.root, "ledger", "000000001")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
@@ -123,7 +123,7 @@ func TestVerifyDetectsMerkleMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	path := filepath.Join(b.Root(), "ledger", "000000000")
+	path := filepath.Join(b.root, "ledger", "000000000")
 	raw, _ := os.ReadFile(path)
 	swapped := strings.Replace(string(raw), hashes[0].String(), other.String(), 1)
 	if swapped == string(raw) {
@@ -139,7 +139,7 @@ func TestVerifyDetectsMerkleMismatch(t *testing.T) {
 func TestVerifyDetectsSizeMismatch(t *testing.T) {
 	s, b := newTestStore(t)
 	populate(t, s, "a", 1)
-	path := filepath.Join(b.Root(), "ledger", "000000000")
+	path := filepath.Join(b.root, "ledger", "000000000")
 	raw, _ := os.ReadFile(path)
 	tampered := strings.Replace(string(raw), `"size": `, `"size": 9`, 1)
 	if err := os.WriteFile(path, []byte(tampered), 0o644); err != nil {
@@ -160,7 +160,7 @@ func TestVerifyDetectsBadRefAndOrphans(t *testing.T) {
 	if _, err := s.Put([]byte("unreferenced")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	if err := os.WriteFile(filepath.Join(b.Root(), "objects", "deadbeef.tmp-123"), []byte("x"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(b.root, "objects", "deadbeef.tmp-123"), []byte("x"), 0o644); err != nil {
 		t.Fatalf("WriteFile temp: %v", err)
 	}
 	rep, _ := s.Verify()
@@ -269,7 +269,7 @@ func TestFaultMatrixDetection(t *testing.T) {
 func TestVerifyDetectsTailTamper(t *testing.T) {
 	s, b := newTestStore(t)
 	populate(t, s, "a", 2)
-	path := filepath.Join(b.Root(), "ledger", "000000001")
+	path := filepath.Join(b.root, "ledger", "000000001")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)

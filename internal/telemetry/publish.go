@@ -145,11 +145,3 @@ func (p *RankPub) Read() (Snapshot, bool) {
 		}
 	}
 }
-
-// Seq returns the number of completed publishes (0 = never published).
-func (p *RankPub) Seq() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.seq.Load()
-}

@@ -25,8 +25,8 @@ func TestPublishReadRoundtrip(t *testing.T) {
 	if got != want {
 		t.Fatalf("roundtrip mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	if p.Seq() != 1 {
-		t.Fatalf("Seq = %d, want 1", p.Seq())
+	if seq := p.seq.Load(); seq != 1 {
+		t.Fatalf("seq = %d, want 1", seq)
 	}
 }
 
@@ -36,9 +36,6 @@ func TestPublishNil(t *testing.T) {
 	p.Publish(Snapshot{Step: 1}) // must not panic
 	if _, ok := p.Read(); ok {
 		t.Fatal("nil pub read ok")
-	}
-	if p.Seq() != 0 {
-		t.Fatal("nil pub nonzero seq")
 	}
 }
 

@@ -57,18 +57,6 @@ func (tr *Tracer) Path(start coords.Cartesian, dt float64, n int) []coords.Carte
 	return path
 }
 
-// PathLength returns the arc length of a path.
-func PathLength(path []coords.Cartesian) float64 {
-	var s float64
-	for i := 1; i < len(path); i++ {
-		dx := path[i].X - path[i-1].X
-		dy := path[i].Y - path[i-1].Y
-		dz := path[i].Z - path[i-1].Z
-		s += math.Sqrt(dx*dx + dy*dy + dz*dz)
-	}
-	return s
-}
-
 // DrawPathsEquatorial renders a set of tracer paths projected onto the
 // equatorial plane into an n x n image (path pixels get value +1 or -1
 // by the particle's sense of circulation; the shell mask is set). This

@@ -155,3 +155,15 @@ func TestSeedEquatorialRing(t *testing.T) {
 		}
 	}
 }
+
+// PathLength returns the arc length of a path.
+func PathLength(path []coords.Cartesian) float64 {
+	var s float64
+	for i := 1; i < len(path); i++ {
+		dx := path[i].X - path[i-1].X
+		dy := path[i].Y - path[i-1].Y
+		dz := path[i].Z - path[i-1].Z
+		s += math.Sqrt(dx*dx + dy*dy + dz*dz)
+	}
+	return s
+}

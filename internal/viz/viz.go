@@ -28,12 +28,6 @@ func NewImage(w, h int) *Image {
 	return &Image{W: w, H: h, Data: make([]float64, w*h), Mask: make([]bool, w*h)}
 }
 
-// At returns the value at (x, y).
-func (im *Image) At(x, y int) (float64, bool) {
-	i := y*im.W + x
-	return im.Data[i], im.Mask[i]
-}
-
 // MaxAbs returns the maximum absolute masked value.
 func (im *Image) MaxAbs() float64 {
 	var m float64
@@ -249,6 +243,8 @@ func EquatorialSlice(s *Sampler, q Quantity, n int) *Image {
 // MeridionalSlice samples quantity q over the phi = phi0 / phi0+pi
 // meridional plane onto an n x n image (x axis = cylindrical radius with
 // sign, y axis = z).
+//
+//yyvet:ignore reach ROADMAP 6i: only TestMeridionalSlice calls it
 func MeridionalSlice(s *Sampler, q Quantity, phi0 float64, n int) *Image {
 	im := NewImage(n, n)
 	ro := s.sv.Spec.RO
@@ -271,6 +267,7 @@ func MeridionalSlice(s *Sampler, q Quantity, phi0 float64, n int) *Image {
 	return im
 }
 
+//yyvet:ignore reach ROADMAP 6i: only TestMeridionalSlice calls it, through MeridionalSlice
 func wrapPi(p float64) float64 {
 	for p > math.Pi {
 		p -= 2 * math.Pi

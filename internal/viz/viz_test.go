@@ -203,3 +203,9 @@ func TestDoubleSolutionInvisibleInSlice(t *testing.T) {
 		t.Errorf("visible seam: max jump %g vs typical %g", maxJump, typJump)
 	}
 }
+
+// At returns the value at (x, y).
+func (im *Image) At(x, y int) (float64, bool) {
+	i := y*im.W + x
+	return im.Data[i], im.Mask[i]
+}

@@ -12,7 +12,8 @@
 #                      runwith-deadline, span-end, det-purity,
 #                      pool-disjoint, typed-err, overlap-order,
 #                      atomic-artifact) plus the interprocedural
-#                      passes (tag-space, buf-lifetime) and the
+#                      passes (tag-space, buf-lifetime, reach: every
+#                      declaration some main reaches) and the
 #                      directive audit (ignore-audit)
 #   4. go test       — the full test suite (benchmark/'s timing-
 #                      sensitive pipeline test first and alone, then
@@ -130,6 +131,9 @@ go build -o "$tele_out/yywatch" ./cmd/yywatch
 	-telemetry 127.0.0.1:0 -telemetry-addr-file "$tele_out/addr" -linger 120s \
 	>"$tele_out/yycore.log" 2>&1 &
 tele_pid=$!
+# A failing check below exits the script under set -e; the trap stops
+# the lingering server then instead of leaving it to serve for 120 s.
+trap 'kill "$tele_pid" 2>/dev/null || true; wait "$tele_pid" 2>/dev/null || true' EXIT
 "$tele_out/yywatch" -addr-file "$tele_out/addr" -interval 200ms -timeout 90s
 # Keep the scraped exposition and final progress line as CI artifacts
 # next to the yycore log, then assert on them.
@@ -138,6 +142,7 @@ tele_pid=$!
 "$tele_out/yywatch" -addr-file "$tele_out/addr" -check -expect-alert rank-dead
 kill "$tele_pid" 2>/dev/null || true
 wait "$tele_pid" 2>/dev/null || true
+trap - EXIT
 
 store_dir="${STORE_OUT:-$(mktemp -d)}/run.store"
 echo "==> store smoke: go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -ckpt-every 2 -store $store_dir"
