@@ -363,7 +363,7 @@ func RunParallelCheckpointWith(cfg Config, rc mpi.RunConfig, nProcs, steps int, 
 			r.Advance(step)
 		}
 		d := r.Diagnose()
-		if in := r.GatherInterior(); in != nil {
+		if in := r.GatherInterior(nil); in != nil {
 			cw := rr.Begin(obs.SpanCkptWrite)
 			data, werr := in.Bytes()
 			cw.End()

@@ -15,20 +15,25 @@ const tagGatherBase = 200
 // the layout-neutral checkpoint form and returns it (nil on every other
 // rank): each rank's interior block lands directly in the slabs a
 // checkpoint serializes, so the result can be validated, encoded and
-// scattered into the next world without a solver in between.
-func (r *Rank) GatherInterior() *snapshot.Interior {
+// scattered into the next world without a solver in between. On rank 0
+// it fills dst, every value and the clock overwritten (a campaign
+// alternates two buffers); a nil dst allocates one.
+func (r *Rank) GatherInterior(dst *snapshot.Interior) *snapshot.Interior {
 	defer r.obs.Begin(obs.SpanGather).End()
 	if r.World.Rank() != 0 {
 		// Pack the interior block: 8 variables, radial-fastest over the
 		// block's interior nodes.
 		p := r.PL.Patch
-		buf := make([]float64, 0, 8*p.Nr*p.Nt*p.Np)
+		buf := r.stage(8 * p.Nr * p.Nt * p.Np)[:0]
 		r.eachBlockRow(func(_, _, _ int, row []float64) { buf = append(buf, row...) })
 		r.World.Send(0, tagGatherBase, buf)
 		return nil
 	}
-	in := snapshot.NewInterior(r.Layout.Spec, r.Prm)
-	in.Time, in.Step = r.Time, r.StepN
+	in := dst
+	if in == nil {
+		in = snapshot.NewInterior(r.Layout.Spec, r.Prm)
+	}
+	in.Prm, in.Time, in.Step = r.Prm, r.Time, r.StepN
 	// Rank 0's own block needs no staging.
 	own := r.PL.Patch
 	r.eachBlockRow(func(s, j, k int, row []float64) {
@@ -37,12 +42,20 @@ func (r *Rank) GatherInterior() *snapshot.Interior {
 	for src := 1; src < r.World.Size(); src++ {
 		patch := r.Layout.SubPatch(src, 1)
 		panel := int(r.Layout.PanelOf(src))
-		buf := make([]float64, 8*patch.Nr*patch.Nt*patch.Np)
+		buf := r.stage(8 * patch.Nr * patch.Nt * patch.Np)
 		r.World.Recv(src, tagGatherBase, buf)
 		pos := 0
 		eachInteriorRow(in, panel, patch, func(row []float64) { pos += copy(row, buf[pos:]) })
 	}
 	return in
+}
+
+// stage returns n elements of the slice all gathers and scatters reuse.
+func (r *Rank) stage(n int) []float64 {
+	if cap(r.staging) < n {
+		r.staging = make([]float64, n)
+	}
+	return r.staging[:n]
 }
 
 // eachInteriorRow visits the rows of in that the block patch of the
@@ -77,7 +90,7 @@ func (r *Rank) eachBlockRow(fn func(s, j, k int, row []float64)) {
 // or render the gathered state; one that only persists it takes the
 // Interior.
 func (r *Rank) GatherState() (*mhd.Solver, error) {
-	in := r.GatherInterior()
+	in := r.GatherInterior(nil)
 	if in == nil {
 		return nil, nil
 	}
@@ -108,7 +121,7 @@ func (r *Rank) ScatterInterior(in *snapshot.Interior) error {
 		for dst := r.World.Size() - 1; dst >= 1; dst-- {
 			patch := r.Layout.SubPatch(dst, 1)
 			panel := int(r.Layout.PanelOf(dst))
-			buf := make([]float64, 0, 8*patch.Nr*patch.Nt*patch.Np)
+			buf := r.stage(8 * patch.Nr * patch.Nt * patch.Np)[:0]
 			eachInteriorRow(in, panel, patch, func(row []float64) { buf = append(buf, row...) })
 			r.World.Send(dst, tagScatterBase, buf)
 		}
@@ -121,7 +134,7 @@ func (r *Rank) ScatterInterior(in *snapshot.Interior) error {
 		r.StepN = in.Step
 	} else {
 		p := r.PL.Patch
-		buf := make([]float64, 8*p.Nr*p.Nt*p.Np)
+		buf := r.stage(8 * p.Nr * p.Nt * p.Np)
 		r.World.Recv(0, tagScatterBase, buf)
 		pos := 0
 		r.eachBlockRow(func(_, _, _ int, row []float64) {

@@ -68,6 +68,7 @@ type Rank struct {
 	ovSendBuf map[int][]float64
 	ovRecvBuf map[int][]float64
 	ovReqs    []*mpi.Request
+	staging   []float64 // gather/scatter staging, reusable as Send copies
 
 	// pool is the rank's intra-process worker pool (nil means serial
 	// kernels); it is wired into the patch so the stencil kernels of

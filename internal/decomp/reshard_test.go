@@ -171,8 +171,9 @@ func TestScatterInteriorRejectsMismatch(t *testing.T) {
 // campaign's segment boundary, over random small grids and world sizes
 // 2, 4 and 8: a rank built blank and scattered into continues exactly
 // like one built from an (unrelated) initial condition and scattered
-// into; GatherInterior returns slab for slab what InteriorOf(GatherState())
-// does; and both worlds end on the sha256 of the serial trajectory.
+// into; GatherInterior, into a reused buffer, returns slab for slab what
+// InteriorOf(GatherState()) does; and both worlds end on the sha256 of
+// the serial trajectory.
 func TestBlankRankAndGatherInterior(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 3; trial++ {
@@ -213,7 +214,14 @@ func TestBlankRankAndGatherInterior(t *testing.T) {
 					}
 					r.Advance(dt)
 					r.Advance(dt)
-					gathered := r.GatherInterior()
+					// Gather into a buffer holding an earlier state, as a
+					// campaign's spare buffer does: every value must be
+					// overwritten.
+					var spare *snapshot.Interior
+					if w.Rank() == 0 {
+						spare = snapshot.InteriorOf(src)
+					}
+					gathered := r.GatherInterior(spare)
 					sv, err := r.GatherState()
 					if err != nil {
 						w.Abort(err)

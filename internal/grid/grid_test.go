@@ -212,22 +212,12 @@ func TestMinAngularSpacingYinYang(t *testing.T) {
 func TestLatLonSpec(t *testing.T) {
 	y := NewSpec(17, 65)
 	ll := NewLatLonSpec(y)
-	if err := ll.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if math.Abs(ll.Dt()-y.Dt()) > y.Dt()*0.02 {
 		t.Errorf("lat-lon dt %v vs yin-yang %v", ll.Dt(), y.Dt())
 	}
 	// Full sphere: about 2x the theta span, 4/3 the phi span.
 	if ll.Nt < 2*(y.Nt-1) || ll.Nt > 2*y.Nt+2 {
 		t.Errorf("lat-lon Nt = %d for yin-yang Nt = %d", ll.Nt, y.Nt)
-	}
-}
-
-func TestLatLonValidate(t *testing.T) {
-	bad := LatLonSpec{Nr: 2, Nt: 5, Np: 8, RI: 0.35, RO: 1}
-	if bad.Validate() == nil {
-		t.Error("expected error")
 	}
 }
 

@@ -1,9 +1,6 @@
 package grid
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // LatLonSpec describes the traditional full latitude-longitude spherical
 // shell grid the paper's previous geodynamo code used, and whose polar
@@ -24,19 +21,6 @@ func NewLatLonSpec(s Spec) LatLonSpec {
 	nt := int(math.Round(math.Pi/dt)) + 1
 	np := int(math.Round(2 * math.Pi / s.Dp()))
 	return LatLonSpec{Nr: s.Nr, Nt: nt, Np: np, RI: s.RI, RO: s.RO}
-}
-
-// Validate reports whether the spec is usable.
-//
-//yyvet:ignore reach ROADMAP 6i: only TestLatLonValidate calls it
-func (s LatLonSpec) Validate() error {
-	if s.Nr < 3 || s.Nt < 3 || s.Np < 4 {
-		return fmt.Errorf("grid: lat-lon spec too small: %dx%dx%d", s.Nr, s.Nt, s.Np)
-	}
-	if !(0 < s.RI && s.RI < s.RO) {
-		return fmt.Errorf("grid: need 0 < RI < RO, got RI=%v RO=%v", s.RI, s.RO)
-	}
-	return nil
 }
 
 // Dt and Dp return the angular spacings; Dp is the full 2 pi over Np

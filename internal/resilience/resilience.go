@@ -1,16 +1,16 @@
 // Package resilience drives fault-tolerant campaigns over the
 // decomposed solver. A campaign is a long run split into checkpointed
-// segments: each segment scatters the last committed state across the
-// ranks, advances a fixed number of steps, gathers the result on rank 0
-// and validates it. A segment that blows up (non-finite state or CFL
-// collapse) or dies in the runtime (rank kill, communication deadline)
-// is rolled back to the last checkpoint on disk and retried — with
-// exponentially backed-off time step when the solver itself failed —
-// until it commits or the retry budget is exhausted, at which point a
-// post-mortem is saved next to the checkpoints and the campaign aborts
-// gracefully. A campaign interrupted between checkpoints (crashed
-// process, killed job) resumes from the newest checkpoint that still
-// reads back valid, falling back past corrupt files.
+// segments over one live world: each segment advances it a fixed
+// number of steps, gathers the result on rank 0 and validates it. A
+// segment that blows up (non-finite state or CFL collapse) or dies in
+// the runtime (rank kill, communication deadline) is rolled back to the
+// last checkpoint on disk and retried — with exponentially backed-off
+// time step when the solver itself failed — until it commits or the
+// retry budget is exhausted, at which point a post-mortem is saved next
+// to the checkpoints and the campaign aborts gracefully. A campaign
+// interrupted between checkpoints (crashed process, killed job) resumes
+// from the newest checkpoint that still reads back valid, falling back
+// past corrupt files.
 package resilience
 
 import (
@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/decomp"
 	"repro/internal/mhd"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -41,7 +40,7 @@ var ErrBlowUp = errors.New("solver blow-up")
 type Config struct {
 	// Core selects the grid, physics and initial conditions.
 	Core core.Config
-	// NProcs is the world size of each segment run (default 2). NProcs 1
+	// NProcs is the size of the campaign's world (default 2). NProcs 1
 	// runs segments serially with no decomposition at all; because the
 	// checkpoint format is layout-neutral, a campaign may be stopped and
 	// resumed at a different NProcs (including to or from 1) and its
@@ -107,8 +106,8 @@ type Config struct {
 	// trajectory bit-identically.
 	DTSchedule []float64
 	// Perturb, when set, mutates the state a segment starts from — a
-	// test hook for injecting mid-campaign blow-ups. It applies to the
-	// epoch-0 scatter only: a segment re-entered after a rank
+	// test hook for injecting mid-campaign blow-ups; the perturbed state
+	// is scattered into the world. A segment re-entered after a rank
 	// replacement restores from its committed checkpoint, unperturbed.
 	Perturb func(seg, attempt int, sv *mhd.Solver)
 	// Obs, when non-nil, records the whole campaign into one shared
@@ -251,16 +250,6 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 	}
 	sink := cfg.sink()
 	spec := cfg.Core.Spec()
-	// NProcs 1 is the serial path: no layout, no runtime — segments
-	// advance a clone of the committed state directly.
-	var layout *decomp.Layout
-	if cfg.NProcs != 1 {
-		l, err := decomp.NewLayout(spec, cfg.NProcs)
-		if err != nil {
-			return nil, err
-		}
-		layout = l
-	}
 	// One shared log across every segment and retry: the post-mortem can
 	// then show the whole campaign's fault history, not just the last
 	// attempt's.
@@ -312,6 +301,11 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 			}
 		}
 		rc.Elastic = &el
+	}
+	// One live executor per call (DESIGN.md "Segment boundary").
+	exec, err := newExecutor(cfg, rc)
+	if err != nil {
+		return nil, err
 	}
 	defer func() {
 		if res != nil {
@@ -372,6 +366,16 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 		final, ferr := state.Solver()
 		if res.Final = final; err == nil {
 			err = ferr
+		}
+	}()
+	// Unless synced, exec lacks state and the next order scatters it.
+	// Segments gather into spare; the world and spare go before Final.
+	synced := false
+	var spare *snapshot.Interior
+	defer func() {
+		spare = nil
+		if cerr := exec.close(); cerr != nil {
+			events.Notef("note", "campaign world ended with: %v", cerr)
 		}
 	}()
 
@@ -475,14 +479,20 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 					dt *= cfg.Backoff
 				}
 			}
-			start := state
+			if spare == nil {
+				spare = snapshot.NewInterior(spec, *cfg.Core.Params)
+			}
+			o := order{dt: dt, steps: n, into: spare, reload: reload}
+			if !synced {
+				o.state = state
+			}
 			if cfg.Perturb != nil {
 				sv, err := state.Solver()
 				if err != nil {
 					return res, err
 				}
 				cfg.Perturb(segIdx, attempt, sv)
-				start = snapshot.InteriorOf(sv)
+				o.state = snapshot.InteriorOf(sv)
 			}
 			recMu.Lock()
 			curSeg, curAttempt = segIdx, attempt
@@ -497,26 +507,18 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 			if plane.ProfileSegments() {
 				prof = telemetry.StartSegProfile()
 			}
-			var (
-				next *snapshot.Interior
-				diag mhd.Diagnostics
-				err  error
-			)
-			if cfg.NProcs == 1 {
-				next, diag, err = runSerialSegment(start, dt, n)
-			} else {
-				next, diag, err = runSegment(cfg.Core, layout, rc, plane, start, dt, n, reload)
-			}
+			diag, err := exec.run(o)
 			cpuProfile := prof.Stop()
 			if err == nil {
-				err = validate(next, cfg)
+				err = validate(o.into, cfg)
 			}
 			if err != nil {
+				synced = false
 				events.Notef("note", "segment start=%d attempt=%d failed: %v", segStart, attempt, err)
 			}
 			if err == nil {
 				cw := drv.Begin(obs.SpanCkptWrite)
-				werr := sink.write(next, commitMeta("segment"))
+				werr := sink.write(o.into, commitMeta("segment"))
 				cw.End()
 				if werr != nil {
 					// Checkpoint-write failures abort immediately — never
@@ -525,7 +527,7 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 					// state, hence Final, stays at the last commit.
 					return res, werr
 				}
-				state = next
+				state, spare, synced = o.into, state, true
 				res.Diags = append(res.Diags, diag)
 				res.DTs = append(res.DTs, dt)
 				commitEnds = append(commitEnds, state.Step)
@@ -578,60 +580,6 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 	}
 	plane.Finish(res.FinalStep)
 	return res, nil
-}
-
-// runSerialSegment is the NProcs-1 path: no decomposition, no runtime —
-// the segment advances a solver restored from the committed state
-// through the layout-neutral interior form, the same restore a
-// decomposed world performs, so serial segments commit byte-identical
-// checkpoints to any world size (the 1↔N halves of the reshard gates).
-func runSerialSegment(src *snapshot.Interior, dt float64, steps int) (*snapshot.Interior, mhd.Diagnostics, error) {
-	sv, err := src.Solver()
-	if err != nil {
-		return nil, mhd.Diagnostics{}, err
-	}
-	for i := 0; i < steps; i++ {
-		sv.Advance(dt)
-	}
-	return snapshot.InteriorOf(sv), sv.Diagnose(), nil
-}
-
-// runSegment executes one checkpoint interval on the decomposed
-// runtime: ranks built blank, the committed state scattered into them,
-// steps advanced at dt, the result gathered into a new Interior and
-// diagnosed on rank 0. Rank-side errors abort the world so no peer is
-// left blocked. Under rc.Elastic the rank function may re-enter at a
-// later membership epoch after a replacement fence; re-entries restore
-// from the segment's checkpoint via reload instead of the in-memory
-// src, and rank 0's gathered result is overwritten so the final epoch
-// wins.
-func runSegment(ccfg core.Config, layout *decomp.Layout, rc mpi.RunConfig, plane *telemetry.Plane, src *snapshot.Interior, dt float64, steps int, reload func() (*snapshot.Interior, error)) (*snapshot.Interior, mhd.Diagnostics, error) {
-	var (
-		mu   sync.Mutex
-		next *snapshot.Interior
-		diag mhd.Diagnostics
-	)
-	state := func(epoch int) (*snapshot.Interior, error) {
-		if epoch == 0 {
-			return src, nil
-		}
-		return reload()
-	}
-	err := core.RunRanksFrom(ccfg, layout, rc, plane, state, func(w *mpi.Comm, r *decomp.Rank, _ *obs.RankRec) {
-		for i := 0; i < steps; i++ {
-			r.Advance(dt)
-		}
-		d := r.Diagnose()
-		if in := r.GatherInterior(); in != nil {
-			mu.Lock()
-			next, diag = in, d
-			mu.Unlock()
-		}
-	})
-	if err != nil {
-		return nil, mhd.Diagnostics{}, err
-	}
-	return next, diag, nil
 }
 
 // validate decides whether a gathered segment result is committable.

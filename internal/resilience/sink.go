@@ -210,6 +210,8 @@ type storeSink struct {
 	// committed counts ledger entries this campaign appended (Note
 	// context only; the chain itself lives in the store).
 	committed int
+	// enc is the encode buffer every commit reuses (Put keeps no bytes).
+	enc bytes.Buffer
 }
 
 func (s *storeSink) refName(step int) string {
@@ -259,10 +261,11 @@ func (s *storeSink) newest(spec grid.Spec) (*snapshot.Interior, []string, error)
 }
 
 func (s *storeSink) write(in *snapshot.Interior, meta segMeta) error {
-	data, err := in.Bytes()
-	if err != nil {
+	s.enc.Reset()
+	if err := in.Encode(&s.enc); err != nil {
 		return fmt.Errorf("resilience: encoding checkpoint: %w", err)
 	}
+	data := s.enc.Bytes()
 	h, err := s.st.Put(data)
 	if err != nil {
 		return err

@@ -344,21 +344,3 @@ func ReadCheckpoint(r io.Reader) (*mhd.Solver, error) {
 	}
 	return in.Solver()
 }
-
-// ReadCheckpointFile reads a checkpoint from disk, prefixing every
-// failure with the file path so a corrupt checkpoint names both the
-// file and (via the decode errors) the byte offset of the damage.
-//
-//yyvet:ignore reach ROADMAP 6i: only TestReadCheckpointFileNamesPath calls it
-func ReadCheckpointFile(path string) (*mhd.Solver, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	sv, err := ReadCheckpoint(f)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
-	}
-	return sv, nil
-}

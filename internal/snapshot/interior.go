@@ -44,7 +44,14 @@ func NewInterior(spec grid.Spec, prm mhd.Params) *Interior {
 // form, exactly as WriteCheckpoint would serialize it.
 func InteriorOf(sv *mhd.Solver) *Interior {
 	in := NewInterior(sv.Spec, sv.Prm)
-	in.Time, in.Step = sv.Time, sv.Step
+	in.Capture(sv)
+	return in
+}
+
+// Capture overwrites in, which must hold the solver's grid, with the
+// solver's interior state and clock.
+func (in *Interior) Capture(sv *mhd.Solver) {
+	in.Prm, in.Time, in.Step = sv.Prm, sv.Time, sv.Step
 	for pi, pl := range sv.Panels {
 		for si, s := range pl.U.Scalars() {
 			slab := in.Fields[pi][si]
@@ -54,7 +61,6 @@ func InteriorOf(sv *mhd.Solver) *Interior {
 			})
 		}
 	}
-	return in
 }
 
 func (in *Interior) checkShape() error {

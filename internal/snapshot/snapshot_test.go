@@ -333,31 +333,6 @@ func TestReadErrorsNameOffset(t *testing.T) {
 	}
 }
 
-// TestReadCheckpointFileNamesPath: the file-level reader prefixes
-// failures with the path, completing the "which file, which byte"
-// diagnosis.
-func TestReadCheckpointFileNamesPath(t *testing.T) {
-	raw := checkpointBytes(t)
-	path := filepath.Join(t.TempDir(), "ckpt-000000001.yyck")
-	mut := append([]byte(nil), raw...)
-	mut[len(raw)/2] ^= 0x4
-	if err := os.WriteFile(path, mut, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadCheckpointFile(path)
-	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Errorf("got %v, want an error naming %s and the checksum mismatch", err, path)
-	}
-
-	sv, err := ReadCheckpointFile(pathWrite(t, raw))
-	if err != nil {
-		t.Fatalf("clean file: %v", err)
-	}
-	if sv == nil || sv.Step != makeSolver(t, 1).Step {
-		t.Fatal("clean file restored wrong state")
-	}
-}
-
 func pathWrite(t *testing.T, raw []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ckpt-000000001.yyck")
