@@ -1,6 +1,6 @@
 // Package repro's root benchmarks regenerate every table and figure of
 // the paper (see the per-experiment index in DESIGN.md). Each benchmark
-// drives the same code path as the cmd/yybench and cmd/yyviz tools and
+// drives the same code path as the cmd/yybench and cmd/yyrepro tools and
 // reports the headline quantity of its experiment as a custom metric, so
 // `go test -bench=. -benchmem` prints the reproduced numbers next to the
 // Go-level costs.

@@ -39,6 +39,8 @@ var badModuleWants = []string{
 	// Pool tile disjointness.
 	"par/par.go:18:4: pool-disjoint: accumulation into captured sum",
 	"par/par.go:27:3: pool-disjoint: write into out inside a Pool.For tile closure",
+	// Knob: the whole program (main.go) never sets Options.Grain.
+	"par/par.go:44:2: knob: Options.Grain is set by no program",
 }
 
 // TestBadModuleFindings: the driver on the known-bad fixture module

@@ -36,3 +36,6 @@ func (b *box) bareWait() {
 		b.cond.Wait() // cond-wait-loop should fire here
 	}
 }
+
+// The seeds are live: reach roots initialized package vars.
+var _ = []any{droppedRequest, (*box).bareWait, (*Request).Wait}

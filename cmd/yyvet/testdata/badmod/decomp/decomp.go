@@ -56,3 +56,6 @@ func (r *rank) overlapStep() float64 {
 	r.haloFinish(&ov)
 	return x
 }
+
+// The seeds are live: reach roots initialized package vars.
+var _ = []any{ExchangeTags, AdvanceScheme, (*rank).overlapStep}

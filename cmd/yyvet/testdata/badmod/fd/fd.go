@@ -14,3 +14,6 @@ func staleSuppression() []float64 {
 	//yyvet:ignore float-eq nothing on the next line compares floats
 	return make([]float64, 257) // ignore-audit: the directive suppresses nothing
 }
+
+// The seeds are live: reach roots initialized package vars.
+var _ = []any{pow2Column, exactCompare, staleSuppression}

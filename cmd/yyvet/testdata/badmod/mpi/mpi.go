@@ -45,3 +45,6 @@ func cleanRoundTrip(ctx *context) {
 	b[0] = 1
 	ctx.putBuf(b)
 }
+
+// The seeds are live: reach roots initialized package vars.
+var _ = []any{useAfterPut, doublePut, leakOnEarlyReturn, cleanRoundTrip, (*Comm).Recv}

@@ -36,3 +36,12 @@ func FillGood(p *Pool, out []float64) {
 		}
 	})
 }
+
+// Options is the knob seed: main sets Workers, nothing sets Grain.
+// The pool seeds are live through the package var below.
+type Options struct {
+	Workers int
+	Grain   int // knob: set by no program
+}
+
+var _ = []any{SumBad, FillBad, FillGood}

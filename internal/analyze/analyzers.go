@@ -11,6 +11,7 @@ func All() []*Analyzer {
 		FloatEq,
 		IgnoreAudit,
 		IrecvWait,
+		Knob,
 		OverlapOrder,
 		PoolDisjoint,
 		Pow2Stride,

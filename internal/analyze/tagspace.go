@@ -20,7 +20,7 @@ import (
 //     a cross-subsystem collision would let unrelated exchanges match
 //     each other's messages.
 //  3. Tags at sites on the step path (call-graph-reachable from a
-//     decomp Advance/AdvanceScheme root) must be members of the
+//     decomp Advance* root) must be members of the
 //     decomp.ExchangeTags() allocation, and every allocated tag must be
 //     used somewhere — ExchangeTags is the tag-space registry the
 //     fault-injection and observability layers key on, so drift in

@@ -1,7 +1,7 @@
 // Package bench orchestrates the paper-reproduction experiments indexed
 // in DESIGN.md: every table, figure and section-V quantity of the paper
 // has a runner here that produces the corresponding rows or images. The
-// cmd/yybench and cmd/yyviz binaries and the repository-level
+// cmd/yybench and cmd/yyrepro binaries and the repository-level
 // bench_test.go drive these runners.
 package bench
 

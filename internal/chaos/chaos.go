@@ -35,20 +35,12 @@ type Config struct {
 	Steps int
 	// Nr, Nt size the grid (defaults 9, 13).
 	Nr, Nt int
-	// DT is the fixed time step (default 2e-3) — fixed so the golden
-	// checkpoint is one hash, not a per-scenario estimate.
-	DT float64
-	// AckTimeout is the reliable transport's first-retransmit wait
-	// (default 2ms; retries back off from there).
-	AckTimeout time.Duration
-	// Deadline is the in-run watchdog backstop (default 20s).
-	Deadline time.Duration
 	// WedgeTimeout is the outer liveness bound: a scenario that has not
 	// terminated by then is declared a wedge (default 60s — it must
-	// comfortably exceed Deadline, which is itself a clean termination).
+	// comfortably exceed runDeadline, which is itself a clean
+	// termination).
+	//yyvet:ignore knob TestWedgeGuard and TestStoreWedgeGuard force a wedge verdict with a 1ms bound
 	WedgeTimeout time.Duration
-	// MaxFaults bounds the message faults per scenario (default 6).
-	MaxFaults int
 	// ArtifactDir, when set, collects diagnostics for every violating
 	// scenario: the failed campaign's postmortem.txt and the run's event
 	// timeline, named after the scenario — what a CI job uploads when a
@@ -59,8 +51,23 @@ type Config struct {
 	// anomaly engine consumes the run's event timeline, so the scripted
 	// faults must surface as latched telemetry alerts. Pure
 	// observability — the verdict logic never reads the plane.
+	//yyvet:ignore knob TestChaosDropRaisesRetransmitAlert and TestChaosSilentKillRaisesRankDeadAlert attach a plane
 	Telemetry *telemetry.Plane
 }
+
+// The fixed parts of every scenario run.
+const (
+	// runDT is the fixed time step — fixed so the golden checkpoint is
+	// one hash, not a per-scenario estimate.
+	runDT = 2e-3
+	// ackTimeout is the reliable transport's first-retransmit wait;
+	// retries back off from there.
+	ackTimeout = 2 * time.Millisecond
+	// runDeadline is the in-run watchdog backstop.
+	runDeadline = 20 * time.Second
+	// maxFaults bounds the message faults per scenario.
+	maxFaults = 6
+)
 
 func (c Config) withDefaults() Config {
 	if c.NProcs <= 0 {
@@ -75,20 +82,8 @@ func (c Config) withDefaults() Config {
 	if c.Nt <= 0 {
 		c.Nt = 13
 	}
-	if c.DT <= 0 {
-		c.DT = 2e-3
-	}
-	if c.AckTimeout <= 0 {
-		c.AckTimeout = 2 * time.Millisecond
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 20 * time.Second
-	}
 	if c.WedgeTimeout <= 0 {
 		c.WedgeTimeout = 60 * time.Second
-	}
-	if c.MaxFaults <= 0 {
-		c.MaxFaults = 6
 	}
 	return c
 }
@@ -215,7 +210,7 @@ func GenScenario(seed uint64, cfg Config) Scenario {
 	g := &rng{s: seed}
 	sc := Scenario{Seed: seed}
 	tags := decomp.ExchangeTags()
-	nf := 1 + g.intn(cfg.MaxFaults)
+	nf := 1 + g.intn(maxFaults)
 	for i := 0; i < nf; i++ {
 		f := FaultSpec{
 			Comm:  g.intn(3), // world or either panel's split comm

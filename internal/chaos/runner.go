@@ -84,8 +84,8 @@ func (r *Runner) coreConfig() core.Config {
 func (r *Runner) Golden() ([32]byte, error) {
 	r.goldenOnce.Do(func() {
 		var buf bytes.Buffer
-		_, err := core.RunParallelCheckpointWith(r.coreConfig(), mpi.RunConfig{Deadline: r.cfg.Deadline},
-			r.cfg.NProcs, r.cfg.Steps, r.cfg.DT, &buf)
+		_, err := core.RunParallelCheckpointWith(r.coreConfig(), mpi.RunConfig{Deadline: runDeadline},
+			r.cfg.NProcs, r.cfg.Steps, runDT, &buf)
 		if err != nil {
 			r.goldenErr = fmt.Errorf("chaos: golden run failed: %w", err)
 			return
@@ -143,11 +143,11 @@ func (r *Runner) execute(sc Scenario) Outcome {
 
 	var buf bytes.Buffer
 	_, err = core.RunParallelCheckpointWith(cc, mpi.RunConfig{
-		Deadline:    r.cfg.Deadline,
+		Deadline:    runDeadline,
 		Faults:      plan,
-		Reliability: &mpi.Reliability{AckTimeout: r.cfg.AckTimeout},
+		Reliability: &mpi.Reliability{AckTimeout: ackTimeout},
 		Events:      events,
-	}, r.cfg.NProcs, r.cfg.Steps, r.cfg.DT, &buf)
+	}, r.cfg.NProcs, r.cfg.Steps, runDT, &buf)
 	r.cfg.Telemetry.Evaluate()
 	if err != nil {
 		return Outcome{Scenario: sc, Verdict: CleanAbort, Detail: err.Error()}
@@ -189,9 +189,9 @@ func (r *Runner) executeCampaign(sc Scenario, plan *mpi.FaultPlan) Outcome {
 		Steps:           r.cfg.Steps,
 		CheckpointEvery: every,
 		Dir:             dir,
-		Deadline:        r.cfg.Deadline,
+		Deadline:        runDeadline,
 		Faults:          plan,
-		Reliability:     &mpi.Reliability{AckTimeout: r.cfg.AckTimeout},
+		Reliability:     &mpi.Reliability{AckTimeout: ackTimeout},
 		Heartbeat:       &mpi.Heartbeat{Interval: campaignHeartbeat},
 		DTSchedule:      dtSchedule(r.cfg),
 		Telemetry:       r.cfg.Telemetry,
@@ -280,7 +280,7 @@ func dtSchedule(cfg Config) []float64 {
 	n := cfg.Steps + 1
 	s := make([]float64, n)
 	for i := range s {
-		s[i] = cfg.DT
+		s[i] = runDT
 	}
 	return s
 }

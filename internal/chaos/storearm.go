@@ -186,7 +186,7 @@ func (r *Runner) storeCampaignConfig(st *store.Store, runID string) resilience.C
 		CheckpointEvery: every,
 		Store:           st,
 		RunID:           runID,
-		Deadline:        r.cfg.Deadline,
+		Deadline:        runDeadline,
 		Heartbeat:       &mpi.Heartbeat{Interval: campaignHeartbeat},
 		DTSchedule:      dtSchedule(r.cfg),
 	}

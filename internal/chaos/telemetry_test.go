@@ -37,8 +37,8 @@ func hasAlertEvent(p *telemetry.Plane, rule string) bool {
 // plane must flag the storm — injected faults are visible faults.
 func TestChaosDropRaisesRetransmitAlert(t *testing.T) {
 	plane := telemetry.New(telemetry.Config{
-		Rules:     telemetry.Rules{RetransmitStorm: 1},
-		NoProfile: true,
+		RetransmitStorm: 1,
+		NoProfile:       true,
 	})
 	r := NewRunner(Config{Telemetry: plane})
 	// The original fail-fast wedge from the committed corpus: first

@@ -76,8 +76,8 @@ func delayEveryHalo(d time.Duration, epochs int) *mpi.FaultPlan {
 	return p
 }
 
-// TestOverlapByteIdentity is the overlap correctness gate: for every
-// Advance scheme, the overlapped schedule under an adversarial
+// TestOverlapByteIdentity is the overlap correctness gate: the
+// overlapped schedule under an adversarial
 // all-halo-tags delay plan produces a state sha256-identical to the
 // non-overlapped (sequential exchange-then-compute) schedule and to the
 // world-size-1 serial solver, at world sizes 2, 4 and 8. (The layout
@@ -89,7 +89,7 @@ func TestOverlapByteIdentity(t *testing.T) {
 	const steps = 2
 	const dt = 2e-3
 
-	run := func(t *testing.T, scheme mhd.Integrator, nProcs int, overlapped bool, faults *mpi.FaultPlan) [32]byte {
+	run := func(t *testing.T, nProcs int, overlapped bool, faults *mpi.FaultPlan) [32]byte {
 		t.Helper()
 		l, err := NewLayout(s, nProcs)
 		if err != nil {
@@ -111,7 +111,7 @@ func TestOverlapByteIdentity(t *testing.T) {
 			}
 			r.SetOverlap(overlapped)
 			for n := 0; n < steps; n++ {
-				r.AdvanceScheme(dt, scheme)
+				r.Advance(dt)
 			}
 			sv, err := r.GatherState()
 			if err != nil {
@@ -128,27 +128,24 @@ func TestOverlapByteIdentity(t *testing.T) {
 		return hash
 	}
 
-	for _, scheme := range []mhd.Integrator{mhd.RK4, mhd.RK2, mhd.Euler} {
-		t.Run(scheme.String(), func(t *testing.T) {
-			sv, err := mhd.NewSolver(s, mhd.Default(), mhd.DefaultIC())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sv.Scheme = scheme
-			for n := 0; n < steps; n++ {
-				sv.Advance(dt)
-			}
-			golden := solverHash(sv)
+	t.Run("RK4", func(t *testing.T) {
+		sv, err := mhd.NewSolver(s, mhd.Default(), mhd.DefaultIC())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < steps; n++ {
+			sv.Advance(dt)
+		}
+		golden := solverHash(sv)
 
-			for _, nProcs := range []int{2, 4, 8} {
-				if got := run(t, scheme, nProcs, false, nil); got != golden {
-					t.Errorf("world %d: non-overlapped hash %x differs from serial golden %x", nProcs, got, golden)
-				}
-				plan := delayEveryHalo(2*time.Millisecond, 3)
-				if got := run(t, scheme, nProcs, true, plan); got != golden {
-					t.Errorf("world %d: overlapped+delayed hash %x differs from serial golden %x", nProcs, got, golden)
-				}
+		for _, nProcs := range []int{2, 4, 8} {
+			if got := run(t, nProcs, false, nil); got != golden {
+				t.Errorf("world %d: non-overlapped hash %x differs from serial golden %x", nProcs, got, golden)
 			}
-		})
-	}
+			plan := delayEveryHalo(2*time.Millisecond, 3)
+			if got := run(t, nProcs, true, plan); got != golden {
+				t.Errorf("world %d: overlapped+delayed hash %x differs from serial golden %x", nProcs, got, golden)
+			}
+		}
+	})
 }

@@ -746,23 +746,17 @@ func (r *Rank) rhs(u, out *mhd.State) {
 	rim.End()
 }
 
-// Advance performs one RK4 step identical in arithmetic to the serial
-// solver's Advance.
-func (r *Rank) Advance(dt float64) {
-	r.AdvanceScheme(dt, mhd.RK4)
-}
-
-// AdvanceScheme advances one step with an explicit integrator choice,
-// through the same stage loop as the serial solver. The leading Tick is
+// Advance performs one RK4 step through the serial solver's stage loop
+// (mhd.AdvanceRK4), identical to it in arithmetic. The leading Tick is
 // the fault-injection checkpoint: a scripted FaultPlan.Kill for this
 // world rank fires here, before the step's first exchange.
-func (r *Rank) AdvanceScheme(dt float64, scheme mhd.Integrator) {
+func (r *Rank) Advance(dt float64) {
 	r.World.Tick(r.StepN)
 	r.obs.SetStep(r.StepN)
 	defer r.obs.Begin(obs.SpanStep).End()
 	r.obs.SetGauge("dt", dt)
 	r.lastDT = dt
-	scheme.Advance(dt, []*mhd.Panel{r.PL}, func(pl *mhd.Panel, k *mhd.State) {
+	mhd.AdvanceRK4(dt, []*mhd.Panel{r.PL}, func(pl *mhd.Panel, k *mhd.State) {
 		r.rhs(&pl.U, k)
 	}, r.applyConstraints)
 	r.Time += dt

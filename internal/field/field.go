@@ -99,15 +99,6 @@ func (f *Scalar) mustMatch(gs ...*Scalar) {
 	}
 }
 
-// Fill sets every element (halo included) to v.
-//
-//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
-func (f *Scalar) Fill(v float64) {
-	for i := range f.Data {
-		f.Data[i] = v
-	}
-}
-
 // CopyFrom copies g into f.
 //
 //yyvet:ignore reach oracle for TestCombineMatchesSweeps
@@ -125,16 +116,6 @@ func (f *Scalar) countSweep(fl int) {
 	rows := int64(n) / int64(f.nrP)
 	perfcount.AddFlops(n * int64(fl))
 	perfcount.AddVectorLoops(rows, n)
-}
-
-// Scale multiplies every element by a.
-//
-//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
-func (f *Scalar) Scale(a float64) {
-	for i := range f.Data {
-		f.Data[i] *= a
-	}
-	f.countSweep(1)
 }
 
 // AXPY sets f = f + a*g element-wise.
@@ -171,18 +152,6 @@ func (f *Scalar) Add(g *Scalar) {
 	f.countSweep(1)
 }
 
-// Mul sets f = f * g element-wise.
-//
-//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
-func (f *Scalar) Mul(g *Scalar) {
-	f.mustMatch(g)
-	fd, gd := f.Data, g.Data
-	for i := range fd {
-		fd[i] *= gd[i]
-	}
-	f.countSweep(1)
-}
-
 // Quot sets f = x / y element-wise.
 func (f *Scalar) Quot(x, y *Scalar) {
 	f.mustMatch(x, y)
@@ -191,34 +160,6 @@ func (f *Scalar) Quot(x, y *Scalar) {
 		fd[i] = xd[i] / yd[i]
 	}
 	f.countSweep(1)
-}
-
-// InteriorSum returns the sum of the interior elements (halo excluded).
-//
-//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
-func (f *Scalar) InteriorSum() float64 {
-	var s float64
-	f.EachInteriorRow(func(i0 int, row []float64) {
-		for _, v := range row {
-			s += v
-		}
-	})
-	f.countInterior(1)
-	return s
-}
-
-// InteriorSumSq returns the sum of squares over the interior.
-//
-//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
-func (f *Scalar) InteriorSumSq() float64 {
-	var s float64
-	f.EachInteriorRow(func(i0 int, row []float64) {
-		for _, v := range row {
-			s += v * v
-		}
-	})
-	f.countInterior(2)
-	return s
 }
 
 // InteriorMaxAbs returns the maximum absolute interior value.
@@ -266,65 +207,5 @@ func NewVector(s Shape) *Vector {
 	return &Vector{R: NewScalar(s), T: NewScalar(s), P: NewScalar(s)}
 }
 
-// Clone returns a deep copy.
-//
-//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
-func (v *Vector) Clone() *Vector {
-	return &Vector{R: v.R.Clone(), T: v.T.Clone(), P: v.P.Clone()}
-}
-
-// CopyFrom copies w into v.
-//
-//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
-func (v *Vector) CopyFrom(w *Vector) {
-	v.R.CopyFrom(w.R)
-	v.T.CopyFrom(w.T)
-	v.P.CopyFrom(w.P)
-}
-
-// Fill sets every component element to c.
-//
-//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
-func (v *Vector) Fill(c float64) {
-	v.R.Fill(c)
-	v.T.Fill(c)
-	v.P.Fill(c)
-}
-
-// Scale multiplies every component by a.
-//
-//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
-func (v *Vector) Scale(a float64) {
-	v.R.Scale(a)
-	v.T.Scale(a)
-	v.P.Scale(a)
-}
-
-// AXPY sets v = v + a*w component-wise.
-//
-//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
-func (v *Vector) AXPY(a float64, w *Vector) {
-	v.R.AXPY(a, w.R)
-	v.T.AXPY(a, w.T)
-	v.P.AXPY(a, w.P)
-}
-
-// LinComb sets v = a*x + b*y component-wise.
-//
-//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
-func (v *Vector) LinComb(a float64, x *Vector, b float64, y *Vector) {
-	v.R.LinComb(a, x.R, b, y.R)
-	v.T.LinComb(a, x.T, b, y.T)
-	v.P.LinComb(a, x.P, b, y.P)
-}
-
 // Components returns the three components in (R, T, P) order.
 func (v *Vector) Components() [3]*Scalar { return [3]*Scalar{v.R, v.T, v.P} }
-
-// InteriorEnergy returns sum over the interior of
-// (R^2 + T^2 + P^2), the squared magnitude (no volume weighting).
-//
-//yyvet:ignore reach ROADMAP 6i: test-only field sweep, deleted with its tests
-func (v *Vector) InteriorEnergy() float64 {
-	return v.R.InteriorSumSq() + v.T.InteriorSumSq() + v.P.InteriorSumSq()
-}

@@ -102,14 +102,13 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestScaleAXPY(t *testing.T) {
+func TestAXPY(t *testing.T) {
 	f := randomized(testShape(), 2)
 	g := randomized(testShape(), 3)
 	want := make([]float64, len(f.Data))
 	for i := range want {
-		want[i] = 2*f.Data[i] + 3*g.Data[i]
+		want[i] = f.Data[i] + 3*g.Data[i]
 	}
-	f.Scale(2)
 	f.AXPY(3, g)
 	for i := range want {
 		if math.Abs(f.Data[i]-want[i]) > 1e-14 {
@@ -140,10 +139,9 @@ func TestMulQuotInverse(t *testing.T) {
 	}
 	q := NewScalar(s)
 	q.Quot(x, y) // q = x/y
-	q.Mul(y)     // q = x
 	for i := range q.Data {
-		if math.Abs(q.Data[i]-x.Data[i]) > 1e-12 {
-			t.Fatalf("Quot/Mul not inverse at %d", i)
+		if math.Abs(q.Data[i]*y.Data[i]-x.Data[i]) > 1e-12 {
+			t.Fatalf("Quot not the inverse of a product at %d", i)
 		}
 	}
 }
@@ -159,22 +157,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 	f.Add(g)
 }
 
-func TestInteriorSumExcludesHalo(t *testing.T) {
-	s := testShape()
-	f := NewScalar(s)
-	f.Fill(100) // halo poisoned
-	f.EachInteriorRow(func(i0 int, row []float64) {
-		for i := range row {
-			row[i] = 1
-		}
-	})
-	want := float64(s.Nr * s.Nt * s.Np)
-	if got := f.InteriorSum(); got != want {
-		t.Errorf("InteriorSum = %v, want %v", got, want)
-	}
-}
-
-func TestInteriorSumSqAndMaxAbs(t *testing.T) {
+func TestInteriorMaxAbs(t *testing.T) {
 	f := NewScalar(testShape())
 	f.EachInteriorRow(func(i0 int, row []float64) {
 		for i := range row {
@@ -182,10 +165,6 @@ func TestInteriorSumSqAndMaxAbs(t *testing.T) {
 		}
 	})
 	f.Set(0, 0, 0, -1e9) // halo value must be ignored
-	n := float64(f.Nr * f.Nt * f.Np)
-	if got := f.InteriorSumSq(); got != 4*n {
-		t.Errorf("InteriorSumSq = %v, want %v", got, 4*n)
-	}
 	if got := f.InteriorMaxAbs(); got != 2 {
 		t.Errorf("InteriorMaxAbs = %v, want 2", got)
 	}
@@ -206,53 +185,7 @@ func TestEachInteriorRowCoverage(t *testing.T) {
 	}
 }
 
-func TestVectorOps(t *testing.T) {
-	s := testShape()
-	v := NewVector(s)
-	w := NewVector(s)
-	v.Fill(1)
-	w.Fill(2)
-	v.AXPY(0.5, w) // 1 + 1 = 2
-	if got := v.R.At(1, 1, 1); got != 2 {
-		t.Errorf("AXPY component = %v", got)
-	}
-	v.Scale(3)
-	if got := v.P.At(2, 2, 2); got != 6 {
-		t.Errorf("Scale component = %v", got)
-	}
-	u := NewVector(s)
-	u.LinComb(1, v, -1, v)
-	if got := u.T.At(1, 1, 1); got != 0 {
-		t.Errorf("LinComb = %v", got)
-	}
-}
-
-func TestVectorInteriorEnergy(t *testing.T) {
-	s := testShape()
-	v := NewVector(s)
-	v.Fill(1)
-	n := float64(s.Nr * s.Nt * s.Np)
-	if got := v.InteriorEnergy(); got != 3*n {
-		t.Errorf("energy = %v, want %v", got, 3*n)
-	}
-}
-
-func TestVectorCloneCopy(t *testing.T) {
-	s := testShape()
-	v := NewVector(s)
-	v.Fill(5)
-	w := v.Clone()
-	w.Fill(1)
-	if v.R.At(1, 1, 1) != 5 {
-		t.Error("clone aliased")
-	}
-	v.CopyFrom(w)
-	if v.R.At(1, 1, 1) != 1 {
-		t.Error("CopyFrom failed")
-	}
-}
-
-// Property: AXPY with a=0 is identity; Scale by 1 is identity.
+// Property: AXPY with a=0 is identity.
 func TestOpIdentities(t *testing.T) {
 	f := func(seed int64) bool {
 		s := testShape()
@@ -260,7 +193,6 @@ func TestOpIdentities(t *testing.T) {
 		orig := x.Clone()
 		g := randomized(s, seed+1)
 		x.AXPY(0, g)
-		x.Scale(1)
 		for i := range x.Data {
 			if x.Data[i] != orig.Data[i] {
 				return false

@@ -10,11 +10,11 @@ import (
 )
 
 // sweepAdvance is the Runge-Kutta step as the separate full-array sweeps
-// Integrator.Advance's one-pass combine replaced — save u0, seed acc,
+// AdvanceRK4's one-pass combine replaced — save u0, seed acc,
 // accumulate k, restore U and add — in their original order. It is the
 // combine's oracle.
-func sweepAdvance(in Integrator, dt float64, pls []*Panel, rhs func(pl *Panel, k *State), constrain func()) {
-	stages, finalCoeff := in.stages()
+func sweepAdvance(dt float64, pls []*Panel, rhs func(pl *Panel, k *State), constrain func()) {
+	stages := rk4Stages
 	for _, pl := range pls {
 		copyState(&pl.u0, &pl.U)
 		linCombState(&pl.acc, 0, &pl.u0, 0, &pl.u0)
@@ -36,7 +36,7 @@ func sweepAdvance(in Integrator, dt float64, pls []*Panel, rhs func(pl *Panel, k
 	}
 	for _, pl := range pls {
 		copyState(&pl.U, &pl.u0)
-		axpyState(&pl.U, finalCoeff*dt, &pl.acc)
+		axpyState(&pl.U, rk4Final*dt, &pl.acc)
 	}
 	constrain()
 }
@@ -78,75 +78,72 @@ func edgeVal(fid, n uint64) float64 {
 	return pseudoVal(fid, n)
 }
 
-// TestCombineMatchesSweeps: for every scheme, two steps through
-// Integrator.Advance leave U, u0 and acc bitwise equal to the sweep
-// sequence's over the padded arrays, halos included, at every stage's
-// constraint point, and charge the counters the same. acc is compared
+// TestCombineMatchesSweeps: two steps through AdvanceRK4 leave U, u0
+// and acc bitwise equal to the sweep sequence's over the padded arrays,
+// halos included, at every stage's constraint point, and charge the
+// counters the same. acc is compared
 // where it is still read: after the last stage the one-pass combine
 // leaves it unstored, and the next step reseeds it without reading it
 // (the second step checks that).
 func TestCombineMatchesSweeps(t *testing.T) {
 	p := grid.NewPatch(grid.NewSpec(9, 13), grid.Yang, 1)
-	for _, in := range []Integrator{RK4, RK2, Euler} {
-		type snap struct{ u, u0, acc [8][]float64 }
-		run := func(advance func(Integrator, float64, []*Panel, func(*Panel, *State), func())) ([]snap, perfcount.Snapshot) {
-			pl := NewPanel(p, 1)
-			for si, st := range []*State{&pl.U, &pl.u0, &pl.k, &pl.acc} {
-				for fi, f := range st.Scalars() {
-					for n := range f.Data {
-						f.Data[n] = edgeVal(uint64(8*si+fi), uint64(n))
-					}
+	type snap struct{ u, u0, acc [8][]float64 }
+	run := func(advance func(float64, []*Panel, func(*Panel, *State), func())) ([]snap, perfcount.Snapshot) {
+		pl := NewPanel(p, 1)
+		for si, st := range []*State{&pl.U, &pl.u0, &pl.k, &pl.acc} {
+			for fi, f := range st.Scalars() {
+				for n := range f.Data {
+					f.Data[n] = edgeVal(uint64(8*si+fi), uint64(n))
 				}
 			}
-			calls := uint64(0)
-			rhs := func(_ *Panel, k *State) {
-				calls++
-				for fi, f := range k.Scalars() {
-					for n := range f.Data {
-						f.Data[n] = edgeVal(100*calls+uint64(fi), uint64(n))
-					}
-				}
-			}
-			var snaps []snap
-			constrain := func() {
-				var s snap
-				u, u0, acc := pl.U.Scalars(), pl.u0.Scalars(), pl.acc.Scalars()
-				for fi := range s.u {
-					s.u[fi] = slices.Clone(u[fi].Data)
-					s.u0[fi] = slices.Clone(u0[fi].Data)
-					s.acc[fi] = slices.Clone(acc[fi].Data)
-				}
-				snaps = append(snaps, s)
-			}
-			before := perfcount.Read()
-			for step := 0; step < 2; step++ {
-				advance(in, 3e-3, []*Panel{pl}, rhs, constrain)
-			}
-			return snaps, perfcount.Read().Sub(before)
 		}
-		want, wantCount := run(sweepAdvance)
-		got, gotCount := run(Integrator.Advance)
-		if gotCount != wantCount || wantCount.Flops == 0 {
-			t.Errorf("%v: counters %+v, sweeps charged %+v", in, gotCount, wantCount)
-		}
-		tbl, _ := in.stages()
-		if len(got) != len(want) || len(want) != 2*len(tbl) {
-			t.Fatalf("%v: %d constraint calls, sweeps made %d", in, len(got), len(want))
-		}
-		for c := range want {
-			live := c%len(tbl) != len(tbl)-1
-			for fi := 0; fi < 8; fi++ {
-				check := func(name string, a, b []float64) {
-					if n := firstBitDiff(a, b); n >= 0 {
-						t.Fatalf("%v: constraint call %d, %s var %d index %d: %x, sweeps %x",
-							in, c, name, fi, n, a[n], b[n])
-					}
+		calls := uint64(0)
+		rhs := func(_ *Panel, k *State) {
+			calls++
+			for fi, f := range k.Scalars() {
+				for n := range f.Data {
+					f.Data[n] = edgeVal(100*calls+uint64(fi), uint64(n))
 				}
-				check("U", got[c].u[fi], want[c].u[fi])
-				check("u0", got[c].u0[fi], want[c].u0[fi])
-				if live {
-					check("acc", got[c].acc[fi], want[c].acc[fi])
+			}
+		}
+		var snaps []snap
+		constrain := func() {
+			var s snap
+			u, u0, acc := pl.U.Scalars(), pl.u0.Scalars(), pl.acc.Scalars()
+			for fi := range s.u {
+				s.u[fi] = slices.Clone(u[fi].Data)
+				s.u0[fi] = slices.Clone(u0[fi].Data)
+				s.acc[fi] = slices.Clone(acc[fi].Data)
+			}
+			snaps = append(snaps, s)
+		}
+		before := perfcount.Read()
+		for step := 0; step < 2; step++ {
+			advance(3e-3, []*Panel{pl}, rhs, constrain)
+		}
+		return snaps, perfcount.Read().Sub(before)
+	}
+	want, wantCount := run(sweepAdvance)
+	got, gotCount := run(AdvanceRK4)
+	if gotCount != wantCount || wantCount.Flops == 0 {
+		t.Errorf("counters %+v, sweeps charged %+v", gotCount, wantCount)
+	}
+	if len(got) != len(want) || len(want) != 2*len(rk4Stages) {
+		t.Fatalf("%d constraint calls, sweeps made %d", len(got), len(want))
+	}
+	for c := range want {
+		live := c%len(rk4Stages) != len(rk4Stages)-1
+		for fi := 0; fi < 8; fi++ {
+			check := func(name string, a, b []float64) {
+				if n := firstBitDiff(a, b); n >= 0 {
+					t.Fatalf("constraint call %d, %s var %d index %d: %x, sweeps %x",
+						c, name, fi, n, a[n], b[n])
 				}
+			}
+			check("U", got[c].u[fi], want[c].u[fi])
+			check("u0", got[c].u0[fi], want[c].u0[fi])
+			if live {
+				check("acc", got[c].acc[fi], want[c].acc[fi])
 			}
 		}
 	}

@@ -1,84 +1,31 @@
 package mhd
 
-import (
-	"fmt"
+import "repro/internal/perfcount"
 
-	"repro/internal/perfcount"
-)
+// rk4Stages is the paper's classical fourth-order Runge-Kutta scheme as
+// low-storage stages: evaluate the right-hand side k at the current U,
+// accumulate accCoeff*k, and (unless it is the last stage) rebuild
+// U = u0 + stepCoeff*dt*k. The last stage sets U = u0 + rk4Final*dt*acc.
+var rk4Stages = [...]struct{ stepCoeff, accCoeff float64 }{{0.5, 1}, {0.5, 2}, {1, 2}, {0, 1}}
 
-// Integrator selects the time scheme. The paper uses the classical
-// fourth-order Runge-Kutta method; the cheaper schemes exist for
-// step-cost/accuracy ablations and for testing the temporal order
-// machinery itself.
-type Integrator int
+const rk4Final = 1.0 / 6.0
 
-const (
-	// RK4 is the classical fourth-order Runge-Kutta scheme (the paper's
-	// choice and the zero-value default).
-	RK4 Integrator = iota
-	// RK2 is the midpoint method (second order).
-	RK2
-	// Euler is the forward Euler method (first order).
-	Euler
-)
-
-// String names the scheme.
-func (in Integrator) String() string {
-	switch in {
-	case RK4:
-		return "RK4"
-	case RK2:
-		return "RK2"
-	case Euler:
-		return "Euler"
-	}
-	return fmt.Sprintf("Integrator(%d)", int(in))
-}
-
-// schemeStage describes one stage of a low-storage scheme: evaluate the
-// right-hand side k at the current U, accumulate accCoeff*k, and (unless
-// it is the last stage) rebuild U = u0 + stepCoeff*dt*k.
-type schemeStage struct {
-	stepCoeff float64
-	accCoeff  float64
-}
-
-var (
-	rk4Stages   = [...]schemeStage{{0.5, 1}, {0.5, 2}, {1, 2}, {0, 1}}
-	rk2Stages   = [...]schemeStage{{0.5, 0}, {0, 1}} // midpoint: u = u0 + dt k(u0 + dt/2 k1)
-	eulerStages = [...]schemeStage{{0, 1}}
-)
-
-// stages returns the stage table and the final accumulator weight so
-// that U_final = u0 + finalCoeff*dt*acc.
-func (in Integrator) stages() (tbl []schemeStage, finalCoeff float64) {
-	switch in {
-	case RK4:
-		return rk4Stages[:], 1.0 / 6.0
-	case RK2:
-		return rk2Stages[:], 1
-	default:
-		return eulerStages[:], 1
-	}
-}
-
-// Advance performs one step of size dt on the panels, the one stage loop
-// of both the serial solver and a decomposed rank. For every stage, rhs
-// must evaluate the right-hand side at pl.U into k without modifying
-// pl.U; constrain then re-imposes the boundary conditions on every
-// panel's U. For RK4:
+// AdvanceRK4 performs one step of size dt on the panels, the one stage
+// loop of both the serial solver and a decomposed rank. For every
+// stage, rhs must evaluate the right-hand side at pl.U into k without
+// modifying pl.U; constrain then re-imposes the boundary conditions on
+// every panel's U:
 //
 //	k1 = R(u0)            u <- u0 + dt/2 k1
 //	k2 = R(u)             u <- u0 + dt/2 k2
 //	k3 = R(u)             u <- u0 + dt   k3
 //	k4 = R(u)             u <- u0 + dt/6 (k1 + 2 k2 + 2 k3 + k4)
-func (in Integrator) Advance(dt float64, pls []*Panel, rhs func(pl *Panel, k *State), constrain func()) {
-	stages, finalCoeff := in.stages()
-	last := len(stages) - 1
-	for si, stg := range stages {
+func AdvanceRK4(dt float64, pls []*Panel, rhs func(pl *Panel, k *State), constrain func()) {
+	last := len(rk4Stages) - 1
+	for si, stg := range rk4Stages {
 		c := stg.stepCoeff * dt
 		if si == last {
-			c = finalCoeff * dt
+			c = rk4Final * dt
 		}
 		for _, pl := range pls {
 			rhs(pl, &pl.k)
@@ -106,11 +53,6 @@ func (pl *Panel) combine(first, last bool, a, c float64) {
 		u := us[v].Data
 		u0, k, acc := u0s[v].Data[:len(u)], ks[v].Data[:len(u)], accs[v].Data[:len(u)]
 		switch {
-		case first && last:
-			for i, x := range u {
-				u0[i] = x
-				u[i] = x + c*(0*x+0*x+a*k[i])
-			}
 		case first:
 			for i, x := range u {
 				u0[i] = x

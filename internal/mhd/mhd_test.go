@@ -486,34 +486,6 @@ func TestDivBFree(t *testing.T) {
 	}
 }
 
-// TestBiquadraticRimSolver: the solver runs stably with third-order rim
-// interpolation, and the overlap "double solution" disagreement after
-// stepping is no worse than (and typically better than) bilinear.
-func TestBiquadraticRimSolver(t *testing.T) {
-	run := func(order int) float64 {
-		sv, err := NewSolverInterp(grid.NewSpec(9, 17), Default(), DefaultIC(), order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dt := sv.EstimateDT(0.3)
-		for n := 0; n < 6; n++ {
-			sv.Advance(dt)
-		}
-		if err := sv.CheckFinite(); err != nil {
-			t.Fatal(err)
-		}
-		return OverlapDisagreement(sv)
-	}
-	d2 := run(2)
-	d3 := run(3)
-	if d3 > d2*1.5 {
-		t.Errorf("biquadratic rim disagreement %g much worse than bilinear %g", d3, d2)
-	}
-	if _, err := NewSolverInterp(testSpec(), Default(), DefaultIC(), 5); err == nil {
-		t.Error("bogus order accepted")
-	}
-}
-
 // TestSpatialSelfConvergence: the complete solver (operators, boundary
 // conditions, overset exchange) is second-order accurate in space:
 // successive grid halvings shrink the solution difference at probes by

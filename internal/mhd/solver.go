@@ -20,12 +20,7 @@ type Solver struct {
 	IC     InitialConditions
 	Panels [2]*Panel // indexed by grid.Yin, grid.Yang
 
-	// Scheme selects the time integrator; the zero value is the paper's
-	// classical RK4.
-	Scheme Integrator
-
 	ex   *overset.Exchanger
-	ex3  *overset.Exchanger3 // non-nil when third-order rims are selected
 	Time float64
 	Step int
 }
@@ -36,22 +31,6 @@ type Solver struct {
 // solver about to be overwritten from a checkpoint is built with
 // NewBlankSolver.
 func NewSolver(s grid.Spec, prm Params, ic InitialConditions) (*Solver, error) {
-	return newSolver(s, prm, ic, 2)
-}
-
-// NewSolverInterp selects the overset rim interpolation order: 2
-// (bilinear, the paper's scheme) or 3 (biquadratic, the accuracy upgrade
-// of later Yin-Yang work).
-//
-//yyvet:ignore reach ROADMAP 6i: only TestBiquadraticRimSolver calls it; the order-3 rim path goes with it
-func NewSolverInterp(s grid.Spec, prm Params, ic InitialConditions, order int) (*Solver, error) {
-	if order != 2 && order != 3 {
-		return nil, fmt.Errorf("mhd: interpolation order must be 2 or 3, got %d", order)
-	}
-	return newSolver(s, prm, ic, order)
-}
-
-func newSolver(s grid.Spec, prm Params, ic InitialConditions, order int) (*Solver, error) {
 	sv, err := newStatelessSolver(s, prm)
 	if err != nil {
 		return nil, err
@@ -59,13 +38,6 @@ func newSolver(s grid.Spec, prm Params, ic InitialConditions, order int) (*Solve
 	sv.IC = ic
 	for _, pl := range sv.Panels {
 		InitPanel(pl, prm, ic)
-	}
-	if order == 3 {
-		plan3, err := overset.NewPlan3(s)
-		if err != nil {
-			return nil, err
-		}
-		sv.ex3 = overset.NewExchanger3(plan3, sv.Panels[0].Patch.H)
 	}
 	sv.applyConstraints()
 	return sv, nil
@@ -138,29 +110,22 @@ func (sv *Solver) applyConstraints() {
 		ApplyWallBC(pl, sv.Prm)
 	}
 	yin, yang := sv.Panels[grid.Yin], sv.Panels[grid.Yang]
-	if sv.ex3 != nil {
-		sv.ex3.ExchangeScalar(yin.U.Rho, yang.U.Rho)
-		sv.ex3.ExchangeScalar(yin.U.P, yang.U.P)
-		sv.ex3.ExchangeVector(yin.U.F, yang.U.F)
-		sv.ex3.ExchangeVector(yin.U.A, yang.U.A)
-	} else {
-		sv.ex.ExchangeScalar(yin.U.Rho, yang.U.Rho)
-		sv.ex.ExchangeScalar(yin.U.P, yang.U.P)
-		sv.ex.ExchangeVector(yin.U.F, yang.U.F)
-		sv.ex.ExchangeVector(yin.U.A, yang.U.A)
-	}
+	sv.ex.ExchangeScalar(yin.U.Rho, yang.U.Rho)
+	sv.ex.ExchangeScalar(yin.U.P, yang.U.P)
+	sv.ex.ExchangeVector(yin.U.F, yang.U.F)
+	sv.ex.ExchangeVector(yin.U.A, yang.U.A)
 	for _, pl := range sv.Panels {
 		ApplyWallBC(pl, sv.Prm)
 	}
 }
 
-// Advance performs one step of size dt with the solver's scheme
-// (Integrator.Advance, classical RK4 by default), with boundary
-// conditions and the overset exchange applied after every stage update,
+// Advance performs one classical RK4 step of size dt (AdvanceRK4), with
+// boundary conditions and the overset exchange applied after every
+// stage update,
 // following the paper's use of interpolation as the internal boundary
 // condition of each component grid.
 func (sv *Solver) Advance(dt float64) {
-	sv.Scheme.Advance(dt, sv.Panels[:], func(pl *Panel, k *State) {
+	AdvanceRK4(dt, sv.Panels[:], func(pl *Panel, k *State) {
 		ComputeVTB(pl, &pl.U)
 		FinishRHS(pl, sv.Prm, &pl.U, k, nil)
 	}, sv.applyConstraints)

@@ -26,6 +26,7 @@ type Elastic struct {
 	// MaxReplacements bounds how many epoch fences one run may perform;
 	// a further confirmed death aborts the run as a non-elastic run
 	// would (default 2).
+	//yyvet:ignore knob TestElasticReplacementBudgetExhausted spends a budget of 1; ROADMAP 5d decides its scope
 	MaxReplacements int
 	// OnReplace, when set, observes each replacement after its fence:
 	// the replaced rank, the new membership epoch and the triggering
@@ -276,6 +277,9 @@ func (ctx *context) tryFence(deadRank int, cause error, respawn bool) bool {
 	if respawn {
 		ctx.spawn(deadRank)
 	}
+	// Logged before the new epoch can run: its ranks may finish the
+	// whole run, and RunWith return, before this goroutine gets on.
+	ctx.eventf("recover.replace", "rank=%d epoch=%d cause=%v", deadRank, epoch, cause)
 	// Recall parked survivors and collective waiters into the new epoch.
 	ctx.cond.Broadcast()
 	ctx.mu.Unlock()
@@ -290,7 +294,6 @@ func (ctx *context) tryFence(deadRank int, cause error, respawn bool) bool {
 		// completion marks belong to the fenced epoch.
 		ctx.hb.refresh()
 	}
-	ctx.eventf("recover.replace", "rank=%d epoch=%d cause=%v", deadRank, epoch, cause)
 	if el.OnReplace != nil {
 		el.OnReplace(deadRank, epoch, cause)
 	}

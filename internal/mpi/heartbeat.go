@@ -12,37 +12,30 @@ import (
 // beater is independent of the rank's own progress, so a rank deep in a
 // compute phase or blocked in a healthy exchange keeps beating). A
 // monitor escalates silent ranks suspect -> confirmed: a rank silent
-// past SuspectAfter is suspected (and cleared if it beats again); one
-// silent past ConfirmAfter is declared dead and the run aborts with a
-// *RankFailedError naming the rank and its last completed step — within
-// a few heartbeat intervals, not at the watchdog deadline. The deadline
-// watchdog stays as the backstop for wedges (live ranks stuck waiting
-// on each other), which heartbeats deliberately do not flag.
+// past suspectBeats intervals is suspected (and cleared if it beats
+// again); one silent past confirmBeats intervals is declared dead and
+// the run aborts with a *RankFailedError naming the rank and its last
+// completed step — within a few heartbeat intervals, not at the
+// watchdog deadline. The deadline watchdog stays as the backstop for
+// wedges (live ranks stuck waiting on each other), which heartbeats
+// deliberately do not flag.
 type Heartbeat struct {
 	// Interval is the beat period (default 5ms).
 	Interval time.Duration
-	// SuspectAfter is the silence after which a rank is suspected
-	// (default 4x Interval).
-	SuspectAfter time.Duration
-	// ConfirmAfter is the silence after which a suspected rank is
-	// confirmed dead and the run aborts (default 20x Interval — generous
-	// against scheduler and GC stalls of a loaded host).
-	ConfirmAfter time.Duration
 }
+
+// A rank silent for suspectBeats intervals is suspected; one silent for
+// confirmBeats is confirmed dead and the run aborts — generous against
+// scheduler and GC stalls of a loaded host.
+const (
+	suspectBeats = 4
+	confirmBeats = 20
+)
 
 // withDefaults fills zero fields with the documented defaults.
 func (h Heartbeat) withDefaults() Heartbeat {
 	if h.Interval <= 0 {
 		h.Interval = 5 * time.Millisecond
-	}
-	if h.SuspectAfter <= 0 {
-		h.SuspectAfter = 4 * h.Interval
-	}
-	if h.ConfirmAfter <= 0 {
-		h.ConfirmAfter = 20 * h.Interval
-	}
-	if h.ConfirmAfter < h.SuspectAfter {
-		h.ConfirmAfter = h.SuspectAfter
 	}
 	return h
 }
@@ -148,6 +141,7 @@ func (hb *hbState) refresh() {
 func (hb *hbState) monitor(stop <-chan struct{}) {
 	ticker := time.NewTicker(hb.cfg.Interval)
 	defer ticker.Stop()
+	suspectAfter, confirmAfter := suspectBeats*hb.cfg.Interval, confirmBeats*hb.cfg.Interval
 	for {
 		select {
 		case <-stop:
@@ -161,7 +155,7 @@ func (hb *hbState) monitor(stop <-chan struct{}) {
 				silence := now.Sub(time.Unix(0, hb.lastBeat[r].Load()))
 				step := int(hb.ctx.lastStep[r].Load())
 				switch {
-				case silence > hb.cfg.ConfirmAfter:
+				case silence > confirmAfter:
 					hb.ctx.eventf("hb.confirm", "rank=%d silence=%v step=%d", r, silence.Round(time.Millisecond), step)
 					err := &RankFailedError{Rank: r, Step: step, Silent: true, Silence: silence}
 					if hb.ctx.tryFence(r, err, true) {
@@ -171,7 +165,7 @@ func (hb *hbState) monitor(stop <-chan struct{}) {
 					}
 					hb.ctx.abort(err)
 					return
-				case silence > hb.cfg.SuspectAfter:
+				case silence > suspectAfter:
 					if hb.suspected[r].CompareAndSwap(false, true) {
 						hb.ctx.eventf("hb.suspect", "rank=%d silence=%v step=%d", r, silence.Round(time.Millisecond), step)
 					}

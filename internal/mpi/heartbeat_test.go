@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// hbCfg is a fast heartbeat config for tests: detection within ~150ms,
-// with a confirm window wide enough that race-detector scheduling
-// starvation of a healthy beater cannot fake a death.
+// hbCfg is a fast heartbeat config for tests: detection within ~150ms
+// (confirmBeats intervals), a confirm window wide enough that
+// race-detector scheduling starvation of a healthy beater cannot fake a
+// death.
 func hbCfg() *Heartbeat {
-	return &Heartbeat{Interval: 3 * time.Millisecond, ConfirmAfter: 150 * time.Millisecond}
+	return &Heartbeat{Interval: 7500 * time.Microsecond}
 }
 
 // TestHeartbeatDetectsSilentKill: a silently killed rank is confirmed
@@ -83,18 +84,19 @@ func TestHeartbeatSilentKillWithoutHeartbeat(t *testing.T) {
 }
 
 // TestHeartbeatCleanRun: a healthy run under heartbeat finishes without
-// false positives, even with compute phases longer than ConfirmAfter —
-// the beater is independent of rank progress.
+// false positives, even with compute phases longer than the confirm
+// window (confirmBeats intervals, 80ms here) — the beater is
+// independent of rank progress.
 func TestHeartbeatCleanRun(t *testing.T) {
 	events := NewEventLog()
 	err := RunWith(3, RunConfig{
 		Deadline:  5 * time.Second,
-		Heartbeat: &Heartbeat{Interval: 2 * time.Millisecond, ConfirmAfter: 80 * time.Millisecond},
+		Heartbeat: &Heartbeat{Interval: 4 * time.Millisecond},
 		Events:    events,
 	}, func(c *Comm) {
 		for step := 0; step < 3; step++ {
 			c.Tick(step)
-			time.Sleep(120 * time.Millisecond) // "compute" >> ConfirmAfter
+			time.Sleep(120 * time.Millisecond) // "compute" >> the confirm window
 			vals := []float64{1}
 			c.Allreduce(vals, OpSum)
 		}

@@ -19,16 +19,17 @@ import (
 type Reliability struct {
 	// AckTimeout is the wait before the first retransmission of an
 	// unacked message (default 10ms). Each further retransmission waits
-	// Backoff times longer than the previous one.
+	// retransmitBackoff times longer than the previous one.
 	AckTimeout time.Duration
 	// MaxRetries bounds the retransmissions of one message; once
 	// exhausted the run aborts with a diagnostic naming the envelope
 	// (default 10).
+	//yyvet:ignore knob TestReliableGivesUp exhausts 3 retries in ~15ms where the default 10 take ~2s
 	MaxRetries int
-	// Backoff is the retransmission backoff multiplier, >= 1
-	// (default 2).
-	Backoff float64
 }
+
+// retransmitBackoff is the retransmission backoff multiplier.
+const retransmitBackoff = 2
 
 // withDefaults fills zero fields with the documented defaults.
 func (r Reliability) withDefaults() Reliability {
@@ -37,9 +38,6 @@ func (r Reliability) withDefaults() Reliability {
 	}
 	if r.MaxRetries <= 0 {
 		r.MaxRetries = 10
-	}
-	if r.Backoff < 1 {
-		r.Backoff = 2
 	}
 	return r
 }
@@ -141,7 +139,7 @@ func (rs *relState) retransmit(mk relMsgKey) {
 	p.attempts++
 	backoff := rs.cfg.AckTimeout
 	for i := 0; i < p.attempts; i++ {
-		backoff = time.Duration(float64(backoff) * rs.cfg.Backoff)
+		backoff *= retransmitBackoff
 	}
 	attempt := p.attempts
 	rs.mu.Unlock()

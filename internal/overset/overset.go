@@ -262,186 +262,3 @@ func InterpAt(p *grid.Patch, f *field.Scalar, theta, phi float64, i int) float64
 		(1-aj)*ak*f.At(i, dj+h, dk+1+h) +
 		aj*ak*f.At(i, dj+1+h, dk+1+h)
 }
-
-// --- Higher-order interpolation -------------------------------------
-//
-// The paper's second-order solver needs only bilinear rim interpolation,
-// but later Yin-Yang work (e.g. the community benchmarks of Yoshida &
-// Kageyama) uses third-order interpolation to keep the internal boundary
-// from limiting accuracy. Target3 is the biquadratic (3x3 donor)
-// variant; its rim error converges at third order.
-
-// Target3 couples a rim node with a 3x3 donor block and separable
-// quadratic Lagrange weights.
-type Target3 struct {
-	Recv   NodeID
-	DJ, DK int        // lower corner of the 3x3 donor block
-	WJ, WK [3]float64 // separable Lagrange weights
-	Rot    coords.VecRotation
-}
-
-// MakeTarget3 builds the biquadratic target for a rim node.
-func MakeTarget3(s grid.Spec, n NodeID) (Target3, error) {
-	dt, dp := s.Dt(), s.Dp()
-	theta := grid.ThetaMin + float64(n.J)*dt
-	phi := grid.PhiMin + float64(n.K)*dp
-	td, pd := coords.YinYangAngles(theta, phi)
-	const tol = 1e-9
-	if !grid.Contains(td, pd, tol) {
-		return Target3{}, fmt.Errorf("overset: rim node %+v maps outside partner", n)
-	}
-	fj := (td - grid.ThetaMin) / dt
-	fk := (pd - grid.PhiMin) / dp
-	// Center the 3-point stencil on the nearest node, clamped so the
-	// block avoids the partner rim (explicitness, as for bilinear).
-	cj := clampInt(int(math.Round(fj)), 2, s.Nt-3)
-	ck := clampInt(int(math.Round(fk)), 2, s.Np-3)
-	t3 := Target3{
-		Recv: n,
-		DJ:   cj - 1,
-		DK:   ck - 1,
-		WJ:   lagrange3(fj - float64(cj-1)),
-		WK:   lagrange3(fk - float64(ck-1)),
-		Rot:  coords.RotationAt(td, pd),
-	}
-	return t3, nil
-}
-
-// lagrange3 returns quadratic Lagrange weights for nodes at offsets
-// 0, 1, 2 evaluated at x (in node units from the first node).
-func lagrange3(x float64) [3]float64 {
-	return [3]float64{
-		(x - 1) * (x - 2) / 2,
-		-x * (x - 2),
-		x * (x - 1) / 2,
-	}
-}
-
-// Plan3 is the biquadratic analogue of Plan.
-type Plan3 struct {
-	Spec    grid.Spec
-	Targets []Target3
-}
-
-// NewPlan3 builds the full-panel biquadratic exchange plan.
-func NewPlan3(s grid.Spec) (*Plan3, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	if s.Nt < 7 || s.Np < 7 {
-		return nil, fmt.Errorf("overset: biquadratic plan needs at least 7 nodes per angular dimension")
-	}
-	nodes := RimNodes(s)
-	p := &Plan3{Spec: s, Targets: make([]Target3, 0, len(nodes))}
-	for _, n := range nodes {
-		t, err := MakeTarget3(s, n)
-		if err != nil {
-			return nil, err
-		}
-		p.Targets = append(p.Targets, t)
-	}
-	return p, nil
-}
-
-// gatherScalar3 interpolates the donor columns for target t into buf.
-func gatherScalar3(df *field.Scalar, t Target3, h int, buf []float64) {
-	for i := range buf {
-		buf[i] = 0
-	}
-	for a := 0; a < 3; a++ {
-		for b := 0; b < 3; b++ {
-			w := t.WJ[a] * t.WK[b]
-			//yyvet:ignore float-eq flop-saving skip of exactly-zero quadratic weights (weights are sign-indefinite)
-			if w == 0 {
-				continue
-			}
-			row := df.Row(t.DJ+a+h, t.DK+b+h)
-			for i := range buf {
-				buf[i] += w * row[i]
-			}
-		}
-	}
-}
-
-// Exchanger3 applies the biquadratic internal boundary condition between
-// two full-panel fields.
-type Exchanger3 struct {
-	plan *Plan3
-	h    int
-	nrP  int
-	a, b [][]float64
-}
-
-// NewExchanger3 builds the biquadratic exchanger.
-func NewExchanger3(plan *Plan3, h int) *Exchanger3 {
-	nrP := plan.Spec.Nr + 2*h
-	e := &Exchanger3{plan: plan, h: h, nrP: nrP}
-	e.a = make([][]float64, len(plan.Targets))
-	e.b = make([][]float64, len(plan.Targets))
-	for i := range e.a {
-		e.a[i] = make([]float64, nrP)
-		e.b[i] = make([]float64, nrP)
-	}
-	return e
-}
-
-// ExchangeScalar sets rim values of both panels biquadratically.
-func (e *Exchanger3) ExchangeScalar(yin, yang *field.Scalar) {
-	h := e.h
-	for i, t := range e.plan.Targets {
-		gatherScalar3(yang, t, h, e.a[i])
-		gatherScalar3(yin, t, h, e.b[i])
-	}
-	for i, t := range e.plan.Targets {
-		copy(yin.Row(t.Recv.J+h, t.Recv.K+h), e.a[i])
-		copy(yang.Row(t.Recv.J+h, t.Recv.K+h), e.b[i])
-	}
-	n := int64(len(e.plan.Targets)) * int64(e.nrP)
-	perfcount.AddFlops(n * 17)
-	perfcount.AddVectorLoops(int64(len(e.plan.Targets))*9, n*9)
-}
-
-// ExchangeVector sets rim values of both panels' vector fields
-// biquadratically, rotating tangential components between frames.
-func (e *Exchanger3) ExchangeVector(yin, yang *field.Vector) {
-	n := len(e.plan.Targets)
-	// Stage both directions fully before scattering.
-	stage := func(dv *field.Vector, out [][]float64) {
-		for i, t := range e.plan.Targets {
-			base := i * 3
-			gatherScalar3(dv.R, t, e.h, out[base])
-			gatherScalar3(dv.T, t, e.h, out[base+1])
-			gatherScalar3(dv.P, t, e.h, out[base+2])
-			bt, bp := out[base+1], out[base+2]
-			for x := range bt {
-				bt[x], bp[x] = t.Rot.Apply(bt[x], bp[x])
-			}
-		}
-	}
-	// Grow staging buffers to 3 columns per target when needed.
-	if len(e.a) < 3*n {
-		grow := func(buf [][]float64) [][]float64 {
-			for len(buf) < 3*n {
-				buf = append(buf, make([]float64, e.nrP))
-			}
-			return buf
-		}
-		e.a = grow(e.a)
-		e.b = grow(e.b)
-	}
-	stage(yang, e.a)
-	stage(yin, e.b)
-	h := e.h
-	for i, t := range e.plan.Targets {
-		base := i * 3
-		copy(yin.R.Row(t.Recv.J+h, t.Recv.K+h), e.a[base])
-		copy(yin.T.Row(t.Recv.J+h, t.Recv.K+h), e.a[base+1])
-		copy(yin.P.Row(t.Recv.J+h, t.Recv.K+h), e.a[base+2])
-		copy(yang.R.Row(t.Recv.J+h, t.Recv.K+h), e.b[base])
-		copy(yang.T.Row(t.Recv.J+h, t.Recv.K+h), e.b[base+1])
-		copy(yang.P.Row(t.Recv.J+h, t.Recv.K+h), e.b[base+2])
-	}
-	nn := int64(n) * int64(e.nrP) * 3
-	perfcount.AddFlops(nn * 20)
-	perfcount.AddVectorLoops(int64(n)*27, nn*9)
-}

@@ -389,79 +389,3 @@ func TestTargetPropertiesQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestBiquadraticAccuracy: the 3x3 rim interpolation converges at third
-// order, one better than bilinear.
-func TestBiquadraticAccuracy(t *testing.T) {
-	rimErr := func(nt int) float64 {
-		s := grid.NewSpec(5, nt)
-		yinP := grid.NewPatch(s, grid.Yin, 1)
-		yangP := grid.NewPatch(s, grid.Yang, 1)
-		yin := yinP.NewScalar()
-		yang := yangP.NewScalar()
-		fillGlobalScalar(yinP, yin, testF)
-		fillGlobalScalar(yangP, yang, testF)
-		plan, err := NewPlan3(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := NewExchanger3(plan, 1)
-		h := 1
-		for _, tg := range plan.Targets {
-			row := yin.Row(tg.Recv.J+h, tg.Recv.K+h)
-			for i := range row {
-				row[i] = 1e9
-			}
-			row = yang.Row(tg.Recv.J+h, tg.Recv.K+h)
-			for i := range row {
-				row[i] = -1e9
-			}
-		}
-		e.ExchangeScalar(yin, yang)
-		var m float64
-		for _, tg := range plan.Targets {
-			j, k := tg.Recv.J+h, tg.Recv.K+h
-			for i := h; i < h+s.Nr; i++ {
-				for _, pair := range []struct {
-					p *grid.Patch
-					f *field.Scalar
-				}{{yinP, yin}, {yangP, yang}} {
-					want := testF(physCart(pair.p.Panel, pair.p.R[i], pair.p.Theta[j], pair.p.Phi[k]))
-					if e := math.Abs(pair.f.At(i, j, k) - want); e > m {
-						m = e
-					}
-				}
-			}
-		}
-		return m
-	}
-	e1 := rimErr(17)
-	e2 := rimErr(33)
-	rate := math.Log2(e1 / e2)
-	if rate < 2.4 {
-		t.Errorf("biquadratic rim convergence rate %.2f, want about 3 (%g -> %g)", rate, e1, e2)
-	}
-	// At equal resolution the biquadratic rim beats the bilinear one.
-	if b2 := rimErrScalar(33); e2 >= b2 {
-		t.Errorf("biquadratic error %g should beat bilinear %g at nt=33", e2, b2)
-	}
-}
-
-func TestLagrange3PartitionOfUnity(t *testing.T) {
-	for _, x := range []float64{0, 0.3, 1, 1.7, 2} {
-		w := lagrange3(x)
-		if math.Abs(w[0]+w[1]+w[2]-1) > 1e-12 {
-			t.Errorf("weights at %v sum to %v", x, w[0]+w[1]+w[2])
-		}
-		// Exact on linear functions: sum w_i * i == x.
-		if math.Abs(w[1]+2*w[2]-x) > 1e-12 {
-			t.Errorf("linear reproduction fails at %v", x)
-		}
-	}
-}
-
-func TestNewPlan3Validation(t *testing.T) {
-	if _, err := NewPlan3(grid.NewSpec(5, 5)); err == nil {
-		t.Error("tiny spec accepted for biquadratic plan")
-	}
-}

@@ -50,7 +50,7 @@ func TestSegmentCommitAllocBudget(t *testing.T) {
 		for i := 0; i < commits; i++ {
 			state.Step += 2
 			state.Fields[0][0][i]++ // a new blob every commit, as a run produces
-			if err := validate(state, cfg); err != nil {
+			if err := validate(state); err != nil {
 				t.Fatal(err)
 			}
 			if err := sink.write(state, segMeta{note: "segment"}); err != nil {

@@ -93,7 +93,7 @@ func TestCampaignRankReplaceSilent(t *testing.T) {
 	cfg := testConfig(t, 4, 2)
 	cfg.NProcs = 4
 	cfg.Faults = mpi.NewFaultPlan().KillSilent(2, 3)
-	cfg.Heartbeat = &mpi.Heartbeat{Interval: 3 * time.Millisecond, ConfirmAfter: 150 * time.Millisecond}
+	cfg.Heartbeat = &mpi.Heartbeat{Interval: 7500 * time.Microsecond} // 150ms confirm window
 	cfg.Deadline = 30 * time.Second
 	cfg.Replace = &mpi.Elastic{}
 	res, err := RunCampaign(cfg)

@@ -170,42 +170,6 @@ func StrainSquared(p *grid.Patch, v *field.Vector, out *field.Scalar, w *Workspa
 	})
 }
 
-// Cross computes the pointwise cross product a x b in spherical
-// components:
-//
-//	(a x b)_r = at bp - ap bt
-//	(a x b)_t = ap br - ar bp
-//	(a x b)_p = ar bt - at br
-//
-// evaluated over the full padded arrays so that boundary and halo nodes
-// (when valid) carry consistent values for subsequent differentiation.
-//
-//yyvet:ignore reach ROADMAP 6i: only TestCrossAntisymmetric and TestCrossOrthogonal call it
-func Cross(a, b, out *field.Vector) {
-	ar, at, ap := a.R.Data, a.T.Data, a.P.Data
-	br, bt, bp := b.R.Data, b.T.Data, b.P.Data
-	or, ot, op := out.R.Data, out.T.Data, out.P.Data
-	for i := range or {
-		or[i] = at[i]*bp[i] - ap[i]*bt[i]
-		ot[i] = ap[i]*br[i] - ar[i]*bp[i]
-		op[i] = ar[i]*bt[i] - at[i]*br[i]
-	}
-	countFull(a.R, 9)
-}
-
-// MagSquared computes the pointwise squared magnitude |v|^2 over the full
-// padded arrays.
-//
-//yyvet:ignore reach ROADMAP 6i: only TestMagSquared calls it
-func MagSquared(v *field.Vector, out *field.Scalar) {
-	vr, vt, vp := v.R.Data, v.T.Data, v.P.Data
-	o := out.Data
-	for i := range o {
-		o[i] = vr[i]*vr[i] + vt[i]*vt[i] + vp[i]*vp[i]
-	}
-	countFull(out, 5)
-}
-
 func countFull(f *field.Scalar, fl int) {
 	nr, nt, np := f.Padded()
 	n := int64(nr) * int64(nt) * int64(np)

@@ -391,65 +391,6 @@ func TestDivTensorProductRule(t *testing.T) {
 	}
 }
 
-// --- Pointwise algebra ---
-
-func TestCrossAntisymmetric(t *testing.T) {
-	p := patch(9)
-	a := p.NewVector()
-	b := p.NewVector()
-	fillVector(p, a, smoothVector)
-	fillVector(p, b, func(r, th, ph float64) (x, y, z float64) { return math.Sin(r), th, ph * r })
-	ab := p.NewVector()
-	ba := p.NewVector()
-	Cross(a, b, ab)
-	Cross(b, a, ba)
-	for i := range ab.R.Data {
-		if math.Abs(ab.R.Data[i]+ba.R.Data[i]) > 1e-14 ||
-			math.Abs(ab.T.Data[i]+ba.T.Data[i]) > 1e-14 ||
-			math.Abs(ab.P.Data[i]+ba.P.Data[i]) > 1e-14 {
-			t.Fatal("cross product not antisymmetric")
-		}
-	}
-	// a x a = 0.
-	Cross(a, a, ab)
-	for i := range ab.R.Data {
-		if ab.R.Data[i] != 0 || ab.T.Data[i] != 0 || ab.P.Data[i] != 0 {
-			t.Fatal("a x a != 0")
-		}
-	}
-}
-
-func TestCrossOrthogonal(t *testing.T) {
-	p := patch(9)
-	a := p.NewVector()
-	b := p.NewVector()
-	fillVector(p, a, smoothVector)
-	fillVector(p, b, func(r, th, ph float64) (x, y, z float64) { return th, math.Cos(r), r })
-	ab := p.NewVector()
-	Cross(a, b, ab)
-	for i := range ab.R.Data {
-		dotA := ab.R.Data[i]*a.R.Data[i] + ab.T.Data[i]*a.T.Data[i] + ab.P.Data[i]*a.P.Data[i]
-		if math.Abs(dotA) > 1e-12 {
-			t.Fatalf("cross product not orthogonal to a: %g", dotA)
-		}
-	}
-}
-
-func TestMagSquared(t *testing.T) {
-	p := patch(9)
-	v := p.NewVector()
-	v.R.Fill(3)
-	v.T.Fill(4)
-	v.P.Fill(12)
-	m := p.NewScalar()
-	MagSquared(v, m)
-	for _, x := range m.Data {
-		if x != 169 {
-			t.Fatalf("|v|^2 = %v, want 169", x)
-		}
-	}
-}
-
 // TestWorkspaceReuse: repeated operator evaluation must not grow the pool.
 func TestWorkspaceReuse(t *testing.T) {
 	p := patch(9)

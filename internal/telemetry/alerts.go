@@ -21,54 +21,27 @@ const (
 	RuleHBFlap          = "hb-flap"
 	RuleEventDrops      = "event-drops"
 	RuleSpanDrops       = "span-drops"
-	RuleDTCollapse      = "dt-collapse"
 	RuleDivBGrowth      = "divb-growth"
 	RuleEnergyDrift     = "energy-drift"
 )
 
-// Rules are the anomaly thresholds. Zero fields select defaults; a
-// negative value disables that rule.
-type Rules struct {
-	// DivBGrowth fires when a rank's |div B| grows by this factor over
-	// its retained gauge history (default 100; the solenoidal cleaner
-	// holds divB flat in a healthy run, so two orders of magnitude is
-	// a real departure).
-	DivBGrowth float64
-	// EnergyDriftFrac fires when the total energy drifts from its
-	// first observed value by this fraction (default 0.5).
-	EnergyDriftFrac float64
-	// DTCollapse fires when a published dt falls to within this factor
-	// of the campaign's MinDT floor (default 2; needs MinDT > 0).
-	DTCollapse float64
-	// RetransmitStorm fires when one evaluation consumes at least this
-	// many new xport.retransmit events (default 10).
-	RetransmitStorm int
-	// HBFlap fires after this many suspect→clear heartbeat cycles
-	// (default 2: one clear is a hiccup, repeats are flapping).
-	HBFlap int
-}
-
-func (r Rules) withDefaults() Rules {
-	//yyvet:ignore float-eq zero-valued rule thresholds mean unset; defaulting keys on the exact zero value
-	if r.DivBGrowth == 0 {
-		r.DivBGrowth = 100
-	}
-	//yyvet:ignore float-eq zero means unset
-	if r.EnergyDriftFrac == 0 {
-		r.EnergyDriftFrac = 0.5
-	}
-	//yyvet:ignore float-eq zero means unset
-	if r.DTCollapse == 0 {
-		r.DTCollapse = 2
-	}
-	if r.RetransmitStorm == 0 {
-		r.RetransmitStorm = 10
-	}
-	if r.HBFlap == 0 {
-		r.HBFlap = 2
-	}
-	return r
-}
+// Rule thresholds. The retransmit-storm threshold is Config's; the
+// rest are fixed.
+const (
+	// defaultRetransmitStorm: one evaluation consuming this many new
+	// xport.retransmit events is a storm.
+	defaultRetransmitStorm = 10
+	// hbFlap suspect→clear heartbeat cycles are flapping: one clear is a
+	// hiccup, repeats are not.
+	hbFlap = 2
+	// divbGrowth is the factor by which a rank's |div B| may grow over
+	// its retained gauge history; the solenoidal cleaner holds divB flat
+	// in a healthy run, so two orders of magnitude is a real departure.
+	divbGrowth = 100
+	// energyDriftFrac is how far the total energy may drift from its
+	// first observed value.
+	energyDriftFrac = 0.5
+)
 
 // Alert is one latched rule firing.
 type Alert struct {
@@ -99,8 +72,7 @@ type divbTrack struct {
 // engine is the rule evaluator. All state is guarded by the owning
 // plane's mutex.
 type engine struct {
-	rules Rules
-	minDT float64
+	storm int64 // retransmit-storm threshold
 
 	cursor int64            // event-log consumption cursor (total index)
 	kinds  map[string]int64 // cumulative event count per kind
@@ -114,9 +86,12 @@ type engine struct {
 	order []*Alert
 }
 
-func newEngine(rules Rules) *engine {
+func newEngine(storm int) *engine {
+	if storm <= 0 {
+		storm = defaultRetransmitStorm
+	}
 	return &engine{
-		rules: rules.withDefaults(),
+		storm: int64(storm),
 		kinds: map[string]int64{},
 		divb:  map[int]*divbTrack{},
 		fired: map[string]*Alert{},
@@ -162,13 +137,13 @@ func (e *engine) evaluate(snaps map[int]Snapshot, events *mpi.EventLog) []Alert 
 	if n := e.kinds["hb.confirm"] + e.kinds["fault.kill"] + e.kinds["fault.kill-silent"]; n > 0 {
 		trigger(RuleRankDead, fmt.Sprintf("%d rank death(s) confirmed (heartbeat or scripted kill)", n))
 	}
-	if e.rules.RetransmitStorm > 0 && newRetransmits >= int64(e.rules.RetransmitStorm) {
+	if newRetransmits >= e.storm {
 		trigger(RuleRetransmitStorm, fmt.Sprintf("%d retransmission(s) in one evaluation window (threshold %d)",
-			newRetransmits, e.rules.RetransmitStorm))
+			newRetransmits, e.storm))
 	}
-	if e.rules.HBFlap > 0 && e.kinds["hb.clear"] >= int64(e.rules.HBFlap) {
+	if e.kinds["hb.clear"] >= hbFlap {
 		trigger(RuleHBFlap, fmt.Sprintf("%d heartbeat suspect→clear cycle(s) (threshold %d) — a rank keeps going quiet",
-			e.kinds["hb.clear"], e.rules.HBFlap))
+			e.kinds["hb.clear"], hbFlap))
 	}
 	if d := events.Dropped(); d > 0 {
 		trigger(RuleEventDrops, fmt.Sprintf("%d event(s) overwritten in the bounded EventLog ring", d))
@@ -176,34 +151,26 @@ func (e *engine) evaluate(snaps map[int]Snapshot, events *mpi.EventLog) []Alert 
 	if spanDrops > 0 {
 		trigger(RuleSpanDrops, fmt.Sprintf("%d span record(s) dropped from full obs rings — raise obs.Config.SpanCap", spanDrops))
 	}
-	if e.rules.DTCollapse > 0 && e.minDT > 0 && e.latest.DT > 0 && e.latest.DT <= e.rules.DTCollapse*e.minDT {
-		trigger(RuleDTCollapse, fmt.Sprintf("dt %.3e within %.1fx of the %.3e MinDT floor — blow-up retries are shrinking the step",
-			e.latest.DT, e.rules.DTCollapse, e.minDT))
-	}
-	if e.rules.DivBGrowth > 0 {
-		for rank, t := range e.divb {
-			if t.min > 0 && t.max >= e.rules.DivBGrowth*t.min {
-				trigger(RuleDivBGrowth, fmt.Sprintf("rank %d |div B| grew %.3e -> %.3e (>= %.0fx) — solenoidal constraint degrading",
-					rank, t.min, t.max, e.rules.DivBGrowth))
-				break
-			}
+	for rank, t := range e.divb {
+		if t.min > 0 && t.max >= divbGrowth*t.min {
+			trigger(RuleDivBGrowth, fmt.Sprintf("rank %d |div B| grew %.3e -> %.3e (>= %.0fx) — solenoidal constraint degrading",
+				rank, t.min, t.max, float64(divbGrowth)))
+			break
 		}
 	}
-	if e.rules.EnergyDriftFrac > 0 {
-		total := e.latest.KineticE + e.latest.MagneticE + e.latest.InternalE
-		//yyvet:ignore float-eq the exact zero of an unpublished snapshot means no baseline yet
-		if !e.e0set && total != 0 {
-			e.e0, e.e0set = total, true
+	total := e.latest.KineticE + e.latest.MagneticE + e.latest.InternalE
+	//yyvet:ignore float-eq the exact zero of an unpublished snapshot means no baseline yet
+	if !e.e0set && total != 0 {
+		e.e0, e.e0set = total, true
+	}
+	if e.e0set {
+		drift := (total - e.e0) / e.e0
+		if drift < 0 {
+			drift = -drift
 		}
-		if e.e0set {
-			drift := (total - e.e0) / e.e0
-			if drift < 0 {
-				drift = -drift
-			}
-			if drift > e.rules.EnergyDriftFrac {
-				trigger(RuleEnergyDrift, fmt.Sprintf("total energy drifted %.1f%% from its initial %.6g (threshold %.0f%%)",
-					100*drift, e.e0, 100*e.rules.EnergyDriftFrac))
-			}
+		if drift > energyDriftFrac {
+			trigger(RuleEnergyDrift, fmt.Sprintf("total energy drifted %.1f%% from its initial %.6g (threshold %.0f%%)",
+				100*drift, e.e0, 100*energyDriftFrac))
 		}
 	}
 	return fired

@@ -19,15 +19,18 @@ import (
 
 // Config sizes a Plane. The zero value selects defaults everywhere.
 type Config struct {
-	// Rules are the anomaly thresholds (zero fields select defaults).
-	Rules Rules
+	// RetransmitStorm is the retransmit-storm threshold: one evaluation
+	// consuming this many new xport.retransmit events fires the alert
+	// (default 10).
+	//yyvet:ignore knob TestChaosDropRaisesRetransmitAlert arms the storm rule on a single scripted drop
+	RetransmitStorm int
 	// Interval is the collector/engine tick of a served plane (default
 	// 500ms). Shorter ticks sharpen rate/ETA estimates and alert
 	// latency at the cost of more scrape work.
+	//yyvet:ignore knob server_test.go, cmd/yywatch's main_test.go and resilience's telemetry_test.go tick a served plane at 10-50ms
 	Interval time.Duration
-	// Profile disables (false stays the default: enabled) the
-	// segment-boundary CPU/heap profile capture when set via
-	// NoProfile. See Plane.ProfileSegments.
+	// NoProfile disables the segment-boundary CPU/heap profile capture,
+	// which is on by default. See Plane.ProfileSegments.
 	NoProfile bool
 }
 
@@ -38,9 +41,6 @@ type Campaign struct {
 	Run string
 	// TotalSteps is the campaign's step target, for progress and ETA.
 	TotalSteps int
-	// MinDT is the campaign's CFL-collapse floor, armed into the
-	// dt-collapse rule (0 disables the rule).
-	MinDT float64
 	// Events is the run's shared fault/recovery timeline; the SSE
 	// stream and the event-kind counters feed from it, and fired
 	// alerts are appended to it as telemetry.alert events.
@@ -101,7 +101,7 @@ func New(cfg Config) *Plane {
 	return &Plane{
 		cfg:  cfg,
 		pubs: map[int]*RankPub{},
-		eng:  newEngine(cfg.Rules),
+		eng:  newEngine(cfg.RetransmitStorm),
 	}
 }
 
@@ -125,7 +125,6 @@ func (p *Plane) Attach(c Campaign) {
 	if c.Store != nil {
 		p.st = c.Store
 	}
-	p.eng.minDT = c.MinDT
 	p.mu.Unlock()
 	if c.TotalSteps > 0 {
 		p.totalSteps.Store(int64(c.TotalSteps))

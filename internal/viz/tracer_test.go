@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/coords"
+	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/mhd"
 )
@@ -102,10 +103,15 @@ func TestTracerCrossesPanels(t *testing.T) {
 func TestTracerStopsAtWall(t *testing.T) {
 	sv := rigidRotationSolver(t)
 	// Overwrite with a purely radial outflow.
+	fill := func(f *field.Scalar, v float64) {
+		for i := range f.Data {
+			f.Data[i] = v
+		}
+	}
 	for _, pl := range sv.Panels {
-		pl.U.F.R.Fill(0.5)
-		pl.U.F.T.Fill(0)
-		pl.U.F.P.Fill(0)
+		fill(pl.U.F.R, 0.5)
+		fill(pl.U.F.T, 0)
+		fill(pl.U.F.P, 0)
 	}
 	tr := NewTracer(NewSampler(sv))
 	path := tr.Path(coords.Cartesian{X: 0.9, Y: 0, Z: 0}, 0.05, 100)

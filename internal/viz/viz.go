@@ -240,44 +240,6 @@ func EquatorialSlice(s *Sampler, q Quantity, n int) *Image {
 	return im
 }
 
-// MeridionalSlice samples quantity q over the phi = phi0 / phi0+pi
-// meridional plane onto an n x n image (x axis = cylindrical radius with
-// sign, y axis = z).
-//
-//yyvet:ignore reach ROADMAP 6i: only TestMeridionalSlice calls it
-func MeridionalSlice(s *Sampler, q Quantity, phi0 float64, n int) *Image {
-	im := NewImage(n, n)
-	ro := s.sv.Spec.RO
-	for y := 0; y < n; y++ {
-		for x := 0; x < n; x++ {
-			px := (2*float64(x)/float64(n-1) - 1) * ro
-			pz := (2*float64(y)/float64(n-1) - 1) * ro
-			r := math.Hypot(px, pz)
-			theta := math.Acos(clamp(pz/math.Max(r, 1e-12), -1, 1))
-			phi := phi0
-			if px < 0 {
-				phi = wrapPi(phi0 + math.Pi)
-			}
-			v, ok := s.SampleAt(q, r, theta, phi)
-			idx := y*n + x
-			im.Data[idx] = v
-			im.Mask[idx] = ok
-		}
-	}
-	return im
-}
-
-//yyvet:ignore reach ROADMAP 6i: only TestMeridionalSlice calls it, through MeridionalSlice
-func wrapPi(p float64) float64 {
-	for p > math.Pi {
-		p -= 2 * math.Pi
-	}
-	for p <= -math.Pi {
-		p += 2 * math.Pi
-	}
-	return p
-}
-
 func clamp(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo

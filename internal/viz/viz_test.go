@@ -91,21 +91,6 @@ func TestEquatorialSliceMask(t *testing.T) {
 	}
 }
 
-func TestMeridionalSlice(t *testing.T) {
-	sv := convectionSolver(t, 0)
-	s := NewSampler(sv)
-	im := MeridionalSlice(s, Temperature, 0.5, 48)
-	any := false
-	for i := range im.Mask {
-		if im.Mask[i] && im.Data[i] > 0 {
-			any = true
-		}
-	}
-	if !any {
-		t.Error("empty meridional slice")
-	}
-}
-
 // TestVorticityColumns: after some convection spin-up, the equatorial
 // vorticity slice shows alternating cyclonic and anti-cyclonic columns
 // (Fig. 2(c)/(d)).

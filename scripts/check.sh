@@ -13,8 +13,9 @@
 #                      pool-disjoint, typed-err, overlap-order,
 #                      atomic-artifact) plus the interprocedural
 #                      passes (tag-space, buf-lifetime, reach: every
-#                      declaration some main reaches) and the
-#                      directive audit (ignore-audit)
+#                      declaration some main reaches, knob: every
+#                      exported config field some program sets) and
+#                      the directive audit (ignore-audit)
 #   4. go test       — the full test suite (benchmark/'s timing-
 #                      sensitive pipeline test first and alone, then
 #                      the rest package-parallel), which replays every fuzz
