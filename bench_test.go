@@ -1,7 +1,7 @@
 // Package repro's root benchmarks regenerate every table and figure of
 // the paper (see the per-experiment index in DESIGN.md). Each benchmark
-// drives the same code path as the cmd/yybench and cmd/yyrepro tools and
-// reports the headline quantity of its experiment as a custom metric, so
+// drives the same code path as the cmd/yyrepro tool and reports the
+// headline quantity of its experiment as a custom metric, so
 // `go test -bench=. -benchmem` prints the reproduced numbers next to the
 // Go-level costs.
 package repro

@@ -7,18 +7,18 @@
 //
 // Usage:
 //
-//	yychaos [-seeds 25] [-seed0 0] [-steps 5] [-nprocs 2] [-nr 9] [-nt 13] [-artifacts dir] [-v]
+//	yychaos [-seeds 25] [-steps 5] [-artifacts dir] [-v]
 //	yychaos -corpus internal/chaos/testdata/corpus.json
 //	yychaos -corpus internal/chaos/testdata/corpus_replace.json
-//	yychaos -store-seeds 10
 //	yychaos -store-corpus internal/chaos/testdata/corpus_store.json
 //
-// The second corpus replays the rank-replacement regression scenarios
-// (kill → heartbeat confirm → surgical respawn). The -store-seeds and
-// -store-corpus modes drive the storage arm instead: seeded filesystem
-// faults (torn writes, bit rot, ENOSPC, crash points) against the
-// durable run ledger, with the detect → scrub → re-derive pipeline
-// checked per scenario. With -artifacts set, any violating campaign
+// Every run is two ranks on a 9 x 13 grid. The second corpus replays
+// the rank-replacement regression scenarios (kill → heartbeat confirm →
+// surgical respawn). The -store-corpus mode drives the storage arm
+// instead: filesystem faults (torn writes, bit rot, ENOSPC, crash
+// points) against the durable run ledger, with the detect → scrub →
+// re-derive pipeline checked per scenario; its seeded sweep is
+// internal/chaos's TestStoreChaosSmoke. With -artifacts set, any violating campaign
 // leaves its postmortem.txt and event timeline — or, for the store
 // arm, its verify and scrub reports — in that directory for CI to
 // upload.
@@ -40,37 +40,30 @@ import (
 func main() {
 	var (
 		seeds       = flag.Int("seeds", 25, "number of seeded scenarios to run")
-		seed0       = flag.Uint64("seed0", 0, "first seed")
 		steps       = flag.Int("steps", 5, "solver steps per scenario")
-		nprocs      = flag.Int("nprocs", 2, "world size")
-		nr          = flag.Int("nr", 9, "radial grid size")
-		nt          = flag.Int("nt", 13, "latitudinal grid size")
 		corpus      = flag.String("corpus", "", "replay a committed corpus file instead of fuzzing seeds")
-		storeSeeds  = flag.Int("store-seeds", 0, "fuzz this many seeded store-fault scenarios instead of message faults")
 		storeCorpus = flag.String("store-corpus", "", "replay a committed store-fault corpus file")
 		artifacts   = flag.String("artifacts", "", "directory collecting postmortem + event-timeline artifacts of violating scenarios")
 		verbose     = flag.Bool("v", false, "print one line per scenario")
 	)
 	flag.Parse()
 
-	r := chaos.NewRunner(chaos.Config{NProcs: *nprocs, Steps: *steps, Nr: *nr, Nt: *nt, ArtifactDir: *artifacts})
+	r := chaos.NewRunner(chaos.Config{Steps: *steps, ArtifactDir: *artifacts})
 	switch {
 	case *storeCorpus != "":
 		os.Exit(replayStore(r, *storeCorpus, *verbose))
-	case *storeSeeds > 0:
-		os.Exit(fuzzStore(r, *seed0, *storeSeeds, *verbose))
 	case *corpus != "":
 		os.Exit(replay(r, *corpus, *verbose))
 	}
-	os.Exit(fuzz(r, *seed0, *seeds, *verbose))
+	os.Exit(fuzz(r, *seeds, *verbose))
 }
 
-// fuzz runs the seed range and reports the first violation, minimized.
-func fuzz(r *chaos.Runner, seed0 uint64, seeds int, verbose bool) int {
+// fuzz runs seeds 0..seeds-1 and reports the first violation, minimized.
+func fuzz(r *chaos.Runner, seeds int, verbose bool) int {
 	start := time.Now()
 	counts := map[chaos.Verdict]int{}
 	for i := 0; i < seeds; i++ {
-		seed := seed0 + uint64(i)
+		seed := uint64(i)
 		o := r.RunSeed(seed)
 		counts[o.Verdict]++
 		if verbose {
@@ -113,35 +106,6 @@ func replay(r *chaos.Runner, path string, verbose bool) int {
 	return 0
 }
 
-// fuzzStore runs the storage arm over a seed range: filesystem faults
-// against the durable run ledger, durability checked per scenario.
-// Store scenarios are at most two faults, so violations are committed
-// as-is rather than minimized.
-func fuzzStore(r *chaos.Runner, seed0 uint64, seeds int, verbose bool) int {
-	start := time.Now()
-	counts := map[chaos.Verdict]int{}
-	for i := 0; i < seeds; i++ {
-		seed := seed0 + uint64(i)
-		o := r.RunStoreSeed(seed)
-		counts[o.Verdict]++
-		if verbose {
-			fmt.Printf("seed %-6d %-15s %8s  %s\n", seed, o.Verdict, o.Elapsed.Round(time.Millisecond), o.Scenario)
-		}
-		if o.Verdict.Violation() {
-			fmt.Printf("yychaos: STORE VIOLATION at seed %d: %s\nscenario: %s\n%s\n", seed, o.Verdict, o.Scenario, o.Detail)
-			entry := chaos.StoreCorpusEntry{Scenario: o.Scenario, Want: chaos.OK,
-				Note: fmt.Sprintf("seed %d (%s)", o.Scenario.Seed, o.Verdict)}
-			if data, err := json.MarshalIndent([]chaos.StoreCorpusEntry{entry}, "", "  "); err == nil {
-				fmt.Printf("reproducer (commit to internal/chaos/testdata/corpus_store.json once fixed):\n%s\n", data)
-			}
-			return 1
-		}
-	}
-	fmt.Printf("yychaos: %d store scenarios, %d ok, %d clean-abort, 0 violations (%s)\n",
-		seeds, counts[chaos.OK], counts[chaos.CleanAbort], time.Since(start).Round(time.Millisecond))
-	return 0
-}
-
 // replayStore re-executes a committed store corpus and demands
 // recorded verdicts.
 func replayStore(r *chaos.Runner, path string, verbose bool) int {
@@ -157,7 +121,7 @@ func replayStore(r *chaos.Runner, path string, verbose bool) int {
 			fmt.Printf("%-32s %-15s want %s\n", e.Scenario.Name, o.Verdict, e.Want)
 		}
 		if o.Verdict != e.Want {
-			fmt.Printf("yychaos: store corpus entry %q: verdict %s, want %s\n%s\n", e.Scenario.Name, o.Verdict, e.Want, o.Detail)
+			fmt.Printf("yychaos: store corpus entry %q (%s): verdict %s, want %s\n%s\n", e.Scenario.Name, e.Note, o.Verdict, e.Want, o.Detail)
 			bad++
 		}
 	}

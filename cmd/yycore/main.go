@@ -7,8 +7,10 @@
 //
 //	yycore -nr 25 -nt 25 -steps 200 -every 20
 //	yycore -nr 17 -nt 17 -steps 100 -procs 8       # goroutine-parallel
-//	yycore -nr 25 -nt 25 -steps 300 -slice out.ppm # equatorial T slice
 //	yycore -nr 9 -nt 13 -steps 10 -store run.store # campaign on the durable run ledger
+//
+// A campaign (-campaign or -store) checkpoints and resumes, so it is
+// also the way to save a serial run: add -procs 1.
 package main
 
 import (
@@ -22,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mhd"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 	"repro/internal/perfcount"
@@ -30,35 +31,20 @@ import (
 	"repro/internal/sph"
 	"repro/internal/store"
 	"repro/internal/telemetry"
-	"repro/internal/viz"
 )
 
 func main() {
 	var (
-		nr      = flag.Int("nr", 17, "radial nodes per panel")
-		nt      = flag.Int("nt", 17, "latitudinal nodes per panel (longitudinal = 3(nt-1)+1)")
-		steps   = flag.Int("steps", 100, "time steps to run")
-		every   = flag.Int("every", 10, "diagnostics interval in steps")
-		procs   = flag.Int("procs", 0, "run decomposed over this many goroutine ranks (0 = serial)")
-		slice   = flag.String("slice", "", "write an equatorial temperature slice PPM at the end")
-		ckptOut = flag.String("checkpoint", "", "write a restart checkpoint at the end")
-		restore = flag.String("restore", "", "restore from a checkpoint instead of initializing")
-		export  = flag.String("export", "", "write a section-V visualization export at the end")
-		sliceQ  = flag.String("quantity", "T", "slice quantity: T, rho, p, vr, vphi, vortz, br")
-		omega   = flag.Float64("omega", mhd.Default().Omega, "rotation rate")
-		tin     = flag.Float64("tin", mhd.Default().TIn, "inner-wall temperature (outer = 1)")
-		mu      = flag.Float64("mu", mhd.Default().Mu, "viscosity")
-		kappa   = flag.Float64("kappa", mhd.Default().Kappa, "thermal conductivity")
-		eta     = flag.Float64("eta", mhd.Default().Eta, "resistivity")
-		seedB   = flag.Float64("seedb", mhd.DefaultIC().SeedBAmp, "magnetic seed amplitude")
-		perturb = flag.Float64("perturb", mhd.DefaultIC().PerturbAmp, "temperature perturbation amplitude")
+		nr    = flag.Int("nr", 17, "radial nodes per panel")
+		nt    = flag.Int("nt", 17, "latitudinal nodes per panel (longitudinal = 3(nt-1)+1)")
+		steps = flag.Int("steps", 100, "time steps to run")
+		every = flag.Int("every", 10, "diagnostics interval in steps")
+		procs = flag.Int("procs", 0, "run decomposed over this many goroutine ranks (0 = serial)")
 
 		campaign  = flag.String("campaign", "", "run a fault-tolerant checkpointed campaign in this directory (resumes if checkpoints exist)")
 		storeDir  = flag.String("store", "", "campaign: commit checkpoints to the content-addressed run-ledger store at this directory instead of loose files (audit with yystore)")
 		runID     = flag.String("runid", "", "campaign: run name inside the store's ref namespace (default campaign)")
 		ckptEvery = flag.Int("ckpt-every", 50, "campaign: steps between checkpoints")
-		retries   = flag.Int("retries", 3, "campaign: retry budget per segment")
-		backoff   = flag.Float64("backoff", 0.5, "campaign: dt multiplier per blow-up retry")
 		deadline  = flag.Duration("deadline", 0, "campaign: per-call communication deadline (0 = none)")
 		replace   = flag.Bool("replace", false, "campaign: respawn a confirmed-dead rank from the segment checkpoint instead of rolling the whole segment back")
 		hbEvery   = flag.Duration("hb", 0, "campaign: heartbeat interval for silent-death detection (0 = off)")
@@ -73,16 +59,7 @@ func main() {
 	)
 	flag.Parse()
 
-	prm := mhd.Default()
-	prm.Omega = *omega
-	prm.TIn = *tin
-	prm.Mu = *mu
-	prm.Kappa = *kappa
-	prm.Eta = *eta
-	ic := mhd.DefaultIC()
-	ic.SeedBAmp = *seedB
-	ic.PerturbAmp = *perturb
-	cfg := core.Config{Nr: *nr, Nt: *nt, Params: &prm, IC: &ic}
+	cfg := core.Config{Nr: *nr, Nt: *nt}
 
 	// Observability: one recorder and one event log for whichever run
 	// mode executes below; exported at the end by writeObs.
@@ -90,7 +67,13 @@ func main() {
 	var events *mpi.EventLog
 	perf0 := perfcount.Read()
 	if *trace != "" || *runreport != "" || *teleAddr != "" {
-		rec = obs.New(obs.Config{})
+		ocfg := obs.Config{}
+		if *trace != "" || *runreport != "" {
+			// A rank records about 100 spans a step: the ring holds the
+			// whole run, or the trace and the report see only its tail.
+			ocfg.SpanCap = max(obs.DefaultSpanCap, 128**steps)
+		}
+		rec = obs.New(ocfg)
 		events = mpi.NewEventLog()
 		cfg.Obs = rec
 	}
@@ -138,8 +121,6 @@ func main() {
 			Steps:           *steps,
 			CheckpointEvery: *ckptEvery,
 			Dir:             *campaign,
-			MaxRetries:      *retries,
-			Backoff:         *backoff,
 			Deadline:        *deadline,
 			Obs:             rec,
 			Events:          events,
@@ -209,21 +190,7 @@ func main() {
 		return
 	}
 
-	var sim *core.Simulation
-	var err error
-	if *restore != "" {
-		f, ferr := os.Open(*restore)
-		if ferr != nil {
-			fail(ferr)
-		}
-		sim, err = core.Restore(f)
-		f.Close()
-		if err == nil {
-			fmt.Printf("restored checkpoint at t=%.5f step=%d\n", sim.Time(), sim.Solver.Step)
-		}
-	} else {
-		sim, err = core.New(cfg)
-	}
+	sim, err := core.New(cfg)
 	if err != nil {
 		fail(err)
 	}
@@ -248,44 +215,6 @@ func main() {
 		fmt.Printf("%s dipole=%.4g\n", d, sph.MomentMagnitude(m))
 	}
 	plane.Finish(*steps)
-
-	if *ckptOut != "" {
-		f, err := os.Create(*ckptOut)
-		if err != nil {
-			fail(err)
-		}
-		if err := sim.WriteCheckpoint(f); err != nil {
-			fail(err)
-		}
-		f.Close()
-		fmt.Printf("wrote checkpoint %s\n", *ckptOut)
-	}
-	if *export != "" {
-		f, err := os.Create(*export)
-		if err != nil {
-			fail(err)
-		}
-		if err := sim.ExportViz(f, 2); err != nil {
-			fail(err)
-		}
-		f.Close()
-		fmt.Printf("wrote viz export %s\n", *export)
-	}
-	if *slice != "" {
-		q := map[string]viz.Quantity{
-			"T": viz.Temperature, "rho": viz.Density, "p": viz.Pressure,
-			"vr": viz.VRadial, "vphi": viz.VPhi, "vortz": viz.VortZ, "br": viz.BRadial,
-		}[*sliceQ]
-		f, err := os.Create(*slice)
-		if err != nil {
-			fail(err)
-		}
-		defer f.Close()
-		if err := sim.WriteEquatorialPPM(f, q, 256); err != nil {
-			fail(err)
-		}
-		fmt.Printf("wrote %s\n", *slice)
-	}
 	sim.Close()
 	writeObs(*trace, *runreport, rec, events, perf0, plane, nil, "", *steps)
 }

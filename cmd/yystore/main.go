@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -32,7 +33,7 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, out, errOut *os.File) int {
+func run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("yystore", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	var (
@@ -137,7 +138,7 @@ func run(args []string, out, errOut *os.File) int {
 }
 
 // ls prints the ledger chain then the ref namespace.
-func ls(st *store.Store, out, errOut *os.File) int {
+func ls(st *store.Store, out, errOut io.Writer) int {
 	entries, err := st.Entries()
 	if err != nil {
 		fmt.Fprintf(errOut, "yystore: reading ledger: %v\n", err)
@@ -169,7 +170,7 @@ func ls(st *store.Store, out, errOut *os.File) int {
 
 // printReport writes a report's human rendering with exactly one
 // trailing newline (the String() forms differ).
-func printReport(out *os.File, rep fmt.Stringer) {
+func printReport(out io.Writer, rep fmt.Stringer) {
 	s := rep.String()
 	if !strings.HasSuffix(s, "\n") {
 		s += "\n"
@@ -179,7 +180,7 @@ func printReport(out *os.File, rep fmt.Stringer) {
 
 // writeReport commits the JSON form of rep to path (no-op for ""),
 // reporting success.
-func writeReport(path string, rep any, errOut *os.File) bool {
+func writeReport(path string, rep any, errOut io.Writer) bool {
 	if path == "" {
 		return true
 	}

@@ -40,37 +40,53 @@ type traceFile struct {
 }
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable driver body; it returns the process exit code:
+// 0 done, 1 an input or the output failed, 2 usage.
+func run(args []string, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("yytrace", flag.ContinueOnError)
+	fs.SetOutput(errOut)
 	var (
-		out     = flag.String("o", "", "write the merged trace here instead of summarizing")
-		summary = flag.Bool("summary", false, "print the per-track summary (default when -o is not given)")
+		merged  = fs.String("o", "", "write the merged trace here instead of summarizing")
+		summary = fs.Bool("summary", false, "print the per-track summary (default when -o is not given)")
 	)
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: yytrace [-o merged.json] [-summary] trace.json...")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
-	merged, err := merge(flag.Args())
+	if fs.NArg() == 0 {
+		fmt.Fprintln(errOut, "usage: yytrace [-o merged.json] [-summary] trace.json...")
+		return 2
+	}
+	evs, err := merge(fs.Args())
+	if err == nil && *merged != "" {
+		err = writeMerged(*merged, evs)
+		if err == nil {
+			fmt.Fprintf(out, "wrote %s (%d events from %d files)\n", *merged, len(evs), fs.NArg())
+		}
+	}
 	if err != nil {
-		fail(err)
+		fmt.Fprintln(errOut, "yytrace:", err)
+		return 1
 	}
+	if *merged == "" || *summary {
+		summarize(out, evs)
+	}
+	return 0
+}
 
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		enc := json.NewEncoder(f)
-		if err := enc.Encode(traceFile{TraceEvents: merged, DisplayTimeUnit: "ms"}); err != nil {
-			fail(err)
-		}
-		f.Close()
-		fmt.Printf("wrote %s (%d events from %d files)\n", *out, len(merged), flag.NArg())
-		if !*summary {
-			return
-		}
+// writeMerged writes evs as one trace file.
+func writeMerged(path string, evs []event) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	summarize(os.Stdout, merged)
+	err = json.NewEncoder(f).Encode(traceFile{TraceEvents: evs, DisplayTimeUnit: "ms"})
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // merge loads every input and reassigns each file's events to its own
@@ -210,9 +226,4 @@ func summarize(w io.Writer, evs []event) {
 			fmt.Fprintf(w, "  %-24s %6d\n", k, instants[k])
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "yytrace:", err)
-	os.Exit(1)
 }

@@ -69,6 +69,32 @@ func TestMergeSingleRank(t *testing.T) {
 	}
 }
 
+// TestRunMerge: -o writes the merged inputs as one trace file that
+// loads back with every input on its own row; -summary adds the
+// per-track summary.
+func TestRunMerge(t *testing.T) {
+	in := writeTrace(t, "one.json",
+		`{"traceEvents":[{"name":"step","ph":"X","ts":10,"dur":5,"pid":7,"tid":2}]}`)
+	path := filepath.Join(t.TempDir(), "merged.json")
+	var out, errOut strings.Builder
+	if code := run([]string{"-o", path, "-summary", in, in}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+	}
+	if !strings.Contains(out.String(), "2 events from 2 files") || !strings.Contains(out.String(), "[pid 1] tid 2") {
+		t.Errorf("output %q lacks the write line or the summary", out.String())
+	}
+	tf, err := load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tf.TraceEvents) != 2 || tf.TraceEvents[0].PID != 0 || tf.TraceEvents[1].PID != 1 {
+		t.Fatalf("merged file = %+v", tf.TraceEvents)
+	}
+	if code := run([]string{"-o", path}, &out, &errOut); code != 2 {
+		t.Errorf("no inputs: exit %d, want 2", code)
+	}
+}
+
 // TestMergeDuplicatePID: two runs recorded as the same pid must land on
 // distinct process rows instead of colliding into one track.
 func TestMergeDuplicatePID(t *testing.T) {

@@ -39,8 +39,12 @@ var badModuleWants = []string{
 	// Pool tile disjointness.
 	"par/par.go:18:4: pool-disjoint: accumulation into captured sum",
 	"par/par.go:27:3: pool-disjoint: write into out inside a Pool.For tile closure",
-	// Knob: the whole program (main.go) never sets Options.Grain.
+	// Knob: the whole program (main.go) never sets Options.Grain,
+	// cmd/tool never reads the Stats field it sets, and no script or
+	// test passes cmd/tool's flag.
 	"par/par.go:44:2: knob: Options.Grain is set by no program",
+	"par/par.go:49:2: knob: Stats.Tiles is read by no program",
+	"cmd/tool/main.go:12:16: knob: flag -n of tool is passed by no scripts/*.sh line invoking it and no test of its package",
 }
 
 // TestBadModuleFindings: the driver on the known-bad fixture module
@@ -206,7 +210,7 @@ func TestListFlag(t *testing.T) {
 	for _, name := range []string{
 		"irecv-wait", "pow2-stride", "float-eq", "cond-wait-loop",
 		"tag-space", "buf-lifetime", "det-purity", "pool-disjoint", "ignore-audit",
-		"overlap-order",
+		"overlap-order", "reach", "knob",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())

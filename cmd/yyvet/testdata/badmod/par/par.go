@@ -44,4 +44,9 @@ type Options struct {
 	Grain   int // knob: set by no program
 }
 
+// Stats is the read-rule seed: cmd/tool sets Tiles, nothing reads it.
+type Stats struct {
+	Tiles int // knob: read by no program
+}
+
 var _ = []any{SumBad, FillBad, FillGood}

@@ -351,8 +351,9 @@ func streamEvents(base string, deadline time.Time, out io.Writer) error {
 			fmt.Fprintf(out, "%6s %-18s %s\n", id, kind, line[len("data: "):])
 		}
 	}
-	// A cut stream (server closed after the run) is a normal ending.
-	if err := sc.Err(); err != nil && !strings.Contains(err.Error(), "closed") {
+	// A cut stream (server closed after the run) and the deadline are
+	// normal endings.
+	if err := sc.Err(); err != nil && !strings.Contains(err.Error(), "closed") && time.Now().Before(deadline) {
 		return err
 	}
 	return nil

@@ -17,6 +17,7 @@ func servePlane(t *testing.T) string {
 	t.Helper()
 	p := telemetry.New(telemetry.Config{Interval: 50 * time.Millisecond})
 	events := mpi.NewEventLog()
+	events.Notef("watchtest.start", "ranks=2")
 	p.Attach(telemetry.Campaign{Run: "watchtest", TotalSteps: 40, Events: events})
 	p.Rank(0).Publish(telemetry.Snapshot{Step: 40, DT: 0.5, SpanDropped: 3})
 	p.Rank(1).Publish(telemetry.Snapshot{Step: 40, DT: 0.5})
@@ -91,6 +92,19 @@ func TestWatchCheckAndExpectAlert(t *testing.T) {
 	code, _, errOut = runWatch(t, "-addr", addr, "-expect-alert", "rank-dead")
 	if code != 1 || !strings.Contains(errOut, "rank-dead") {
 		t.Fatalf("missing alert: exit %d stderr %q", code, errOut)
+	}
+}
+
+// TestWatchEvents: -events tails the /events stream, one line per
+// event, until the -timeout deadline ends it normally.
+func TestWatchEvents(t *testing.T) {
+	addr := servePlane(t)
+	code, out, errOut := runWatch(t, "-addr", addr, "-events", "-timeout", "500ms")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	}
+	if !strings.Contains(out, "watchtest.start") || !strings.Contains(out, "ranks=2") {
+		t.Fatalf("event stream lacks the scripted event: %q", out)
 	}
 }
 

@@ -33,9 +33,8 @@ type FuncNode struct {
 	Calls []*CallSite // outgoing, in source order
 }
 
-// CallSite is one call expression inside Caller.
+// CallSite is one call expression inside the FuncNode listing it.
 type CallSite struct {
-	Caller *FuncNode
 	Callee *FuncNode // nil when the target cannot be resolved statically
 	Call   *ast.CallExpr
 }
@@ -86,7 +85,7 @@ func buildCallGraph(pkgs []*Package) *CallGraph {
 				return true
 			}
 			caller.Calls = append(caller.Calls, &CallSite{
-				Caller: caller, Callee: g.Node(calleeObj(pkg.Info, call)), Call: call,
+				Callee: g.Node(calleeObj(pkg.Info, call)), Call: call,
 			})
 			return true
 		})

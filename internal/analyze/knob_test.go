@@ -9,7 +9,12 @@ import (
 // (keyed and positional literals, &x.F, element stores, copy, a
 // pointer-method call, encoding/json decoding, a running max); the
 // field nothing writes, the default-only ones, the test-only one are
-// flagged, and a justified directive exempts its field.
+// flagged, and a justified directive exempts its field. By the read
+// rule, the field main sets but never reads is flagged, one read only
+// by fmt through a helper's `any` parameter is not, and one read only
+// by a test is exempt. By the flag rule, the flag the fixture's
+// scripts/check.sh passes and the one its main_test.go passes are
+// clean, and the one named only in a comment and an echo is flagged.
 func TestKnob(t *testing.T) {
 	pkgs, err := LoadModule(filepath.Join("testdata", "knob"))
 	if err != nil {
@@ -19,7 +24,7 @@ func TestKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkWants(t, findings, filepath.Join("testdata", "knob"), filepath.Join("testdata", "knob", "lib"))
+	checkWants(t, findings, filepath.Join("testdata", "knob", "cmd", "knobfix"), filepath.Join("testdata", "knob", "lib"))
 }
 
 // TestKnobPartialSelection: without its main package the selection is

@@ -1,5 +1,5 @@
-// Package lib holds the config fields the knob fixture program sets,
-// next to the ones knob must flag.
+// Package lib holds the config fields the knob fixture program sets and
+// reads, next to the ones knob must flag.
 package lib
 
 import "sync/atomic"
@@ -42,3 +42,14 @@ type Scenario struct{ Name string }
 // Report is written only by an increment and under a condition that is
 // not a default.
 type Report struct{ Max, Seen int }
+
+// Sink is written by the program and read by it only in part.
+type Sink struct {
+	Unread int // want "Sink.Unread is read by no program"
+	//yyvet:ignore knob TestExempt reads it
+	TestRead int
+	Shown    int
+}
+
+// Stats is read only by fmt.
+type Stats struct{ Printed int }

@@ -28,13 +28,8 @@ import (
 // Config sizes the solver runs the fuzzer drives. Zero values select
 // defaults small enough for a CI smoke stage.
 type Config struct {
-	// NProcs is the world size (default 2; 4 adds intra-panel halo
-	// traffic to the fault space).
-	NProcs int
 	// Steps per run (default 5).
 	Steps int
-	// Nr, Nt size the grid (defaults 9, 13).
-	Nr, Nt int
 	// WedgeTimeout is the outer liveness bound: a scenario that has not
 	// terminated by then is declared a wedge (default 60s — it must
 	// comfortably exceed runDeadline, which is itself a clean
@@ -57,6 +52,10 @@ type Config struct {
 
 // The fixed parts of every scenario run.
 const (
+	// worldSize is the world of every run: one rank per panel.
+	worldSize = 2
+	// gridNr, gridNt size every run's grid.
+	gridNr, gridNt = 9, 13
 	// runDT is the fixed time step — fixed so the golden checkpoint is
 	// one hash, not a per-scenario estimate.
 	runDT = 2e-3
@@ -70,17 +69,8 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.NProcs <= 0 {
-		c.NProcs = 2
-	}
 	if c.Steps <= 0 {
 		c.Steps = 5
-	}
-	if c.Nr <= 0 {
-		c.Nr = 9
-	}
-	if c.Nt <= 0 {
-		c.Nt = 13
 	}
 	if c.WedgeTimeout <= 0 {
 		c.WedgeTimeout = 60 * time.Second
@@ -217,8 +207,8 @@ func GenScenario(seed uint64, cfg Config) Scenario {
 			Tag:   tags[g.intn(len(tags))],
 			Epoch: g.intn(cfg.Steps * 20),
 		}
-		f.Src = g.intn(cfg.NProcs)
-		f.Dst = g.intn(cfg.NProcs - 1)
+		f.Src = g.intn(worldSize)
+		f.Dst = g.intn(worldSize - 1)
 		if f.Dst >= f.Src {
 			f.Dst++ // distinct peers; the runtime rejects self-sends
 		}
@@ -235,7 +225,7 @@ func GenScenario(seed uint64, cfg Config) Scenario {
 	}
 	if g.intn(3) == 0 {
 		sc.Kills = append(sc.Kills, KillSpec{
-			Rank:   g.intn(cfg.NProcs),
+			Rank:   g.intn(worldSize),
 			Step:   1 + g.intn(cfg.Steps),
 			Silent: g.intn(2) == 1,
 		})

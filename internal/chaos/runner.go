@@ -76,7 +76,7 @@ func NewRunner(cfg Config) *Runner {
 }
 
 func (r *Runner) coreConfig() core.Config {
-	return core.Config{Nr: r.cfg.Nr, Nt: r.cfg.Nt}
+	return core.Config{Nr: gridNr, Nt: gridNt}
 }
 
 // Golden returns the fault-free checkpoint hash for the runner's
@@ -85,7 +85,7 @@ func (r *Runner) Golden() ([32]byte, error) {
 	r.goldenOnce.Do(func() {
 		var buf bytes.Buffer
 		_, err := core.RunParallelCheckpointWith(r.coreConfig(), mpi.RunConfig{Deadline: runDeadline},
-			r.cfg.NProcs, r.cfg.Steps, runDT, &buf)
+			worldSize, r.cfg.Steps, runDT, &buf)
 		if err != nil {
 			r.goldenErr = fmt.Errorf("chaos: golden run failed: %w", err)
 			return
@@ -147,7 +147,7 @@ func (r *Runner) execute(sc Scenario) Outcome {
 		Faults:      plan,
 		Reliability: &mpi.Reliability{AckTimeout: ackTimeout},
 		Events:      events,
-	}, r.cfg.NProcs, r.cfg.Steps, runDT, &buf)
+	}, worldSize, r.cfg.Steps, runDT, &buf)
 	r.cfg.Telemetry.Evaluate()
 	if err != nil {
 		return Outcome{Scenario: sc, Verdict: CleanAbort, Detail: err.Error()}
@@ -185,7 +185,7 @@ func (r *Runner) executeCampaign(sc Scenario, plan *mpi.FaultPlan) Outcome {
 	}
 	rcfg := resilience.Config{
 		Core:            r.coreConfig(),
-		NProcs:          r.cfg.NProcs,
+		NProcs:          worldSize,
 		Steps:           r.cfg.Steps,
 		CheckpointEvery: every,
 		Dir:             dir,

@@ -96,78 +96,23 @@ func (sc StoreScenario) plan() (*store.FaultPlan, error) {
 	return store.NewFaultPlan(faults), nil
 }
 
-// storeOpSpace is the number of backend writes a fault-free campaign
-// issues: each commit (origin plus one per segment) writes a blob, a
-// ref, a ledger entry, and the chain anchor.
-func storeOpSpace(cfg Config) int {
-	every := cfg.Steps / 2
-	if every < 1 {
-		every = 1
-	}
-	commits := 1 + (cfg.Steps+every-1)/every
-	return commits * 4
-}
-
-// GenStoreScenario derives a store scenario purely from seed: usually
-// one fault (occasionally two — the second may land after a crash
-// aborts the run and never fire; absence is part of the space too)
-// placed anywhere in the campaign's write sequence, with one seed in
-// eight drawing a persistently full disk instead. Its draw sequence is
-// frozen the same way GenScenario's is: committed corpus entries and
-// failure reports must replay forever.
-func GenStoreScenario(seed uint64, cfg Config) StoreScenario {
-	cfg = cfg.withDefaults()
-	g := &rng{s: seed}
-	sc := StoreScenario{Seed: seed}
-	if g.intn(8) == 0 {
-		sc.Faults = append(sc.Faults, StoreFaultSpec{Op: -1, Kind: string(store.FaultENOSPC)})
-		return sc
-	}
-	kinds := []store.FaultKind{store.FaultTornWrite, store.FaultBitFlip, store.FaultENOSPC,
-		store.FaultCrashBeforeRename, store.FaultCrashAfterRename}
-	ops := storeOpSpace(cfg)
-	n := 1 + g.intn(2)
-	for i := 0; i < n; i++ {
-		f := StoreFaultSpec{Op: g.intn(ops), Kind: string(kinds[g.intn(len(kinds))])}
-		if f.Kind == string(store.FaultTornWrite) || f.Kind == string(store.FaultBitFlip) {
-			f.Byte = 1 + g.intn(64)
-		}
-		sc.Faults = append(sc.Faults, f)
-	}
-	return sc
-}
-
 // StoreOutcome is the result of executing one store scenario.
 type StoreOutcome struct {
-	Scenario StoreScenario
-	Verdict  Verdict
+	Verdict Verdict
 	// Detail carries the error or verification diagnostic on violations.
-	Detail  string
-	Elapsed time.Duration
-}
-
-// RunStoreSeed generates and executes the store scenario for one seed.
-func (r *Runner) RunStoreSeed(seed uint64) StoreOutcome {
-	return r.RunStore(GenStoreScenario(seed, r.cfg))
+	Detail string
 }
 
 // RunStore executes one store scenario under the same liveness guard
 // as Run: no termination within WedgeTimeout is a wedge.
 func (r *Runner) RunStore(sc StoreScenario) StoreOutcome {
-	start := time.Now()
 	done := make(chan StoreOutcome, 1)
 	go func() { done <- r.executeStore(sc) }()
 	select {
 	case o := <-done:
-		o.Elapsed = time.Since(start)
 		return o
 	case <-time.After(r.cfg.WedgeTimeout):
-		return StoreOutcome{
-			Scenario: sc,
-			Verdict:  Wedge,
-			Detail:   fmt.Sprintf("no termination within %v", r.cfg.WedgeTimeout),
-			Elapsed:  time.Since(start),
-		}
+		return StoreOutcome{Verdict: Wedge, Detail: fmt.Sprintf("no termination within %v", r.cfg.WedgeTimeout)}
 	}
 }
 
@@ -181,7 +126,7 @@ func (r *Runner) storeCampaignConfig(st *store.Store, runID string) resilience.C
 	}
 	return resilience.Config{
 		Core:            r.coreConfig(),
-		NProcs:          r.cfg.NProcs,
+		NProcs:          worldSize,
 		Steps:           r.cfg.Steps,
 		CheckpointEvery: every,
 		Store:           st,
@@ -194,7 +139,7 @@ func (r *Runner) storeCampaignConfig(st *store.Store, runID string) resilience.C
 
 func (r *Runner) executeStore(sc StoreScenario) StoreOutcome {
 	fail := func(v Verdict, format string, args ...any) StoreOutcome {
-		return StoreOutcome{Scenario: sc, Verdict: v, Detail: fmt.Sprintf(format, args...)}
+		return StoreOutcome{Verdict: v, Detail: fmt.Sprintf(format, args...)}
 	}
 	plan, err := sc.plan()
 	if err != nil {
@@ -287,7 +232,7 @@ func (r *Runner) executeStore(sc StoreScenario) StoreOutcome {
 		r.saveStoreArtifacts(sc, after, scrub)
 		return fail(VerifyMiss, "store did not heal: %d object/ref finding(s) survive scrub and re-derivation\n%s", len(bad), after)
 	}
-	return StoreOutcome{Scenario: sc, Verdict: OK}
+	return StoreOutcome{Verdict: OK}
 }
 
 // typedStoreErr reports whether the campaign error is one of the

@@ -187,12 +187,6 @@ func (s *Simulation) History() []mhd.Diagnostics { return s.history }
 // Sampler returns a point sampler over the current state.
 func (s *Simulation) Sampler() *viz.Sampler { return viz.NewSampler(s.Solver) }
 
-// WriteEquatorialPPM renders an equatorial slice of the quantity to w.
-func (s *Simulation) WriteEquatorialPPM(w io.Writer, q viz.Quantity, n int) error {
-	im := viz.EquatorialSlice(s.Sampler(), q, n)
-	return viz.WritePPM(w, im)
-}
-
 // OverlapDisagreement reports the relative "double solution" difference
 // between the panels in the overlap region.
 func (s *Simulation) OverlapDisagreement() float64 {

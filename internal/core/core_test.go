@@ -72,7 +72,7 @@ func TestPPMAndColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := sim.WriteEquatorialPPM(&buf, viz.Temperature, 48); err != nil {
+	if err := viz.WritePPM(&buf, viz.EquatorialSlice(sim.Sampler(), viz.Temperature, 48)); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() < 48*48*3 {

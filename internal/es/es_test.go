@@ -153,8 +153,8 @@ func TestPredictionDiagnostics(t *testing.T) {
 		t.Errorf("comm fraction %.3f", p.CommFraction)
 	}
 	// Paper: about 2.1e5 grid points per AP.
-	if p.PointsPerAP < 1.8e5 || p.PointsPerAP > 2.4e5 {
-		t.Errorf("points per AP %.3g", p.PointsPerAP)
+	if perAP := float64(PaperSpec(511).TotalPoints()) / 4096; perAP < 1.8e5 || perAP > 2.4e5 {
+		t.Errorf("points per AP %.3g", perAP)
 	}
 	// Paper List 1: about 1.1 GB per process; the model's estimate must
 	// at least fit comfortably under the 2 GB/AP hardware budget.

@@ -78,18 +78,12 @@ type Prediction struct {
 	TFlops       float64
 	Efficiency   float64 // fraction of aggregate peak
 	StepTime     float64 // seconds per time step
-	VecTime      float64 // critical-path decomposition of StepTime
-	StartupTime  float64
-	ScalarTime   float64
-	CommTime     float64
-	SyncTime     float64
+	VecTime      float64 // vector share of StepTime on the critical path
 	CommFraction float64
 	Imbalance    float64 // max block / mean block
 
 	AvgVectorLength float64
 	VectorOpRatio   float64
-	PointsPerAP     float64
-	FlopsPerPoint   float64 // sustained flops per grid point (Table III)
 	MemPerProcGB    float64
 }
 
@@ -193,16 +187,10 @@ func Predict(m Machine, mp ModelParams, prof StepProfile, cfg RunConfig) (Predic
 		Efficiency:      tflops * 1e12 / (float64(cfg.Procs) * peak),
 		StepTime:        tStep,
 		VecTime:         tVec,
-		StartupTime:     tStart,
-		ScalarTime:      tScal,
-		CommTime:        tComm,
-		SyncTime:        tSync,
 		CommFraction:    tComm / tStep,
 		Imbalance:       aMax / aAvg,
 		AvgVectorLength: avl,
 		VectorOpRatio:   vor,
-		PointsPerAP:     totalPoints / float64(cfg.Procs),
-		FlopsPerPoint:   tflops * 1e12 / totalPoints,
 		MemPerProcGB:    memGB,
 	}, nil
 }
@@ -280,8 +268,7 @@ func PredictHybrid(m Machine, mp ModelParams, prof StepProfile, cfg RunConfig) (
 	tSync := mp.SyncPerProcSec * float64(nodes)
 
 	tStep := tVec + tStart + tScal + tComm + tSync
-	totalPoints := float64(s.TotalPoints())
-	tflops := prof.FlopsPerPoint * totalPoints / tStep / 1e12
+	tflops := prof.FlopsPerPoint * float64(s.TotalPoints()) / tStep / 1e12
 
 	return Prediction{
 		Config:       cfg,
@@ -289,12 +276,7 @@ func PredictHybrid(m Machine, mp ModelParams, prof StepProfile, cfg RunConfig) (
 		Efficiency:   tflops * 1e12 / (float64(cfg.Procs) * peak),
 		StepTime:     tStep,
 		VecTime:      tVec,
-		StartupTime:  tStart,
-		ScalarTime:   tScal,
-		CommTime:     tComm,
-		SyncTime:     tSync,
 		CommFraction: tComm / tStep,
 		Imbalance:    aMax / aAvg,
-		PointsPerAP:  totalPoints / float64(cfg.Procs),
 	}, nil
 }

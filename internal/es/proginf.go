@@ -13,7 +13,6 @@ import (
 // spread from the decomposition's load imbalance.
 type ProginfReport struct {
 	Procs int
-	Steps int
 
 	RealTime, UserTime, SystemTime, VectorTime [3]float64 // min, max, avg
 	InstructionCount, VectorInstructionCount   [3]float64
@@ -63,7 +62,6 @@ func BuildProginf(m Machine, mp ModelParams, prof StepProfile, p Prediction, ste
 
 	rep := ProginfReport{
 		Procs:                  cfg.Procs,
-		Steps:                  steps,
 		RealTime:               spreadRange(real, 0.9995, 1.0005),
 		UserTime:               [3]float64{minUser, maxUser, avgUser},
 		SystemTime:             spreadRange(sys, 0.9, 1.2),

@@ -8,15 +8,12 @@ import (
 // TableIIRow pairs one of the paper's six measured configurations with
 // the model's prediction.
 type TableIIRow struct {
-	Procs                 int
-	Nr                    int
-	PaperTFlops           float64
-	PaperEff              float64 // percent
-	ModelTFlops           float64
-	ModelEff              float64 // percent
-	ModelCommFraction     float64
-	ModelAvgVectorLength  float64
-	ModelVectorOpRatioPct float64
+	Procs       int
+	Nr          int
+	PaperTFlops float64
+	PaperEff    float64 // percent
+	ModelTFlops float64
+	ModelEff    float64 // percent
 }
 
 // PaperTableII lists the measured rows of Table II of the paper.
@@ -42,9 +39,6 @@ func TableII(m Machine, mp ModelParams, prof StepProfile) ([]TableIIRow, error) 
 		}
 		rows[i].ModelTFlops = p.TFlops
 		rows[i].ModelEff = p.Efficiency * 100
-		rows[i].ModelCommFraction = p.CommFraction
-		rows[i].ModelAvgVectorLength = p.AvgVectorLength
-		rows[i].ModelVectorOpRatioPct = p.VectorOpRatio * 100
 	}
 	return rows, nil
 }
@@ -96,7 +90,6 @@ func PeerResults() []PeerResult {
 // metrics (grid points per AP, sustained flops per grid point).
 type TableIIIRow struct {
 	PeerResult
-	APs         int
 	PointsPerAP float64
 	FlopsPerGP  float64
 }
@@ -133,7 +126,6 @@ func derive(m Machine, pr PeerResult) TableIIIRow {
 	aps := pr.Nodes * m.APsPerNode
 	return TableIIIRow{
 		PeerResult:  pr,
-		APs:         aps,
 		PointsPerAP: pr.GridPoints / float64(aps),
 		FlopsPerGP:  pr.TFlops * 1e12 / pr.GridPoints,
 	}
@@ -158,7 +150,6 @@ func FormatTableIII(rows []TableIIIRow) string {
 
 // ScalingPoint is one point of the model's strong-scaling curve.
 type ScalingPoint struct {
-	Procs      int
 	TFlops     float64
 	Efficiency float64
 }
@@ -173,7 +164,7 @@ func ScalingCurve(m Machine, mp ModelParams, prof StepProfile, nr int, procs []i
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, ScalingPoint{Procs: p, TFlops: pred.TFlops, Efficiency: pred.Efficiency})
+		out = append(out, ScalingPoint{TFlops: pred.TFlops, Efficiency: pred.Efficiency})
 	}
 	return out, nil
 }

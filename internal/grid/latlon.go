@@ -7,10 +7,9 @@ import "math"
 // coordinate singularity and grid convergence motivated the Yin-Yang
 // design. Colatitude carries Nt nodes from 0 to pi (poles included);
 // longitude carries Np equally spaced periodic nodes (no duplicated seam
-// node); radius carries Nr nodes from RI to RO.
+// node); radius carries Nr nodes through the same shell.
 type LatLonSpec struct {
 	Nr, Nt, Np int
-	RI, RO     float64
 }
 
 // NewLatLonSpec builds a lat-lon grid with the same angular spacing as the
@@ -20,7 +19,7 @@ func NewLatLonSpec(s Spec) LatLonSpec {
 	dt := s.Dt()
 	nt := int(math.Round(math.Pi/dt)) + 1
 	np := int(math.Round(2 * math.Pi / s.Dp()))
-	return LatLonSpec{Nr: s.Nr, Nt: nt, Np: np, RI: s.RI, RO: s.RO}
+	return LatLonSpec{Nr: s.Nr, Nt: nt, Np: np}
 }
 
 // Dt and Dp return the angular spacings; Dp is the full 2 pi over Np

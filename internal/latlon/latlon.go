@@ -31,7 +31,6 @@ type SurfaceGrid struct {
 	Dt, Dp  float64
 	Theta   []float64
 	SinT    []float64
-	CosT    []float64
 	CotT    []float64
 	InvSinT []float64
 }
@@ -49,7 +48,6 @@ func NewSurfaceGrid(nt, np int) (*SurfaceGrid, error) {
 	}
 	g.Theta = make([]float64, nt)
 	g.SinT = make([]float64, nt)
-	g.CosT = make([]float64, nt)
 	g.CotT = make([]float64, nt)
 	g.InvSinT = make([]float64, nt)
 	for j := 0; j < nt; j++ {
@@ -57,7 +55,6 @@ func NewSurfaceGrid(nt, np int) (*SurfaceGrid, error) {
 		g.Theta[j] = th
 		s, c := math.Sincos(th)
 		g.SinT[j] = s
-		g.CosT[j] = c
 		g.CotT[j] = c / s
 		g.InvSinT[j] = 1 / s
 	}

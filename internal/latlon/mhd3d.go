@@ -37,9 +37,6 @@ type MHD3D struct {
 	br, bt, bp, jr, jt, jp []float64
 
 	u0, k, acc [8][]float64
-
-	Time  float64
-	Steps int
 }
 
 // Field order indices into U.
@@ -423,8 +420,6 @@ func (s *MHD3D) Advance(dt float64) {
 		}
 	}
 	s.applyWallBC()
-	s.Time += dt
-	s.Steps++
 }
 
 // MaxStableDt is the explicit limit including the near-pole collapse:

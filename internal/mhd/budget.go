@@ -19,9 +19,13 @@ import "repro/internal/sphops"
 //
 //yyvet:ignore reach oracle for TestBudgetSigns and TestPooledEnergyBalance
 type Budget struct {
-	BuoyancyWork       float64
-	LorentzWork        float64
-	JouleHeat          float64
+	//yyvet:ignore knob read by TestBudgetSigns, the oracle's consumer
+	BuoyancyWork float64
+	//yyvet:ignore knob read by TestMagneticEnergyBalance and TestPooledEnergyBalance
+	LorentzWork float64
+	//yyvet:ignore knob read by TestMagneticEnergyBalance, TestBudgetSigns and TestPooledEnergyBalance
+	JouleHeat float64
+	//yyvet:ignore knob read by TestBudgetSigns, the oracle's consumer
 	ViscousDissipation float64
 }
 

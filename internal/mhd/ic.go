@@ -28,9 +28,9 @@ func DefaultIC() InitialConditions {
 // T solves Laplace's equation between the fixed-temperature walls and rho
 // balances pressure against central gravity, with rho(ro) = T(ro) = 1.
 type Profile struct {
-	RI, RO float64
-	a, b   float64 // T(r) = a + b/r
-	prm    Params
+	RO   float64
+	a, b float64 // T(r) = a + b/r
+	prm  Params
 }
 
 // NewProfile builds the base state for the given shell and parameters.
@@ -38,7 +38,7 @@ func NewProfile(prm Params, ri, ro float64) *Profile {
 	// T(ri) = TIn, T(ro) = 1.
 	b := (prm.TIn - 1) / (1/ri - 1/ro)
 	a := 1 - b/ro
-	return &Profile{RI: ri, RO: ro, a: a, b: b, prm: prm}
+	return &Profile{RO: ro, a: a, b: b, prm: prm}
 }
 
 // T returns the conduction temperature at radius r.

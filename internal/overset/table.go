@@ -102,14 +102,13 @@ type OverlapSample struct {
 // (k outer, j inner), so a table-driven scan visits nodes in the same
 // order as a recomputed one.
 type OverlapTable struct {
-	Spec    grid.Spec
 	Samples []OverlapSample
 }
 
 // NewOverlapTable builds the overlap sample table for spec s.
 func NewOverlapTable(s grid.Spec) *OverlapTable {
 	dt, dp := s.Dt(), s.Dp()
-	tab := &OverlapTable{Spec: s}
+	tab := &OverlapTable{}
 	for k := 1; k < s.Np-1; k++ {
 		for j := 1; j < s.Nt-1; j++ {
 			theta := grid.ThetaMin + float64(j)*dt

@@ -67,9 +67,8 @@ type Config struct {
 	RunID string
 	// MaxRetries bounds the retries per segment after the first attempt
 	// (default 3).
+	//yyvet:ignore knob TestDroppedMessageRetries, TestPostmortemOnExhaustedRetries and TestPostmortemTimeline shrink the budget to reach exhaustion quickly
 	MaxRetries int
-	// Backoff scales the time step on each blow-up retry (default 0.5).
-	Backoff float64
 	// Keep is how many checkpoints to retain on disk (default 2).
 	//yyvet:ignore knob ROADMAP 5c decides ledger retention; store_test.go prunes with it meanwhile
 	Keep int
@@ -142,10 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 3
 	}
-	//yyvet:ignore float-eq zero-valued config field means unset; defaulting keys on the exact zero value
-	if c.Backoff == 0 {
-		c.Backoff = 0.5
-	}
 	if c.Keep == 0 {
 		c.Keep = 2
 	}
@@ -164,6 +159,9 @@ func (c Config) runName() string {
 	}
 	return c.Dir
 }
+
+// retryBackoff scales the time step on each blow-up retry.
+const retryBackoff = 0.5
 
 // RecoveryMode names one of the campaign's recovery paths, most to
 // least surgical.
@@ -474,7 +472,7 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 				}
 				dt = sv.EstimateDT(cfg.Core.SafetyFactor)
 				for b := 0; b < blowUps; b++ {
-					dt *= cfg.Backoff
+					dt *= retryBackoff
 				}
 			}
 			if spare == nil {

@@ -155,6 +155,7 @@ func (in *Interior) Bytes() ([]byte, error) {
 // Offset is the position in the stream where the damage was met; the
 // message names it too.
 type DecodeError struct {
+	//yyvet:ignore knob the typed failure path: TestDecodeAllocationBoundedByInput and FuzzReadInterior read it through errors.As
 	Offset int64
 	Err    error
 }

@@ -106,7 +106,7 @@ func NewCoeffs(L int) *Coeffs {
 type Transform struct {
 	L          int
 	NLat, NLon int
-	X, W       []float64 // Gauss nodes (cos theta) and weights
+	W          []float64 // Gauss weights
 	Phi        []float64
 	// Precomputed Legendre tables per latitude: plm[j][l][m].
 	plm [][][]float64
@@ -125,7 +125,7 @@ func NewTransform(L int) (*Transform, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Transform{L: L, NLat: nLat, NLon: nLon, X: x, W: w}
+	t := &Transform{L: L, NLat: nLat, NLon: nLon, W: w}
 	t.Phi = make([]float64, nLon)
 	for k := range t.Phi {
 		t.Phi[k] = 2 * math.Pi * float64(k) / float64(nLon)

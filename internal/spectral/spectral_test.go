@@ -122,10 +122,14 @@ func TestRoundTrip(t *testing.T) {
 func TestAnalyzeKnownField(t *testing.T) {
 	const L = 6
 	tr, _ := NewTransform(L)
+	x, _, err := GaussLegendre(tr.NLat) // the transform's latitudes, as cos(theta)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f := tr.Grid()
 	for j := 0; j < tr.NLat; j++ {
 		for k := 0; k < tr.NLon; k++ {
-			f[j*tr.NLon+k] = tr.X[j] // cos(theta)
+			f[j*tr.NLon+k] = x[j]
 		}
 	}
 	c := NewCoeffs(L)

@@ -14,16 +14,13 @@ import (
 	"repro/internal/mhd"
 )
 
-// SurfaceCoeffs are the real spherical-harmonic coefficients up to
-// degree 2 of a scalar sampled on the sphere, in the real basis
-// {Y10, Y11c, Y11s, Y20, Y21c, Y21s, Y22c, Y22s} with Schmidt-like
-// normalization: expanding f = sum c_i B_i(theta, phi) with the basis
-// functions below.
+// SurfaceCoeffs are the real degree-1 spherical-harmonic coefficients
+// of a scalar sampled on the sphere, in the real basis {Y10, Y11c, Y11s}
+// with Schmidt-like normalization: the projections of f onto the basis
+// functions below. The basis is orthogonal, so other degrees in f do not
+// leak into them.
 type SurfaceCoeffs struct {
-	Y00             float64
 	Y10, Y11c, Y11s float64
-	Y20, Y21c, Y21s float64
-	Y22c, Y22s      float64
 }
 
 // basis lists the real harmonics and the normalization integrals
@@ -33,15 +30,9 @@ var basis = []struct {
 	fn   func(th, ph float64) float64
 	norm float64
 }{
-	{"Y00", func(th, ph float64) float64 { return 1 }, 4 * math.Pi},
 	{"Y10", func(th, ph float64) float64 { return math.Cos(th) }, 4 * math.Pi / 3},
 	{"Y11c", func(th, ph float64) float64 { return math.Sin(th) * math.Cos(ph) }, 4 * math.Pi / 3},
 	{"Y11s", func(th, ph float64) float64 { return math.Sin(th) * math.Sin(ph) }, 4 * math.Pi / 3},
-	{"Y20", func(th, ph float64) float64 { c := math.Cos(th); return 1.5*c*c - 0.5 }, 4 * math.Pi / 5},
-	{"Y21c", func(th, ph float64) float64 { return 3 * math.Sin(th) * math.Cos(th) * math.Cos(ph) }, 12 * math.Pi / 5},
-	{"Y21s", func(th, ph float64) float64 { return 3 * math.Sin(th) * math.Cos(th) * math.Sin(ph) }, 12 * math.Pi / 5},
-	{"Y22c", func(th, ph float64) float64 { s := math.Sin(th); return 3 * s * s * math.Cos(2*ph) }, 48 * math.Pi / 5},
-	{"Y22s", func(th, ph float64) float64 { s := math.Sin(th); return 3 * s * s * math.Sin(2*ph) }, 48 * math.Pi / 5},
 }
 
 // AnalyzeSurface projects a per-panel sampling function onto the basis.
@@ -49,7 +40,7 @@ var basis = []struct {
 // (j, k) in padded indices; the projection weights each node with the
 // panel ownership partition so the overlap counts once.
 func AnalyzeSurface(sv *mhd.Solver, sample func(pl *mhd.Panel, j, k int) float64) SurfaceCoeffs {
-	var raw [9]float64
+	var raw [3]float64
 	for _, pl := range sv.Panels {
 		p := pl.Patch
 		h := p.H
@@ -83,12 +74,7 @@ func AnalyzeSurface(sv *mhd.Solver, sample func(pl *mhd.Panel, j, k int) float64
 	for bi, b := range basis {
 		raw[bi] /= b.norm
 	}
-	return SurfaceCoeffs{
-		Y00: raw[0],
-		Y10: raw[1], Y11c: raw[2], Y11s: raw[3],
-		Y20: raw[4], Y21c: raw[5], Y21s: raw[6],
-		Y22c: raw[7], Y22s: raw[8],
-	}
+	return SurfaceCoeffs{Y10: raw[0], Y11c: raw[1], Y11s: raw[2]}
 }
 
 // DipoleVector returns the degree-1 part as a Cartesian vector

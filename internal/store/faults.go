@@ -47,7 +47,6 @@ type Fault struct {
 // accounting: the chaos harness demands a Verify finding for every
 // fired silent corruption.
 type FiredFault struct {
-	Op   int
 	Kind FaultKind
 	Name string // the blob name the faulted Put targeted
 }
@@ -71,7 +70,7 @@ func (p *FaultPlan) take(op int, name string) *Fault {
 	for i := range p.faults {
 		f := &p.faults[i]
 		if f.Op == op || f.Op == -1 {
-			p.fired = append(p.fired, FiredFault{Op: op, Kind: f.Kind, Name: name})
+			p.fired = append(p.fired, FiredFault{Kind: f.Kind, Name: name})
 			if f.Op != -1 {
 				// Consume: shift the tail down over the fired fault.
 				p.faults = append(p.faults[:i], p.faults[i+1:]...)

@@ -14,7 +14,9 @@
 #                      atomic-artifact) plus the interprocedural
 #                      passes (tag-space, buf-lifetime, reach: every
 #                      declaration some main reaches, knob: every
-#                      exported config field some program sets) and
+#                      exported library field some program sets and
+#                      some program reads, every cmd/ flag a stage of
+#                      this script or a test of its command passes) and
 #                      the directive audit (ignore-audit)
 #   4. go test       — the full test suite (benchmark/'s timing-
 #                      sensitive pipeline test first and alone, then
@@ -55,11 +57,15 @@
 #                      by yywatch while it runs: the Prometheus
 #                      exposition must parse and the injected fault
 #                      must surface as a latched rank-dead alert
-#   9. store smoke   — a store-backed campaign (yycore -store) audited
+#   9. store smoke   — a store-backed campaign (yycore -store) under a
+#                      named run, a per-call deadline and a scripted
+#                      silent rank death that -replace must repair in
+#                      place (a rank-replace recovery line), audited
 #                      offline with yystore verify and gc: the ledger
 #                      chain, Merkle roots and anchor must come back
 #                      clean, and GC must keep every ledger-reachable
-#                      object
+#                      object. It is the stage that passes every
+#                      campaign flag of yycore
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -102,8 +108,8 @@ go run ./cmd/yychaos -seeds 25 -steps 5 -artifacts "$chaos_art"
 echo "==> chaos corpus replay: go run ./cmd/yychaos -corpus internal/chaos/testdata/corpus.json"
 go run ./cmd/yychaos -corpus internal/chaos/testdata/corpus.json -artifacts "$chaos_art"
 
-echo "==> chaos replacement corpus: go run ./cmd/yychaos -corpus internal/chaos/testdata/corpus_replace.json"
-go run ./cmd/yychaos -corpus internal/chaos/testdata/corpus_replace.json -artifacts "$chaos_art"
+echo "==> chaos replacement corpus: go run ./cmd/yychaos -corpus internal/chaos/testdata/corpus_replace.json -v"
+go run ./cmd/yychaos -corpus internal/chaos/testdata/corpus_replace.json -artifacts "$chaos_art" -v
 
 echo "==> chaos store corpus: go run ./cmd/yychaos -store-corpus internal/chaos/testdata/corpus_store.json"
 go run ./cmd/yychaos -store-corpus internal/chaos/testdata/corpus_store.json -artifacts "$chaos_art"
@@ -145,9 +151,16 @@ kill "$tele_pid" 2>/dev/null || true
 wait "$tele_pid" 2>/dev/null || true
 trap - EXIT
 
-store_dir="${STORE_OUT:-$(mktemp -d)}/run.store"
-echo "==> store smoke: go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -ckpt-every 2 -store $store_dir"
-go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -ckpt-every 2 -store "$store_dir"
+store_out="${STORE_OUT:-$(mktemp -d)}"
+store_dir="$store_out/run.store"
+echo "==> store smoke: go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -ckpt-every 2 -store $store_dir -runid smoke -deadline 60s -hb 5ms -replace -inject-kill-silent 1@2"
+go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -ckpt-every 2 -store "$store_dir" -runid smoke \
+	-deadline 60s -hb 5ms -replace -inject-kill-silent 1@2 >"$store_out/yycore.log" 2>&1 ||
+	{ cat "$store_out/yycore.log"; exit 1; }
+cat "$store_out/yycore.log"
+# The silent death must have been repaired by replacing the rank, not
+# by rolling the segment back.
+grep -q '^recovery: .* rank-replace ' "$store_out/yycore.log"
 go run ./cmd/yystore -root "$store_dir" verify
 go run ./cmd/yystore -root "$store_dir" gc
 # Post-GC verify: the sweep must not have collected anything the
