@@ -261,39 +261,61 @@ func TestParallelDiagnostics(t *testing.T) {
 	}
 }
 
-// TestParallelEstimateDT: all ranks agree on the reduced time step, and
-// it matches the serial estimate.
+// TestParallelEstimateDT: at 2, 4 and 8 ranks every rank agrees on the
+// reduced time step, and it has the serial estimate's bits — at the
+// initial condition and after three steps. A campaign's executor
+// estimates dt in whichever form it runs, so its committed trajectory
+// rests on this equality.
 func TestParallelEstimateDT(t *testing.T) {
 	s := grid.NewSpec(9, 13)
+	const steps, dt = 3, 2e-3
 	sv, err := mhd.NewSolver(s, mhd.Default(), mhd.DefaultIC())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sv.EstimateDT(0.3)
+	var want [2]float64
+	want[0] = sv.EstimateDT(0.3)
+	for i := 0; i < steps; i++ {
+		sv.Advance(dt)
+	}
+	want[1] = sv.EstimateDT(0.3)
 
-	l, _ := NewLayout(s, 4)
-	var mu sync.Mutex
-	vals := map[float64]int{}
-	err = mpi.Run(4, func(w *mpi.Comm) {
-		r, err := NewRank(w, l, mhd.Default(), mhd.DefaultIC())
+	for _, n := range []int{2, 4, 8} {
+		l, err := NewLayout(s, n)
 		if err != nil {
-			t.Error(err)
-			return
+			t.Fatal(err)
 		}
-		dt := r.EstimateDT(0.3)
-		mu.Lock()
-		vals[dt]++
-		mu.Unlock()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) != 1 {
-		t.Fatalf("ranks disagree on dt: %v", vals)
-	}
-	for dt := range vals {
-		if math.Abs(dt-want) > 1e-15 {
-			t.Errorf("parallel dt %v vs serial %v", dt, want)
+		var mu sync.Mutex
+		var vals [2]map[uint64]int
+		vals[0], vals[1] = map[uint64]int{}, map[uint64]int{}
+		err = mpi.Run(n, func(w *mpi.Comm) {
+			r, err := NewRank(w, l, mhd.Default(), mhd.DefaultIC())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			at0 := r.EstimateDT(0.3)
+			for i := 0; i < steps; i++ {
+				r.Advance(dt)
+			}
+			at3 := r.EstimateDT(0.3)
+			mu.Lock()
+			vals[0][math.Float64bits(at0)]++
+			vals[1][math.Float64bits(at3)]++
+			mu.Unlock()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, when := range []string{"initial", "after 3 steps"} {
+			if len(vals[i]) != 1 {
+				t.Fatalf("%d ranks, %s: ranks disagree on dt: %v", n, when, vals[i])
+			}
+			for bits := range vals[i] {
+				if bits != math.Float64bits(want[i]) {
+					t.Errorf("%d ranks, %s: parallel dt %v, serial %v", n, when, math.Float64frombits(bits), want[i])
+				}
+			}
 		}
 	}
 }

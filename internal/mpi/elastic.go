@@ -26,7 +26,7 @@ type Elastic struct {
 	// MaxReplacements bounds how many epoch fences one run may perform;
 	// a further confirmed death aborts the run as a non-elastic run
 	// would (default 2).
-	//yyvet:ignore knob TestElasticReplacementBudgetExhausted spends a budget of 1; ROADMAP 5d decides its scope
+	//yyvet:ignore knob TestElasticReplacementBudgetExhausted and resilience.TestCampaignReplacementBudgetPerWorld spend a budget of 1
 	MaxReplacements int
 	// OnReplace, when set, observes each replacement after its fence:
 	// the replaced rank, the new membership epoch and the triggering

@@ -36,10 +36,13 @@ func TestSegmentCommitAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, sink := range map[string]ckptSink{
-		"store": cfg.sink(),
-		"dir":   &dirSink{dir: t.TempDir()},
-	} {
+	dirCfg := cfg
+	dirCfg.Store, dirCfg.Dir = nil, t.TempDir()
+	for name, c := range map[string]Config{"store": cfg, "dir": dirCfg} {
+		sink, err := c.sink()
+		if err != nil {
+			t.Fatal(err)
+		}
 		state.Step = 0
 		if err := sink.write(state, segMeta{note: "origin"}); err != nil {
 			t.Fatal(err)
@@ -142,11 +145,15 @@ func TestResumeFallsBackPastLyingHeader(t *testing.T) {
 // the same 12 steps committed as one segment, where a world per segment
 // cost five launches more. The comparison is differential because the
 // call's fixed costs — the origin solver and Result.Final — alone come
-// to about 1.3 launches at this grid.
+// to about 1.3 launches at this grid. Estimating dt costs no solver
+// either: the 6 segments without a DTSchedule allocate less than a
+// quarter launch more than with one, where a solver per segment used
+// to cost 4.45 launches more.
 func TestCampaignLaunchesOneWorld(t *testing.T) {
-	campaign := func(every int) *Result {
+	sched := []float64{2e-3, 2e-3, 2e-3, 2e-3, 2e-3, 2e-3}
+	campaign := func(every int, sched []float64) *Result {
 		cfg, _, _ := storeConfig(t, 12, every)
-		cfg.DTSchedule = []float64{2e-3, 2e-3, 2e-3, 2e-3, 2e-3, 2e-3}
+		cfg.DTSchedule = sched
 		res, err := RunCampaign(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -175,15 +182,17 @@ func TestCampaignLaunchesOneWorld(t *testing.T) {
 	}
 	// Warm the memoized overset plans and every lazy package state.
 	launch()
-	campaign(12)
-	var ms [4]runtime.MemStats
+	campaign(12, sched)
+	var ms [5]runtime.MemStats
 	runtime.ReadMemStats(&ms[0])
 	launch()
 	runtime.ReadMemStats(&ms[1])
-	one := campaign(12)
+	one := campaign(12, sched)
 	runtime.ReadMemStats(&ms[2])
-	six := campaign(2)
+	six := campaign(2, sched)
 	runtime.ReadMemStats(&ms[3])
+	campaign(2, nil)
+	runtime.ReadMemStats(&ms[4])
 	if finalSHA(t, one) != finalSHA(t, six) {
 		t.Fatal("the 1- and 6-segment campaigns end on different states")
 	}
@@ -193,5 +202,11 @@ func TestCampaignLaunchesOneWorld(t *testing.T) {
 		perLaunch, extra, float64(extra)/float64(perLaunch))
 	if extra >= int64(perLaunch) {
 		t.Errorf("6 segments allocate %d bytes more than 1, not under one world launch (%d bytes)", extra, perLaunch)
+	}
+	estimate := int64(ms[4].TotalAlloc-ms[3].TotalAlloc) - int64(ms[3].TotalAlloc-ms[2].TotalAlloc)
+	t.Logf("6 segments without a DTSchedule allocate %d bytes more than with one (%.2f launches)",
+		estimate, float64(estimate)/float64(perLaunch))
+	if estimate >= int64(perLaunch)/4 {
+		t.Errorf("estimating dt costs %d bytes over 6 segments, not under a quarter world launch (%d bytes)", estimate, perLaunch/4)
 	}
 }

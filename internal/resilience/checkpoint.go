@@ -2,9 +2,6 @@ package resilience
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -35,88 +32,6 @@ func ckptStep(name string) (int, bool) {
 		return 0, false
 	}
 	return step, true
-}
-
-// listCheckpoints returns the campaign directory's checkpoint steps in
-// ascending order.
-func listCheckpoints(dir string) ([]int, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var steps []int
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		if step, ok := ckptStep(e.Name()); ok {
-			steps = append(steps, step)
-		}
-	}
-	sort.Ints(steps)
-	return steps, nil
-}
-
-// ckptSyncHook, when non-nil, observes the durability sequence of
-// writeCheckpointFile — ("sync-file", tmp), ("rename", final),
-// ("sync-dir", dir) in order. Test seam only.
-var ckptSyncHook func(op, path string)
-
-func noteSync(op, path string) {
-	if ckptSyncHook != nil {
-		ckptSyncHook(op, path)
-	}
-}
-
-// writeCheckpointFile atomically and durably persists the state: the
-// checkpoint is streamed to a temporary file in the same directory,
-// fsynced, renamed into place, and the directory itself is fsynced.
-// The rename keeps a crash mid-write from leaving a half-written file
-// under a checkpoint name; the two fsyncs keep a host crash right after
-// the rename from leaving a zero-length (data never flushed) or
-// unlinked (directory entry never flushed) "newest" checkpoint.
-func writeCheckpointFile(dir string, in *snapshot.Interior) (string, error) {
-	final := filepath.Join(dir, ckptName(in.Step))
-	tmp, err := os.CreateTemp(dir, ckptName(in.Step)+".tmp-*")
-	if err != nil {
-		return "", fmt.Errorf("resilience: creating checkpoint temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op once the rename has happened
-	if err := in.Encode(tmp); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("resilience: writing checkpoint: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("resilience: syncing checkpoint: %w", err)
-	}
-	noteSync("sync-file", tmp.Name())
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("resilience: closing checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return "", fmt.Errorf("resilience: committing checkpoint: %w", err)
-	}
-	noteSync("rename", final)
-	if err := syncDir(dir); err != nil {
-		return "", err
-	}
-	noteSync("sync-dir", dir)
-	return final, nil
-}
-
-// syncDir flushes a directory's entries so a committed rename survives
-// a host crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("resilience: opening checkpoint dir for sync: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("resilience: syncing checkpoint dir: %w", err)
-	}
-	return nil
 }
 
 // newestValid restores the newest of a sink's checkpoints (steps

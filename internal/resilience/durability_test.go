@@ -7,60 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mhd"
 	"repro/internal/mpi"
-	"repro/internal/snapshot"
 )
-
-// TestCheckpointDurabilitySequence asserts the write-rename-sync order
-// of the atomic checkpoint commit: the payload is fsynced before the
-// rename, and the directory is fsynced after it — the sequence that
-// keeps a host crash from leaving a zero-length or unlinked "newest"
-// checkpoint.
-func TestCheckpointDurabilitySequence(t *testing.T) {
-	cfg := testConfig(t, 2, 2)
-	sv, err := mhd.NewSolver(cfg.Core.WithDefaults().Spec(), *cfg.Core.WithDefaults().Params, *cfg.Core.WithDefaults().IC)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var ops []string
-	var paths []string
-	ckptSyncHook = func(op, path string) {
-		ops = append(ops, op)
-		paths = append(paths, path)
-	}
-	defer func() { ckptSyncHook = nil }()
-
-	final, err := writeCheckpointFile(cfg.Dir, snapshot.InteriorOf(sv))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := []string{"sync-file", "rename", "sync-dir"}
-	if len(ops) != len(want) {
-		t.Fatalf("durability sequence %v, want %v", ops, want)
-	}
-	for i := range want {
-		if ops[i] != want[i] {
-			t.Fatalf("durability sequence %v, want %v", ops, want)
-		}
-	}
-	// The file fsync targets the temp file (pre-rename), the directory
-	// fsync the checkpoint's directory.
-	if !strings.Contains(paths[0], ".tmp-") {
-		t.Errorf("sync-file hit %q, want the temp file", paths[0])
-	}
-	if paths[1] != final {
-		t.Errorf("rename produced %q, want %q", paths[1], final)
-	}
-	if paths[2] != cfg.Dir {
-		t.Errorf("sync-dir hit %q, want %q", paths[2], cfg.Dir)
-	}
-	if _, err := os.Stat(final); err != nil {
-		t.Fatalf("committed checkpoint missing: %v", err)
-	}
-}
 
 // TestPostmortemTimeline: a campaign that exhausts its retries writes
 // the fault/heartbeat event timeline into postmortem.txt, so the

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mhd"
 	"repro/internal/mpi"
 	"repro/internal/snapshot"
 )
@@ -143,6 +142,47 @@ func TestCampaignRankReplaceSilent(t *testing.T) {
 	}
 }
 
+// TestCampaignReplacementBudgetPerWorld pins what
+// Elastic.MaxReplacements budgets: fences per world, hence per call
+// while no failure relaunches the world — not per segment. With a
+// budget of 1 and two kills in consecutive segments of one live world,
+// the first kill is repaired in place and the second, over budget,
+// ends the world and costs a rollback; the relaunched world finishes
+// byte-identical to a fault-free campaign.
+func TestCampaignReplacementBudgetPerWorld(t *testing.T) {
+	golden := testConfig(t, 6, 2)
+	golden.NProcs = 4
+	gres, err := RunCampaign(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := testConfig(t, 6, 2)
+	cfg.NProcs = 4
+	cfg.Faults = mpi.NewFaultPlan().Kill(1, 3).Kill(2, 5)
+	cfg.Deadline = 30 * time.Second
+	cfg.Replace = &mpi.Elastic{MaxReplacements: 1}
+	res, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Retries != 1 {
+		t.Errorf("Retries = %d, want 1 (the over-budget kill)", res.Retries)
+	}
+	if len(res.Recoveries) != 2 {
+		t.Fatalf("recoveries %+v, want a replacement then a rollback", res.Recoveries)
+	}
+	if d := res.Recoveries[0]; d.Mode != RecoverReplace || d.Rank != 1 || d.Segment != 1 || d.Attempt != 0 {
+		t.Errorf("first recovery %+v, want rank-replace of rank 1 in segment 1 attempt 0", d)
+	}
+	if d := res.Recoveries[1]; d.Mode != RecoverRollback || d.Segment != 2 || d.Attempt != 1 {
+		t.Errorf("second recovery %+v, want rollback in segment 2 attempt 1", d)
+	}
+	if finalSHA(t, res) != finalSHA(t, gres) {
+		t.Error("campaign is not byte-identical to the fault-free golden")
+	}
+}
+
 // TestCampaignReplaceCorruptFallsBack: a replacement whose checkpoint
 // reload fails (the segment's checkpoint went corrupt under it) must
 // not strand the campaign — the attempt aborts and the rollback ladder
@@ -163,7 +203,7 @@ func TestCampaignReplaceCorruptFallsBack(t *testing.T) {
 	cfg.Deadline = 30 * time.Second
 	cfg.Replace = &mpi.Elastic{}
 	corrupted := false
-	cfg.Perturb = func(seg, attempt int, sv *mhd.Solver) {
+	cfg.Perturb = func(seg, attempt int, _ *snapshot.Interior) {
 		// Rot the segment's own checkpoint on disk just before the
 		// faulted segment runs: the replacement fence will try to
 		// restore it and fail its checksum.

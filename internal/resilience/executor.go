@@ -13,28 +13,46 @@ import (
 )
 
 // order is one segment for the executor: scatter state if non-nil,
-// advance steps at dt, gather into into. reload restores the segment's
-// checkpoint for a fenced epoch; seq numbers orders, stop ends a world.
+// advance steps, gather into into. dt is the schedule's step; <= 0 asks
+// the executor to estimate it from the state it is about to step,
+// halved once per earlier blow-up of the segment. reload restores the
+// segment's checkpoint for a fenced epoch; seq numbers orders, stop
+// ends a world.
 type order struct {
-	dt          float64
-	steps, seq  int
-	state, into *snapshot.Interior
-	reload      func() (*snapshot.Interior, error)
-	stop        bool
+	dt                   float64
+	steps, halvings, seq int
+	state, into          *snapshot.Interior
+	reload               func() (*snapshot.Interior, error)
+	stop                 bool
 }
 
-// executor is a campaign's live solver; after a failed run the next
-// order must carry a state. Funcs, not an interface: a *worldExec in an
+// stepDT is the dt the order runs: the schedule's, or estimate's at the
+// campaign's safety factor after the blow-up halvings.
+func (o order) stepDT(estimate func(safety float64) float64, safety float64) float64 {
+	if o.dt > 0 {
+		return o.dt
+	}
+	dt := estimate(safety)
+	for i := 0; i < o.halvings; i++ {
+		dt *= retryBackoff
+	}
+	return dt
+}
+
+// executor is a campaign's live solver; run returns the segment's
+// diagnostics and the dt it ran, and after a failed run the next order
+// must carry a state. Funcs, not an interface: a *worldExec in an
 // interface makes the linker keep every method Config reaches (1.2 MB).
 type executor struct {
-	run   func(o order) (mhd.Diagnostics, error)
+	run   func(o order) (mhd.Diagnostics, float64, error)
 	close func() error
 }
 
 // newExecutor is a variable so a test can swap in the relaunch oracle.
 var newExecutor = func(cfg Config, rc mpi.RunConfig) (executor, error) {
 	if cfg.NProcs == 1 {
-		return executor{(&serialExec{}).run, func() error { return nil }}, nil
+		e := &serialExec{safety: cfg.Core.SafetyFactor}
+		return executor{e.run, func() error { return nil }}, nil
 	}
 	layout, err := decomp.NewLayout(cfg.Core.Spec(), cfg.NProcs)
 	e := &worldExec{cfg: cfg, layout: layout, rc: rc}
@@ -43,20 +61,24 @@ var newExecutor = func(cfg Config, rc mpi.RunConfig) (executor, error) {
 
 // serialExec keeps one solver, restored through the interior form as a
 // world restores, so it commits the checkpoints any world size does.
-type serialExec struct{ sv *mhd.Solver }
+type serialExec struct {
+	sv     *mhd.Solver
+	safety float64
+}
 
-func (e *serialExec) run(o order) (mhd.Diagnostics, error) {
+func (e *serialExec) run(o order) (mhd.Diagnostics, float64, error) {
 	if o.state != nil {
 		var err error
 		if e.sv, err = o.state.Solver(); err != nil {
-			return mhd.Diagnostics{}, err
+			return mhd.Diagnostics{}, 0, err
 		}
 	}
+	dt := o.stepDT(e.sv.EstimateDT, e.safety)
 	for i := 0; i < o.steps; i++ {
-		e.sv.Advance(o.dt)
+		e.sv.Advance(dt)
 	}
 	o.into.Capture(e.sv)
-	return e.sv.Diagnose(), nil
+	return e.sv.Diagnose(), dt, nil
 }
 
 // worldExec is one decomposed world, kept until a runtime failure or
@@ -68,16 +90,18 @@ type worldExec struct {
 	live   bool
 
 	// ord is the in-flight order: not in a channel, so a rank re-entering
-	// a fenced epoch reads the order the dead epoch already took.
+	// a fenced epoch reads the order the dead epoch already took. dt is
+	// the step rank 0 chose for it (0 until chosen).
 	mu   sync.Mutex
 	cond *sync.Cond
 	ord  order
+	dt   float64
 	// out carries rank 0's diagnostics per order, done the world's exit.
 	out  chan mhd.Diagnostics
 	done chan error
 }
 
-func (e *worldExec) run(o order) (mhd.Diagnostics, error) {
+func (e *worldExec) run(o order) (mhd.Diagnostics, float64, error) {
 	if e.live {
 		e.post(o)
 	} else {
@@ -85,14 +109,20 @@ func (e *worldExec) run(o order) (mhd.Diagnostics, error) {
 	}
 	select {
 	case d := <-e.out:
-		return d, nil
+		return d, e.ranDT(), nil
 	case err := <-e.done:
 		e.live = false
 		if err == nil {
 			err = errors.New("resilience: world ended before finishing its segment")
 		}
-		return mhd.Diagnostics{}, err
+		return mhd.Diagnostics{}, e.ranDT(), err
 	}
+}
+
+func (e *worldExec) ranDT() float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.dt
 }
 
 func (e *worldExec) close() error {
@@ -107,7 +137,7 @@ func (e *worldExec) close() error {
 func (e *worldExec) post(o order) {
 	e.mu.Lock()
 	o.seq = e.ord.seq + 1
-	e.ord = o
+	e.ord, e.dt = o, 0
 	e.mu.Unlock()
 	e.cond.Broadcast()
 }
@@ -127,7 +157,7 @@ func (e *worldExec) await(after int) order {
 // rank in the runtime until the gather ends, so any failure reaches all.
 func (e *worldExec) launch(first order) {
 	e.cond = sync.NewCond(&e.mu)
-	e.ord, e.live = first, true
+	e.ord, e.dt, e.live = first, 0, true
 	e.out, e.done = make(chan mhd.Diagnostics, 1), make(chan error, 1)
 	state := func(epoch int) (*snapshot.Interior, error) {
 		o := e.await(-1)
@@ -139,8 +169,14 @@ func (e *worldExec) launch(first order) {
 	go func() {
 		e.done <- core.RunRanksFrom(e.cfg.Core, e.layout, e.rc, e.cfg.Telemetry, state, func(w *mpi.Comm, r *decomp.Rank, _ *obs.RankRec) {
 			for o := e.await(-1); !o.stop; {
+				dt := o.stepDT(r.EstimateDT, e.cfg.Core.SafetyFactor)
+				if w.Rank() == 0 {
+					e.mu.Lock()
+					e.dt = dt
+					e.mu.Unlock()
+				}
 				for i := 0; i < o.steps; i++ {
-					r.Advance(o.dt)
+					r.Advance(dt)
 				}
 				d := r.Diagnose()
 				r.GatherInterior(o.into)

@@ -72,10 +72,24 @@ type oracleExec struct {
 	last   *snapshot.Interior
 }
 
-func (e *oracleExec) run(o order) (mhd.Diagnostics, error) {
+func (e *oracleExec) run(o order) (mhd.Diagnostics, float64, error) {
 	src := o.state
 	if src == nil {
 		src = e.last
+	}
+	// The reference dt: a serial solver rebuilt from the segment's start
+	// state estimates it, as the campaign loop did before executors
+	// estimated from the state they step.
+	dt := o.dt
+	if dt == 0 {
+		sv, err := src.Solver()
+		if err != nil {
+			return mhd.Diagnostics{}, 0, err
+		}
+		dt = sv.EstimateDT(e.cfg.Core.SafetyFactor)
+		for i := 0; i < o.halvings; i++ {
+			dt *= retryBackoff
+		}
 	}
 	var (
 		next *snapshot.Interior
@@ -83,13 +97,13 @@ func (e *oracleExec) run(o order) (mhd.Diagnostics, error) {
 		err  error
 	)
 	if e.layout == nil {
-		next, diag, err = runSerialSegment(src, o.dt, o.steps)
+		next, diag, err = runSerialSegment(src, dt, o.steps)
 	} else {
-		next, diag, err = runSegment(e.cfg.Core, e.layout, e.rc, e.cfg.Telemetry, src, o.dt, o.steps, o.reload)
+		next, diag, err = runSegment(e.cfg.Core, e.layout, e.rc, e.cfg.Telemetry, src, dt, o.steps, o.reload)
 	}
 	if err != nil {
 		e.last = nil
-		return diag, err
+		return diag, dt, err
 	}
 	o.into.Spec, o.into.Prm, o.into.Time, o.into.Step = next.Spec, next.Prm, next.Time, next.Step
 	for pi := range next.Fields {
@@ -98,7 +112,7 @@ func (e *oracleExec) run(o order) (mhd.Diagnostics, error) {
 		}
 	}
 	e.last = o.into
-	return diag, nil
+	return diag, dt, nil
 }
 
 // withExecutor runs fn with newExecutor replaced by mk.
@@ -149,9 +163,9 @@ func TestPersistentWorldMatchesRelaunchOracle(t *testing.T) {
 	scenarios := []scenario{
 		{name: "clean", setup: func(*Config) {}, launches: 1, minProcs: 1},
 		{name: "blowup", setup: func(cfg *Config) {
-			cfg.Perturb = func(seg, attempt int, sv *mhd.Solver) {
+			cfg.Perturb = func(seg, attempt int, in *snapshot.Interior) {
 				if seg == 1 && attempt == 0 {
-					data := sv.Panels[0].U.Rho.Data
+					data := in.Fields[0][0]
 					data[len(data)/2] = math.NaN()
 				}
 			}
@@ -187,7 +201,7 @@ func TestPersistentWorldMatchesRelaunchOracle(t *testing.T) {
 				}
 				layout, err := decomp.NewLayout(cfg.Core.Spec(), cfg.NProcs)
 				w := &worldExec{cfg: cfg, layout: layout, rc: rc}
-				run := func(o order) (mhd.Diagnostics, error) {
+				run := func(o order) (mhd.Diagnostics, float64, error) {
 					if !w.live {
 						launches++
 					}

@@ -16,7 +16,6 @@ package resilience
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -52,8 +51,8 @@ type Config struct {
 	// committed at every multiple (default: Steps, one segment).
 	CheckpointEvery int
 	// Dir is the campaign directory holding checkpoints and, on
-	// failure, the post-mortem. Required unless Store is set; created
-	// if missing.
+	// failure, the post-mortem: the root of a store.DirBackend.
+	// Required unless Store is set; created if missing.
 	Dir string
 	// Store, when non-nil, replaces the loose-file directory with the
 	// content-addressed artifact store: checkpoints dedup by sha256
@@ -98,16 +97,18 @@ type Config struct {
 	// Requires NProcs > 1; silent deaths additionally need Heartbeat.
 	Replace *mpi.Elastic
 	// DTSchedule overrides the per-segment time step (indexed by
-	// segment); segments beyond its length auto-estimate. Replaying a
-	// finished campaign's Result.DTs reproduces its committed
+	// segment); segments beyond its length, and entries <= 0, let the
+	// executor estimate dt from the state it is about to step. Replaying
+	// a finished campaign's Result.DTs reproduces its committed
 	// trajectory bit-identically.
 	DTSchedule []float64
-	// Perturb, when set, mutates the state a segment starts from — a
-	// test hook for injecting mid-campaign blow-ups; the perturbed state
-	// is scattered into the world. A segment re-entered after a rank
-	// replacement restores from its committed checkpoint, unperturbed.
-	//yyvet:ignore knob ROADMAP 18 (perturb an Interior); blow-up tests in resilience_test.go, elastic_test.go, oracle_test.go and telemetry_test.go
-	Perturb func(seg, attempt int, sv *mhd.Solver)
+	// Perturb, when set, edits a copy of the state a segment starts
+	// from — a test hook for injecting mid-campaign blow-ups; the
+	// perturbed copy is scattered into the world. A segment re-entered
+	// after a rank replacement restores from its committed checkpoint,
+	// unperturbed.
+	//yyvet:ignore knob test hook: blow-up tests in resilience_test.go, oracle_test.go and telemetry_test.go, the disk-rot step of elastic_test.go
+	Perturb func(seg, attempt int, in *snapshot.Interior)
 	// Obs, when non-nil, records the whole campaign into one shared
 	// observability recorder: every segment's rank spans land on the
 	// same per-rank tracks, checkpoint reads/writes land on the driver
@@ -240,12 +241,10 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 	if cfg.Dir == "" && cfg.Store == nil {
 		return nil, fmt.Errorf("resilience: campaign needs a directory or a store for checkpoints")
 	}
-	if cfg.Store == nil {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, err
-		}
+	sink, err := cfg.sink()
+	if err != nil {
+		return nil, err
 	}
-	sink := cfg.sink()
 	spec := cfg.Core.Spec()
 	// One shared log across every segment and retry: the post-mortem can
 	// then show the whole campaign's fault history, not just the last
@@ -462,39 +461,24 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 				recMu.Unlock()
 				state = st
 			}
-			var dt float64
-			if segIdx < len(cfg.DTSchedule) {
-				dt = cfg.DTSchedule[segIdx]
-			} else {
-				sv, err := state.Solver()
-				if err != nil {
-					return res, err
-				}
-				dt = sv.EstimateDT(cfg.Core.SafetyFactor)
-				for b := 0; b < blowUps; b++ {
-					dt *= retryBackoff
-				}
-			}
 			if spare == nil {
 				spare = snapshot.NewInterior(spec, *cfg.Core.Params)
 			}
-			o := order{dt: dt, steps: n, into: spare, reload: reload}
+			o := order{steps: n, halvings: blowUps, into: spare, reload: reload}
+			if segIdx < len(cfg.DTSchedule) {
+				o.dt = cfg.DTSchedule[segIdx]
+			}
 			if !synced {
 				o.state = state
 			}
 			if cfg.Perturb != nil {
-				sv, err := state.Solver()
-				if err != nil {
-					return res, err
-				}
-				cfg.Perturb(segIdx, attempt, sv)
-				o.state = snapshot.InteriorOf(sv)
+				o.state = state.Clone()
+				cfg.Perturb(segIdx, attempt, o.state)
 			}
 			recMu.Lock()
 			curSeg, curAttempt = segIdx, attempt
 			recMu.Unlock()
 			plane.SegmentStart(segIdx, attempt)
-			events.Notef("note", "segment start=%d steps=%d attempt=%d dt=%.6g", segStart, n, attempt, dt)
 			// Continuous profiling: bracket the attempt with a CPU
 			// profile. Profiling is signal-driven and process-global — it
 			// perturbs scheduling, never arithmetic — so the committed
@@ -503,8 +487,11 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 			if plane.ProfileSegments() {
 				prof = telemetry.StartSegProfile()
 			}
-			diag, err := exec.run(o)
+			diag, dt, err := exec.run(o)
 			cpuProfile := prof.Stop()
+			// The executor picked dt from the state it stepped; the note
+			// follows the attempt (dt=0: the world died before choosing).
+			events.Notef("note", "segment start=%d steps=%d attempt=%d dt=%.6g", segStart, n, attempt, dt)
 			if err == nil {
 				err = validate(o.into)
 			}
@@ -535,17 +522,17 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 				// checkpoint. Best-effort: a campaign never fails over a
 				// lost profile.
 				if plane.ProfileSegments() {
-					var arts []runArtifact
+					var arts []Artifact
 					if len(cpuProfile) > 0 {
-						arts = append(arts, runArtifact{
-							name: fmt.Sprintf("profile-cpu-%09d.pb.gz", state.Step),
-							role: "profile.cpu", data: cpuProfile,
+						arts = append(arts, Artifact{
+							Name: fmt.Sprintf("profile-cpu-%09d.pb.gz", state.Step),
+							Role: "profile.cpu", Data: cpuProfile,
 						})
 					}
 					if heap := telemetry.HeapProfile(); len(heap) > 0 {
-						arts = append(arts, runArtifact{
-							name: fmt.Sprintf("profile-heap-%09d.pb.gz", state.Step),
-							role: "profile.heap", data: heap,
+						arts = append(arts, Artifact{
+							Name: fmt.Sprintf("profile-heap-%09d.pb.gz", state.Step),
+							Role: "profile.heap", Data: heap,
 						})
 					}
 					if err := sink.artifacts(state.Step, "profiles", arts); err != nil {

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/mhd"
 	"repro/internal/mpi"
+	"repro/internal/snapshot"
 )
 
 // testConfig is a small 2-rank campaign that runs in well under a
@@ -39,13 +39,13 @@ func TestCampaignCleanRun(t *testing.T) {
 		t.Errorf("clean run: FinalStep=%d Diags=%d DTs=%d Retries=%d",
 			res.FinalStep, len(res.Diags), len(res.DTs), res.Retries)
 	}
-	steps, err := listCheckpoints(cfg.Dir)
+	kept, err := filepath.Glob(filepath.Join(cfg.Dir, "ckpt-*"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Keep defaults to 2: the newest two of {0, 2, 4, 6} survive.
-	if len(steps) != 2 || steps[0] != 4 || steps[1] != 6 {
-		t.Errorf("kept checkpoints %v, want [4 6]", steps)
+	if len(kept) != 2 || kept[0] != filepath.Join(cfg.Dir, ckptName(4)) || kept[1] != filepath.Join(cfg.Dir, ckptName(6)) {
+		t.Errorf("kept checkpoints %v, want steps 4 and 6", kept)
 	}
 }
 
@@ -56,9 +56,9 @@ func TestCampaignCleanRun(t *testing.T) {
 // same effective dt schedule.
 func TestRollbackBackoffBitIdentical(t *testing.T) {
 	faulted := testConfig(t, 6, 2)
-	faulted.Perturb = func(seg, attempt int, sv *mhd.Solver) {
+	faulted.Perturb = func(seg, attempt int, in *snapshot.Interior) {
 		if seg == 1 && attempt == 0 {
-			data := sv.Panels[0].U.Rho.Data
+			data := in.Fields[0][0]
 			data[len(data)/2] = math.NaN()
 		}
 	}
@@ -222,9 +222,9 @@ func TestDroppedMessageRetries(t *testing.T) {
 func TestPostmortemOnExhaustedRetries(t *testing.T) {
 	cfg := testConfig(t, 4, 2)
 	cfg.MaxRetries = 2
-	cfg.Perturb = func(seg, attempt int, sv *mhd.Solver) {
+	cfg.Perturb = func(seg, attempt int, in *snapshot.Interior) {
 		if seg == 1 {
-			data := sv.Panels[0].U.Rho.Data
+			data := in.Fields[0][0]
 			data[len(data)/2] = math.NaN()
 		}
 	}

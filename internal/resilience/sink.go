@@ -15,12 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -64,23 +62,16 @@ type ckptSink interface {
 	// profiles, traces, run reports): loose files beside the
 	// checkpoints for the directory sink, blobs pinned by one ledger
 	// manifest for the store sink. An empty list is a no-op.
-	artifacts(step int, note string, arts []runArtifact) error
+	artifacts(step int, note string, arts []Artifact) error
 }
 
-// runArtifact is one auxiliary blob a campaign commits beside its
+// Artifact is one auxiliary blob a campaign commits beside its
 // checkpoints: a segment CPU/heap profile, a Chrome trace, a run
 // report.
-type runArtifact struct {
-	// name is the artifact's file/ref name; role classifies it in the
-	// ledger ("profile.cpu", "profile.heap", "trace", "report").
-	name, role string
-	data       []byte
-}
-
-// Artifact is one post-run artifact for CommitArtifacts.
 type Artifact struct {
-	// Name is the artifact's ref name inside the run's namespace; Role
-	// classifies it in the ledger manifest ("trace", "report").
+	// Name is the artifact's file/ref name inside the run's namespace;
+	// Role classifies it in the ledger manifest ("profile.cpu",
+	// "profile.heap", "trace", "report").
 	Name, Role string
 	Data       []byte
 }
@@ -98,51 +89,57 @@ func CommitArtifacts(st *store.Store, runID string, step int, note string, arts 
 		runID = "campaign"
 	}
 	s := &storeSink{st: st, run: runID}
-	ra := make([]runArtifact, 0, len(arts))
-	for _, a := range arts {
-		ra = append(ra, runArtifact{name: a.Name, role: a.Role, data: a.Data})
-	}
-	return s.artifacts(step, note, ra)
+	return s.artifacts(step, note, arts)
 }
 
 // sink builds the campaign's storage substrate from its config.
-func (c Config) sink() ckptSink {
+func (c Config) sink() (ckptSink, error) {
 	if c.Store != nil {
 		run := c.RunID
 		if run == "" {
 			run = "campaign"
 		}
-		return &storeSink{st: c.Store, run: run}
+		return &storeSink{st: c.Store, run: run}, nil
 	}
-	return &dirSink{dir: c.Dir}
-}
-
-// dirSink is the loose-files substrate: checkpoints under
-// Config.Dir/ckpt-*.yyck, postmortem.txt beside them.
-type dirSink struct {
-	dir string
-}
-
-func (d *dirSink) sweep() ([]string, error) {
-	entries, err := os.ReadDir(d.dir)
+	b, err := store.NewDirBackend(c.Dir)
 	if err != nil {
 		return nil, err
 	}
-	var swept []string
-	for _, e := range entries {
-		if e.IsDir() || !strings.Contains(e.Name(), ".tmp-") {
-			continue
-		}
-		if err := os.Remove(filepath.Join(d.dir, e.Name())); err != nil {
-			return nil, fmt.Errorf("resilience: sweeping orphan temp %s: %w", e.Name(), err)
-		}
-		swept = append(swept, e.Name())
+	return &dirSink{dir: c.Dir, b: b}, nil
+}
+
+// dirSink is the loose-files substrate: a store.DirBackend rooted at
+// Config.Dir holding ckpt-*.yyck, with postmortem.txt and profiles
+// beside them. Every write goes through the backend's one commit path.
+type dirSink struct {
+	dir string
+	b   *store.DirBackend
+	// enc is the encode buffer every commit reuses (Put keeps no bytes).
+	enc bytes.Buffer
+}
+
+func (d *dirSink) sweep() ([]string, error) {
+	return d.b.SweepTemps()
+}
+
+// ckptSteps lists the directory's checkpoint steps ascending.
+func (d *dirSink) ckptSteps() ([]int, error) {
+	names, err := d.b.List(ckptPrefix)
+	if err != nil {
+		return nil, err
 	}
-	return swept, nil
+	var steps []int
+	for _, name := range names {
+		if step, ok := ckptStep(name); ok {
+			steps = append(steps, step)
+		}
+	}
+	sort.Ints(steps)
+	return steps, nil
 }
 
 func (d *dirSink) newest(spec grid.Spec) (*snapshot.Interior, []string, error) {
-	steps, err := listCheckpoints(d.dir)
+	steps, err := d.ckptSteps()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -150,52 +147,44 @@ func (d *dirSink) newest(spec grid.Spec) (*snapshot.Interior, []string, error) {
 }
 
 func (d *dirSink) write(in *snapshot.Interior, _ segMeta) error {
-	_, err := writeCheckpointFile(d.dir, in)
-	if errors.Is(err, syscall.ENOSPC) {
-		// Surface a full disk as the typed error so callers (and the
-		// campaign's own abort path) can tell it apart from transient
-		// faults that deserve the retry ladder.
-		return &store.DiskFullError{Path: d.dir, Err: err}
+	d.enc.Reset()
+	if err := in.Encode(&d.enc); err != nil {
+		return fmt.Errorf("resilience: encoding checkpoint: %w", err)
 	}
-	return err
+	return d.b.Put(ckptName(in.Step), d.enc.Bytes())
 }
 
 func (d *dirSink) segment(step int) (*snapshot.Interior, error) {
-	path := filepath.Join(d.dir, ckptName(step))
-	f, err := os.Open(path)
+	data, err := d.b.Get(ckptName(step))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	in, err := snapshot.ReadInterior(f)
+	in, err := snapshot.ReadInterior(bytes.NewReader(data))
 	if err != nil {
-		return nil, fmt.Errorf("snapshot: %s: %w", path, err)
+		return nil, fmt.Errorf("snapshot: %s: %w", filepath.Join(d.dir, ckptName(step)), err)
 	}
 	return in, nil
 }
 
 func (d *dirSink) prune(keep int) error {
-	steps, err := listCheckpoints(d.dir)
+	steps, err := d.ckptSteps()
 	if err != nil {
 		return err
 	}
-	return pruneOldest(steps, keep, func(step int) error {
-		return os.Remove(filepath.Join(d.dir, ckptName(step)))
-	})
+	return pruneOldest(steps, keep, func(step int) error { return d.b.Remove(ckptName(step)) })
 }
 
 func (d *dirSink) postmortem(text string) string {
-	path := filepath.Join(d.dir, postmortemName)
-	if err := store.WriteFileAtomic(path, []byte(text), 0o644); err != nil {
+	if err := d.b.Put(postmortemName, []byte(text)); err != nil {
 		return ""
 	}
-	return path
+	return filepath.Join(d.dir, postmortemName)
 }
 
-func (d *dirSink) artifacts(_ int, _ string, arts []runArtifact) error {
+func (d *dirSink) artifacts(_ int, _ string, arts []Artifact) error {
 	for _, a := range arts {
-		if err := store.WriteFileAtomic(filepath.Join(d.dir, a.name), a.data, 0o644); err != nil {
-			return fmt.Errorf("resilience: writing artifact %s: %w", a.name, err)
+		if err := d.b.Put(a.Name, a.Data); err != nil {
+			return fmt.Errorf("resilience: writing artifact %s: %w", a.Name, err)
 		}
 	}
 	return nil
@@ -207,9 +196,6 @@ func (d *dirSink) artifacts(_ int, _ string, arts []runArtifact) error {
 type storeSink struct {
 	st  *store.Store
 	run string
-	// committed counts ledger entries this campaign appended (Note
-	// context only; the chain itself lives in the store).
-	committed int
 	// enc is the encode buffer every commit reuses (Put keeps no bytes).
 	enc bytes.Buffer
 }
@@ -286,11 +272,8 @@ func (s *storeSink) write(in *snapshot.Interior, meta segMeta) error {
 	if meta.events != nil {
 		m.EventDigest = digestEvents(meta.events)
 	}
-	if _, err := s.st.Append(m); err != nil {
-		return err
-	}
-	s.committed++
-	return nil
+	_, err = s.st.Append(m)
+	return err
 }
 
 func (s *storeSink) segment(step int) (*snapshot.Interior, error) {
@@ -346,21 +329,21 @@ func (s *storeSink) postmortem(text string) string {
 // artifacts puts every blob, points a run-namespaced ref at each (so
 // `yystore ls` shows them and gc marks them live), and pins the whole
 // batch with one ledger manifest.
-func (s *storeSink) artifacts(step int, note string, arts []runArtifact) error {
+func (s *storeSink) artifacts(step int, note string, arts []Artifact) error {
 	if len(arts) == 0 {
 		return nil
 	}
 	m := store.Manifest{Run: s.run, Step: step, Note: note}
 	for _, a := range arts {
-		h, err := s.st.Put(a.data)
+		h, err := s.st.Put(a.Data)
 		if err != nil {
 			return err
 		}
-		if err := s.st.SetRef("runs/"+s.run+"/"+a.name, h); err != nil {
+		if err := s.st.SetRef("runs/"+s.run+"/"+a.Name, h); err != nil {
 			return err
 		}
 		m.Artifacts = append(m.Artifacts, store.Artifact{
-			Name: a.name, Role: a.role, Hash: h, Size: int64(len(a.data)),
+			Name: a.Name, Role: a.Role, Hash: h, Size: int64(len(a.Data)),
 		})
 	}
 	if _, err := s.st.Append(m); err != nil {

@@ -9,9 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/mhd"
 	"repro/internal/mpi"
 	"repro/internal/obs"
+	"repro/internal/snapshot"
 	"repro/internal/telemetry"
 )
 
@@ -206,9 +206,9 @@ func TestCampaignAlertReachesPostmortem(t *testing.T) {
 	// retry is perturbed into a blow-up, so the campaign aborts with a
 	// post-mortem.
 	cfg.Faults = mpi.NewFaultPlan().Kill(1, 1)
-	cfg.Perturb = func(seg, attempt int, sv *mhd.Solver) {
+	cfg.Perturb = func(seg, attempt int, in *snapshot.Interior) {
 		if attempt > 0 {
-			data := sv.Panels[0].U.Rho.Data
+			data := in.Fields[0][0]
 			data[len(data)/2] = math.NaN()
 		}
 	}

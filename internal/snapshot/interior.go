@@ -48,6 +48,18 @@ func InteriorOf(sv *mhd.Solver) *Interior {
 	return in
 }
 
+// Clone returns a deep copy of in.
+func (in *Interior) Clone() *Interior {
+	cp := NewInterior(in.Spec, in.Prm)
+	cp.Time, cp.Step = in.Time, in.Step
+	for pi := range in.Fields {
+		for si := range in.Fields[pi] {
+			copy(cp.Fields[pi][si], in.Fields[pi][si])
+		}
+	}
+	return cp
+}
+
 // Capture overwrites in, which must hold the solver's grid, with the
 // solver's interior state and clock.
 func (in *Interior) Capture(sv *mhd.Solver) {

@@ -109,7 +109,7 @@ func wrapENOSPC(path string, err error) error {
 	return err
 }
 
-// Put commits data under name via the atomic path. With a fault plan
+// Put commits data under name through commitFile. With a fault plan
 // installed, each step offers the plan a chance to misbehave the way a
 // real disk or a crash would: short write, flipped bit after commit,
 // ENOSPC, or death before/after the rename.
@@ -123,18 +123,31 @@ func (b *DirBackend) Put(name string, data []byte) error {
 	if b.faults != nil {
 		f = b.faults.take(op, name)
 	}
-
 	path := filepath.Join(b.root, filepath.FromSlash(name))
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return wrapENOSPC(dir, err)
 	}
+	return commitFile(path, data, 0, f)
+}
 
+// commitHook observes commitFile's durability sequence — ("sync-file",
+// temp), ("rename", path), ("sync-dir", dir) in order. Test seam only.
+var commitHook = func(op, path string) {}
+
+// commitFile is the one durable write path, Put's and
+// WriteFileAtomic's: data goes to a temp file in path's directory (so
+// the rename cannot cross devices), is fsynced, renamed over path, and
+// the directory is fsynced. The rename keeps a crash mid-write from
+// leaving a torn file under the final name; the two fsyncs keep a host
+// crash right after it from leaving a zero-length (data never flushed)
+// or unlinked (entry never flushed) one. perm 0 keeps CreateTemp's
+// 0600. A non-nil fault (Put's plan) fires at its step.
+func commitFile(path string, data []byte, perm os.FileMode, f *Fault) error {
+	dir := filepath.Dir(path)
 	if f != nil && f.Kind == FaultENOSPC {
 		return &DiskFullError{Path: path, Err: syscall.ENOSPC}
 	}
-
-	// Temp in the same directory so the rename cannot cross devices.
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+tmpMarker+"*")
 	if err != nil {
 		return wrapENOSPC(dir, err)
@@ -163,9 +176,16 @@ func (b *DirBackend) Put(name string, data []byte) error {
 		os.Remove(tmpName)
 		return wrapENOSPC(tmpName, err)
 	}
+	commitHook("sync-file", tmpName)
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmpName)
 		return wrapENOSPC(tmpName, err)
+	}
+	if perm != 0 {
+		if err := os.Chmod(tmpName, perm); err != nil {
+			os.Remove(tmpName)
+			return err
+		}
 	}
 
 	if f != nil && f.Kind == FaultCrashBeforeRename {
@@ -178,6 +198,7 @@ func (b *DirBackend) Put(name string, data []byte) error {
 		os.Remove(tmpName)
 		return wrapENOSPC(path, err)
 	}
+	commitHook("rename", path)
 
 	if f != nil && f.Kind == FaultCrashAfterRename {
 		// Death after the commit point but before the directory sync:
@@ -188,6 +209,7 @@ func (b *DirBackend) Put(name string, data []byte) error {
 	if err := syncDir(dir); err != nil {
 		return err
 	}
+	commitHook("sync-dir", dir)
 
 	if f != nil && f.Kind == FaultBitFlip {
 		// Silent bit rot: the Put succeeds, the media lies later.
@@ -300,38 +322,9 @@ func (b *DirBackend) SweepTemps() ([]string, error) {
 	return temps, nil
 }
 
-// WriteFileAtomic is the exported one-shot form of the backend's commit
-// path — temp in the same dir, write, fsync, rename, dir-fsync — for
-// call sites that need a durable standalone file (postmortems, reports)
-// rather than a store blob.
+// WriteFileAtomic commits a standalone file (postmortem, report,
+// corpus JSON) rather than a store blob through the backend's one
+// write path, commitFile, with the caller's permissions.
 func WriteFileAtomic(path string, data []byte, perm os.FileMode) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+tmpMarker+"*")
-	if err != nil {
-		return wrapENOSPC(dir, err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return wrapENOSPC(tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return wrapENOSPC(tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return wrapENOSPC(tmpName, err)
-	}
-	if err := os.Chmod(tmpName, perm); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return wrapENOSPC(path, err)
-	}
-	return syncDir(dir)
+	return commitFile(path, data, perm, nil)
 }

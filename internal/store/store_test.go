@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 )
@@ -274,6 +275,66 @@ func TestWriteFileAtomic(t *testing.T) {
 	ents, _ := os.ReadDir(dir)
 	if len(ents) != 1 {
 		t.Fatalf("dir holds %d entries after atomic writes, want 1 (no temps)", len(ents))
+	}
+}
+
+// TestCommitDurabilitySequence asserts the write-rename-sync order of
+// commitFile through both of its callers, a backend Put and
+// WriteFileAtomic: the payload is fsynced before the rename, and the
+// directory is fsynced after it — the sequence that keeps a host crash
+// from leaving a zero-length or unlinked file under the final name.
+// Put keeps CreateTemp's 0600; WriteFileAtomic applies the caller's
+// mode.
+func TestCommitDurabilitySequence(t *testing.T) {
+	root := t.TempDir()
+	b, err := NewDirBackend(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		final  string
+		mode   os.FileMode
+		commit func() error
+	}{
+		{"put", filepath.Join(root, "runs", "ckpt-000000002"), 0o600, func() error {
+			return b.Put("runs/ckpt-000000002", []byte("checkpoint"))
+		}},
+		{"write-file-atomic", filepath.Join(root, "postmortem.txt"), 0o640, func() error {
+			return WriteFileAtomic(filepath.Join(root, "postmortem.txt"), []byte("account"), 0o640)
+		}},
+	} {
+		var ops, paths []string
+		commitHook = func(op, path string) {
+			ops = append(ops, op)
+			paths = append(paths, path)
+		}
+		err := tc.commit()
+		commitHook = func(string, string) {}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := []string{"sync-file", "rename", "sync-dir"}; fmt.Sprint(ops) != fmt.Sprint(want) {
+			t.Fatalf("%s: durability sequence %v, want %v", tc.name, ops, want)
+		}
+		// The file fsync targets the temp file (pre-rename), the
+		// directory fsync the committed file's directory.
+		if !strings.Contains(paths[0], tmpMarker) {
+			t.Errorf("%s: sync-file hit %q, want the temp file", tc.name, paths[0])
+		}
+		if paths[1] != tc.final {
+			t.Errorf("%s: rename produced %q, want %q", tc.name, paths[1], tc.final)
+		}
+		if paths[2] != filepath.Dir(tc.final) {
+			t.Errorf("%s: sync-dir hit %q, want %q", tc.name, paths[2], filepath.Dir(tc.final))
+		}
+		fi, err := os.Stat(tc.final)
+		if err != nil {
+			t.Fatalf("%s: committed file missing: %v", tc.name, err)
+		}
+		if fi.Mode().Perm() != tc.mode {
+			t.Errorf("%s: mode %v, want %v", tc.name, fi.Mode().Perm(), tc.mode)
+		}
 	}
 }
 
