@@ -4,6 +4,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/perfcount"
+	"repro/internal/simd"
 	"repro/internal/sphops"
 )
 
@@ -180,7 +181,19 @@ func derivColumnR(pl *Panel, u *State, s *rhsRows, j, k int) {
 	vpp, vpm, vpc := vpR[h+1:][:n], vpR[h-1:][:n], vpR[h:][:n]
 	tfp, tfm, tfc := ftR[h+1:][:n], ftR[h-1:][:n], ftR[h:][:n]
 	pfp, pfm, pfc := fpR[h+1:][:n], fpR[h-1:][:n], fpR[h:][:n]
-	for i := 0; i < n; i++ {
+	lo := 0
+	if simd.AVX2 {
+		var a derivRArgs
+		a.n, a.c1, a.c2 = n&^3, c1, c2
+		a.invr, a.p, a.fr, a.ft, a.fp = &invr[0], &ppR[h], &frR[h], &ftR[h], &fpR[h]
+		a.g, a.t, a.vr, a.vt, a.vp = &gR[h], &tR[h], &vrR[h], &vtR[h], &vpR[h]
+		a.dP, a.dF, a.gD, a.lT, a.v1r = &dP[0], &dF[0], &gD[0], &lT[0], &v1r[0]
+		a.v1t, a.v1p, a.l0, a.l1, a.l2 = &v1t[0], &v1p[0], &l0[0], &l1[0], &l2[0]
+		a.a0, a.a1, a.a2 = &a0[0], &a1[0], &a2[0]
+		derivRLanes(&a)
+		lo = a.n
+	}
+	for i := lo; i < n; i++ {
 		ir := invr[i]
 		dP[i] = c1 * (pp[i] - pm[i])
 		dF[i] = c1*(fpw[i]-fm[i]) + 2*fc[i]*ir
@@ -344,7 +357,24 @@ func derivColumnT(pl *Panel, u *State, s *rhsRows, j, k int) {
 		vpp, vpm, vpc := w(pl.V.P, j+1), w(pl.V.P, j-1), w(pl.V.P, j)
 		frp, frm, frc := w(u.F.R, j+1), w(u.F.R, j-1), w(u.F.R, j)
 		fpp, fpm, fpc := w(u.F.P, j+1), w(u.F.P, j-1), w(u.F.P, j)
-		for i := 0; i < n; i++ {
+		lo := 0
+		if simd.AVX2 {
+			var a derivTArgs
+			a.n, a.c1, a.c2, a.cot = n&^3, c1, c2, cot
+			a.invr, a.invr2 = &invr[0], &invr2[0]
+			a.pp, a.pm, a.fpw, a.fm, a.fc = &pp[0], &pm[0], &fpw[0], &fm[0], &fc[0]
+			a.gp, a.gm, a.tp, a.tm, a.tc = &gp[0], &gm[0], &tp[0], &tm[0], &tc[0]
+			a.vrp, a.vrm, a.vrc, a.vtp, a.vtm = &vrp[0], &vrm[0], &vrc[0], &vtp[0], &vtm[0]
+			a.vtc, a.vpp, a.vpm = &vtc[0], &vpp[0], &vpm[0]
+			a.vpc, a.frp, a.frm, a.frc, a.fpp = &vpc[0], &frp[0], &frm[0], &frc[0], &fpp[0]
+			a.fpm, a.fpc = &fpm[0], &fpc[0]
+			a.dP, a.dF, a.gD, a.lT, a.v1r = &dP[0], &dF[0], &gD[0], &lT[0], &v1r[0]
+			a.v1t, a.v1p, a.l0, a.l1, a.l2 = &v1t[0], &v1p[0], &l0[0], &l1[0], &l2[0]
+			a.a0, a.a1, a.a2 = &a0[0], &a1[0], &a2[0]
+			derivTLanes(&a)
+			lo = a.n
+		}
+		for i := lo; i < n; i++ {
 			ir := invr[i]
 			ir2 := invr2[i]
 			dP[i] = c1 * (pp[i] - pm[i])
@@ -465,7 +495,23 @@ func derivColumnP(pl *Panel, u *State, s *rhsRows, j, k int) {
 		vpp, vpm, vpc := w(pl.V.P, k+1), w(pl.V.P, k-1), w(pl.V.P, k)
 		frp, frm := w(u.F.R, k+1), w(u.F.R, k-1)
 		ftp, ftm := w(u.F.T, k+1), w(u.F.T, k-1)
-		for i := 0; i < n; i++ {
+		lo := 0
+		if simd.AVX2 {
+			var a derivPArgs
+			a.n, a.c1, a.c2, a.ist = n&^3, c1, c2, ist
+			a.invr, a.invr2 = &invr[0], &invr2[0]
+			a.pp, a.pm, a.fpw, a.fm, a.gp = &pp[0], &pm[0], &fpw[0], &fm[0], &gp[0]
+			a.gm, a.tp, a.tm, a.tc = &gm[0], &tp[0], &tm[0], &tc[0]
+			a.vrp, a.vrm, a.vrc, a.vtp, a.vtm = &vrp[0], &vrm[0], &vrc[0], &vtp[0], &vtm[0]
+			a.vtc, a.vpp, a.vpm = &vtc[0], &vpp[0], &vpm[0]
+			a.vpc, a.frp, a.frm, a.ftp, a.ftm = &vpc[0], &frp[0], &frm[0], &ftp[0], &ftm[0]
+			a.dP, a.dF, a.gD, a.lT, a.v1r = &dP[0], &dF[0], &gD[0], &lT[0], &v1r[0]
+			a.v1t, a.v1p, a.l0, a.l1, a.l2 = &v1t[0], &v1p[0], &l0[0], &l1[0], &l2[0]
+			a.a0, a.a1, a.a2 = &a0[0], &a1[0], &a2[0]
+			derivPLanes(&a)
+			lo = a.n
+		}
+		for i := lo; i < n; i++ {
 			ir := invr[i]
 			ir2 := invr2[i]
 			dP[i] = c1 * (pp[i] - pm[i])
@@ -569,7 +615,27 @@ func fusedRHSColumn(pl *Panel, prm Params, u, out *State, s *rhsRows, j, k int) 
 	oAt := w(out.A.T.Row(j, k))
 	oAp := w(out.A.P.Row(j, k))
 
-	for i := 0; i < nr; i++ {
+	lo := 0
+	if simd.AVX2 {
+		var a updateArgs
+		a.n, a.cot, a.ist, a.gamma, a.mu, a.kappa = nr&^3, cot, ist, gamma, mu, kappa
+		a.eta, a.g0, a.omR, a.omT, a.omP = eta, g0, omR, omT, omP
+		a.cost, a.ist2 = cost, ist2
+		a.invr, a.invr2, a.vrw, a.vtw, a.vpw = &invr[0], &invr2[0], &vrw[0], &vtw[0], &vpw[0]
+		a.frw, a.ftw, a.fpw = &frw[0], &ftw[0], &fpw[0]
+		a.dPrw, a.dPtw, a.dPpw, a.dFw, a.lTw = &dPrw[0], &dPtw[0], &dPpw[0], &dFw[0], &lTw[0]
+		a.drvr, a.dtvr, a.dpvr, a.drvt, a.dtvt = &drvr[0], &dtvr[0], &dpvr[0], &drvt[0], &dtvt[0]
+		a.dpvt, a.drvp, a.dtvp, a.dpvp = &dpvt[0], &drvp[0], &dtvp[0], &dpvp[0]
+		a.lap0, a.lap1, a.lap2, a.adv0, a.adv1 = &lap0[0], &lap1[0], &lap2[0], &adv0[0], &adv1[0]
+		a.adv2, a.gDrw, a.gDtw, a.gDpw = &adv2[0], &gDrw[0], &gDtw[0], &gDpw[0]
+		a.rho, a.pp, a.br, a.bt, a.bp = &rho[0], &pp[0], &br[0], &bt[0], &bp[0]
+		a.jr, a.jt, a.jp, a.dV = &jr[0], &jt[0], &jp[0], &dV[0]
+		a.oRho, a.oP, a.oFr, a.oFt, a.oFp = &oRho[0], &oP[0], &oFr[0], &oFt[0], &oFp[0]
+		a.oAr, a.oAt, a.oAp = &oAr[0], &oAt[0], &oAp[0]
+		updateLanes(&a)
+		lo = a.n
+	}
+	for i := lo; i < nr; i++ {
 		ir := invr[i]
 		ir2 := invr2[i]
 

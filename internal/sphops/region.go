@@ -4,6 +4,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/grid"
 	"repro/internal/perfcount"
+	"repro/internal/simd"
 )
 
 // Region-restricted, column-fused variants of the operators in ops.go.
@@ -133,7 +134,11 @@ func divColumn(a *colArgs, j, k int, s []float64) {
 			}
 		default:
 			tP, tM := v.T.Row(j+1, k)[h:][:n], v.T.Row(j-1, k)[h:][:n]
-			for i := 0; i < n; i++ {
+			lo := 0
+			if simd.AVX2 {
+				lo = diffPair(ct, bw, tP, tM, nil, nil, nil)
+			}
+			for i := lo; i < n; i++ {
 				bw[i] = ct * (tP[i] - tM[i])
 			}
 		}
@@ -155,7 +160,11 @@ func divColumn(a *colArgs, j, k int, s []float64) {
 			}
 		default:
 			pP, pM := v.P.Row(j, k+1)[h:][:n], v.P.Row(j, k-1)[h:][:n]
-			for i := 0; i < n; i++ {
+			lo := 0
+			if simd.AVX2 {
+				lo = diffPair(cp, cw, pP, pM, nil, nil, nil)
+			}
+			for i := lo; i < n; i++ {
 				cw[i] = cp * (pP[i] - pM[i])
 			}
 		}
@@ -172,7 +181,16 @@ func divColumn(a *colArgs, j, k int, s []float64) {
 	db, dc := dtr[h:][:n], dpr[h:][:n]
 	cot := p.CotT[j]
 	ist := p.InvSinT[j]
-	for i := 0; i < n; i++ {
+	lo := 0
+	if simd.AVX2 {
+		var a divCombineArgs
+		a.n, a.cr, a.cot, a.ist = n&^3, cr, cot, ist
+		a.or, a.vr, a.vt, a.invr = &or[0], &vrR[h], &vt[0], &invr[0]
+		a.db, a.dc = &db[0], &dc[0]
+		divCombineLanes(&a)
+		lo = a.n
+	}
+	for i := lo; i < n; i++ {
 		ir := invr[i]
 		or[i] = (cr * (vrp[i] - vrm[i])) + 2*vr[i]*ir + ir*(db[i]+cot*vt[i]) + ir*ist*dc[i]
 	}
@@ -219,7 +237,11 @@ func curlColumn(cv *colArgs, j, k int, s []float64) {
 		ew, dw := e[h:][:n], d[h:][:n]
 		tp, tm := vtR[h+1:][:n], vtR[h-1:][:n]
 		pp, pm := vpR[h+1:][:n], vpR[h-1:][:n]
-		for i := 0; i < n; i++ {
+		lo := 0
+		if simd.AVX2 {
+			lo = diffPair(cr, ew, tp, tm, dw, pp, pm)
+		}
+		for i := lo; i < n; i++ {
 			ew[i] = cr * (tp[i] - tm[i])
 			dw[i] = cr * (pp[i] - pm[i])
 		}
@@ -256,7 +278,11 @@ func curlColumn(cv *colArgs, j, k int, s []float64) {
 		default:
 			pP, pM := v.P.Row(j+1, k)[h:][:n], v.P.Row(j-1, k)[h:][:n]
 			rP, rM := v.R.Row(j+1, k)[h:][:n], v.R.Row(j-1, k)[h:][:n]
-			for i := 0; i < n; i++ {
+			lo := 0
+			if simd.AVX2 {
+				lo = diffPair(ct, aw, pP, pM, fw, rP, rM)
+			}
+			for i := lo; i < n; i++ {
 				aw[i] = ct * (pP[i] - pM[i])
 				fw[i] = ct * (rP[i] - rM[i])
 			}
@@ -284,7 +310,11 @@ func curlColumn(cv *colArgs, j, k int, s []float64) {
 		default:
 			tP, tM := v.T.Row(j, k+1)[h:][:n], v.T.Row(j, k-1)[h:][:n]
 			rP, rM := v.R.Row(j, k+1)[h:][:n], v.R.Row(j, k-1)[h:][:n]
-			for i := 0; i < n; i++ {
+			lo := 0
+			if simd.AVX2 {
+				lo = diffPair(cp, bw, tP, tM, cw, rP, rM)
+			}
+			for i := lo; i < n; i++ {
 				bw[i] = cp * (tP[i] - tM[i])
 				cw[i] = cp * (rP[i] - rM[i])
 			}
@@ -301,7 +331,17 @@ func curlColumn(cv *colArgs, j, k int, s []float64) {
 	dw, ew, fw := d[h:][:n], e[h:][:n], f[h:][:n]
 	cot := p.CotT[j]
 	ist := p.InvSinT[j]
-	for i := 0; i < n; i++ {
+	lo := 0
+	if simd.AVX2 {
+		var a curlCombineArgs
+		a.n, a.cot, a.ist = n&^3, cot, ist
+		a.orr, a.otr, a.opr, a.vt, a.vp = &orr[0], &otr[0], &opr[0], &vt[0], &vp[0]
+		a.invr, a.aw, a.bw, a.cw = &invr[0], &aw[0], &bw[0], &cw[0]
+		a.dw, a.ew, a.fw = &dw[0], &ew[0], &fw[0]
+		curlCombineLanes(&a)
+		lo = a.n
+	}
+	for i := lo; i < n; i++ {
 		ir := invr[i]
 		orr[i] = ir*(aw[i]+cot*vp[i]) - ir*ist*bw[i]
 		otr[i] = ir*ist*cw[i] - dw[i] - vp[i]*ir

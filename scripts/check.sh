@@ -19,11 +19,19 @@
 #                      this script or a test of its command passes) and
 #                      the directive audit (ignore-audit)
 #   4. go test       — the full test suite (benchmark/'s timing-
-#                      sensitive pipeline test first and alone, then
-#                      the rest package-parallel), which replays every fuzz
+#                      sensitive pipeline test first and alone, then a
+#                      short benchmark run that must leave no process
+#                      behind, then the rest package-parallel), which
+#                      replays every fuzz
 #                      target's seed corpus; the explicit -timeout turns
 #                      any residual runtime wedge into a stack-dumped
 #                      failure instead of a hung CI job
+#   4a. lane paths   — the lane bodies' other side: the numeric
+#                      packages' tests (every golden included) under
+#                      -tags purego, which runs the Go loops the AVX2
+#                      bodies mirror, and an arm64 vet of the packages
+#                      that carry the bodies, which compiles their
+#                      non-amd64 build
 #   4b. fuzz         — five seconds of coverage-guided fuzzing of the
 #                      checkpoint decoder, the trust boundary a resuming
 #                      campaign crosses: no panic, a typed error naming
@@ -89,8 +97,32 @@ go run ./cmd/yyvet -p "${YYVET_PROCS:-0}" ${YYVET_JSON:+-json "$YYVET_JSON"} ${Y
 echo "==> go test -timeout 120s ./benchmark"
 go test -timeout 120s ./benchmark
 
+# A benchmark run re-executes its own binary as measuring children; one
+# that outlived its run would load the host under every later
+# measurement. Run one short workload and fail if any process of that
+# binary is still alive once it has returned.
+bench_out="$(mktemp -d)"
+echo "==> leftover-process guard: benchmark -workload world4_small -seconds 2"
+go build -o "$bench_out/benchmark" ./benchmark
+"$bench_out/benchmark" -workload world4_small -seconds 2 -out "$bench_out/out" >/dev/null
+if pgrep -f "$bench_out/benchmark" >/dev/null; then
+	echo "benchmark run left processes behind:"
+	pgrep -af "$bench_out/benchmark"
+	exit 1
+fi
+rm -rf "$bench_out"
+
 echo "==> go test -timeout 120s ./... (all but ./benchmark)"
 go list ./... | grep -v '^repro/benchmark$' | xargs go test -timeout 120s
+
+# The AVX2 lane bodies replace the interior radial loops only on amd64;
+# everywhere else, and under -tags purego, the Go loops run. Both must
+# keep every golden, and the non-amd64 build must keep compiling.
+echo "==> go test -tags purego -timeout 120s ./internal/mhd ./internal/sphops ./internal/core"
+go test -tags purego -timeout 120s ./internal/mhd ./internal/sphops ./internal/core
+
+echo "==> GOARCH=arm64 go vet ./internal/mhd ./internal/sphops ./internal/simd"
+GOARCH=arm64 go vet ./internal/mhd ./internal/sphops ./internal/simd
 
 echo '==> go test -run=^$ -fuzz=FuzzReadInterior -fuzztime=5s ./internal/snapshot'
 go test -run='^$' -fuzz=FuzzReadInterior -fuzztime=5s ./internal/snapshot
