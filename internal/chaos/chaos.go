@@ -1,14 +1,15 @@
 // Package chaos is a seeded randomized fault-space fuzzer for the
 // self-healing runtime: it generates drop/delay/duplicate/kill
-// schedules over full multi-step decomposed solver runs and checks
-// three properties per scenario —
+// schedules over full multi-step decomposed solver runs, each one
+// resilience.RunCampaign, and checks three properties per scenario —
 //
 //   - liveness: every run terminates, in success or a clean diagnosable
 //     abort, never a wedge;
-//   - safety: a run that completes under message faults produces a
-//     checkpoint byte-identical to the fault-free golden run;
-//   - recoverability: kill schedules converge through a
-//     resilience.RunCampaign rollback.
+//   - safety: a run that completes ends on a checkpoint byte-identical
+//     to the fault-free golden campaign's, and a run under message
+//     faults alone does so without any recovery;
+//   - recoverability: kill schedules converge through rollback or rank
+//     replacement.
 //
 // Scenarios are pure functions of their seed, so any failure replays
 // exactly; failing scenarios minimize (Minimize) to a smallest

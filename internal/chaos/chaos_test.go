@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/resilience"
 )
 
 // TestGenScenarioDeterministic: scenario generation is a pure function
@@ -171,5 +172,30 @@ func TestWedgeGuard(t *testing.T) {
 	o := r.Run(Scenario{Name: "any"})
 	if o.Verdict != Wedge {
 		t.Fatalf("verdict %s, want wedge (a 1ms bound cannot fit a solver run)", o.Verdict)
+	}
+}
+
+// TestMessageFaultRecoveryIsCleanAbort: a message-fault campaign that
+// needed a rollback is a clean abort naming the failed attempt's
+// cause, even though the rollback landed it on the golden bytes: a
+// recovery must not pass for a transport that absorbed its faults. A
+// kill scenario's rollback is its recoverability, and passes.
+func TestMessageFaultRecoveryIsCleanAbort(t *testing.T) {
+	r := NewRunner(Config{})
+	golden, err := r.Golden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &resilience.Result{Recoveries: []resilience.RecoveryDecision{{
+		Mode: resilience.RecoverRollback, Cause: "mpi: retransmit budget exhausted",
+	}}}
+	drop := Scenario{Faults: []FaultSpec{{Comm: 0, Src: 0, Dst: 1, Tag: 100, Action: "drop"}}}
+	o := r.judge(drop, "", res, golden, nil)
+	if o.Verdict != CleanAbort || !strings.Contains(o.Detail, "rollback (mpi: retransmit budget exhausted)") {
+		t.Errorf("message-fault rollback: verdict %s (%s), want %s with the cause", o.Verdict, o.Detail, CleanAbort)
+	}
+	kill := Scenario{Kills: []KillSpec{{Rank: 1, Step: 2}}}
+	if o := r.judge(kill, "", res, golden, nil); o.Verdict != OK {
+		t.Errorf("kill rollback onto the golden bytes: verdict %s (%s), want %s", o.Verdict, o.Detail, OK)
 	}
 }

@@ -15,24 +15,24 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/snapshot"
 	"repro/internal/store"
-	"repro/internal/telemetry"
 )
 
 // Verdict classifies one scenario execution.
 type Verdict string
 
 const (
-	// OK: the run completed and (for message-fault scenarios) matched
-	// the fault-free golden checkpoint byte for byte.
+	// OK: the run completed and matched the fault-free golden
+	// checkpoint byte for byte.
 	OK Verdict = "ok"
-	// CleanAbort: the run terminated with a diagnosable error — liveness
-	// holds, safety is vacuous (nothing was committed).
+	// CleanAbort: the run terminated with a diagnosable error, or a
+	// message-fault run needed a recovery — liveness holds, safety is
+	// vacuous (the transport did not carry the run alone).
 	CleanAbort Verdict = "clean-abort"
 	// Wedge: the scenario did not terminate within WedgeTimeout — a
 	// liveness violation.
 	Wedge Verdict = "wedge"
-	// Mismatch: the run completed under message faults but its
-	// checkpoint differs from the golden run — a safety violation.
+	// Mismatch: the run completed but its checkpoint differs from the
+	// golden run — a safety violation.
 	Mismatch Verdict = "mismatch"
 	// CampaignFailed: a kill schedule did not converge through the
 	// resilience campaign — a recoverability violation.
@@ -75,22 +75,14 @@ func NewRunner(cfg Config) *Runner {
 	return &Runner{cfg: cfg.withDefaults()}
 }
 
-func (r *Runner) coreConfig() core.Config {
-	return core.Config{Nr: gridNr, Nt: gridNt}
-}
-
 // Golden returns the fault-free checkpoint hash for the runner's
-// configuration, computing it on first use.
+// configuration, computing it on first use: one segment of a campaign
+// with no faults, the reference every other run must land on.
 func (r *Runner) Golden() ([32]byte, error) {
 	r.goldenOnce.Do(func() {
-		var buf bytes.Buffer
-		_, err := core.RunParallelCheckpointWith(r.coreConfig(), mpi.RunConfig{Deadline: runDeadline},
-			worldSize, r.cfg.Steps, runDT, &buf)
-		if err != nil {
-			r.goldenErr = fmt.Errorf("chaos: golden run failed: %w", err)
-			return
+		if _, r.golden, r.goldenErr = finalHash(r.config(Scenario{}, nil)); r.goldenErr != nil {
+			r.goldenErr = fmt.Errorf("chaos: golden run failed: %w", r.goldenErr)
 		}
-		r.golden = sha256.Sum256(buf.Bytes())
 	})
 	return r.golden, r.goldenErr
 }
@@ -122,104 +114,97 @@ func (r *Runner) Run(sc Scenario) Outcome {
 	}
 }
 
-// execute runs the scenario to a verdict: kill schedules go through a
-// resilience campaign (recoverability), pure message-fault schedules
-// through a direct solver run whose checkpoint must match the golden
-// hash (safety).
+// config is the campaign a scenario runs, at the fixed dt of every
+// segment. The golden (a nil plan) is one fault-free segment committed
+// in memory. A fault plan adds the reliable transport and the
+// telemetry plane. A kill schedule then cuts the run into two segments
+// to roll back between and adds the heartbeat for silent deaths and,
+// for Replace scenarios, rank replacement; execute gives it a checkpoint
+// directory for its post-mortem.
+func (r *Runner) config(sc Scenario, plan *mpi.FaultPlan) resilience.Config {
+	dts := make([]float64, r.cfg.Steps+1) // more than any segment count
+	for i := range dts {
+		dts[i] = runDT
+	}
+	cfg := resilience.Config{
+		Core:            core.Config{Nr: gridNr, Nt: gridNt},
+		NProcs:          worldSize,
+		Steps:           r.cfg.Steps,
+		CheckpointEvery: r.cfg.Steps,
+		Deadline:        runDeadline,
+		DTSchedule:      dts,
+	}
+	if plan == nil {
+		return cfg
+	}
+	cfg.Faults, cfg.Reliability, cfg.Telemetry = plan, &mpi.Reliability{AckTimeout: ackTimeout}, r.cfg.Telemetry
+	if len(sc.Kills) > 0 {
+		cfg.CheckpointEvery = max(r.cfg.Steps/2, 1)
+		cfg.Heartbeat = &mpi.Heartbeat{Interval: campaignHeartbeat}
+		if sc.Replace {
+			cfg.Replace = &mpi.Elastic{}
+		}
+	}
+	return cfg
+}
+
+// finalHash runs a campaign and hashes its final state's checkpoint.
+func finalHash(cfg resilience.Config) (*resilience.Result, [32]byte, error) {
+	res, err := resilience.RunCampaign(cfg)
+	if err != nil {
+		return res, [32]byte{}, err
+	}
+	var buf bytes.Buffer
+	if err := snapshot.WriteCheckpoint(&buf, res.Final); err != nil {
+		return res, [32]byte{}, fmt.Errorf("hashing campaign final state: %w", err)
+	}
+	return res, sha256.Sum256(buf.Bytes()), nil
+}
+
+// execute runs the scenario's campaign to a verdict. Every campaign
+// must land on the golden bytes (safety). A kill schedule must converge
+// — by checkpointed rollback or, for Replace scenarios, by respawning
+// the dead rank (recoverability). A message-fault schedule must need
+// no recovery at all: the transport absorbs its faults in flight, and a
+// campaign that had to retry is a clean abort, however it ended.
 func (r *Runner) execute(sc Scenario) Outcome {
 	plan, err := sc.plan()
 	if err != nil {
 		return Outcome{Scenario: sc, Verdict: CleanAbort, Detail: err.Error()}
 	}
+	cfg := r.config(sc, plan)
 	if len(sc.Kills) > 0 {
-		return r.executeCampaign(sc, plan)
-	}
-	events := mpi.NewEventLog()
-	cc := r.coreConfig()
-	if r.cfg.Telemetry != nil {
-		r.cfg.Telemetry.Attach(telemetry.Campaign{Run: "chaos", TotalSteps: r.cfg.Steps, Events: events})
-		cc.Telemetry = r.cfg.Telemetry
-	}
-
-	var buf bytes.Buffer
-	_, err = core.RunParallelCheckpointWith(cc, mpi.RunConfig{
-		Deadline:    runDeadline,
-		Faults:      plan,
-		Reliability: &mpi.Reliability{AckTimeout: ackTimeout},
-		Events:      events,
-	}, worldSize, r.cfg.Steps, runDT, &buf)
-	r.cfg.Telemetry.Evaluate()
-	if err != nil {
-		return Outcome{Scenario: sc, Verdict: CleanAbort, Detail: err.Error()}
-	}
-	want, err := r.Golden()
-	if err != nil {
-		return Outcome{Scenario: sc, Verdict: CleanAbort, Detail: err.Error()}
-	}
-	if got := sha256.Sum256(buf.Bytes()); got != want {
-		r.saveArtifacts(sc, "", events.Events())
-		return Outcome{
-			Scenario: sc,
-			Verdict:  Mismatch,
-			Detail:   fmt.Sprintf("checkpoint %x differs from golden %x\ntimeline:\n%s", got, want, events),
+		if cfg.Dir, err = os.MkdirTemp("", "yychaos-*"); err != nil {
+			return Outcome{Scenario: sc, Verdict: CleanAbort, Detail: fmt.Sprintf("campaign tempdir: %v", err)}
 		}
+		defer os.RemoveAll(cfg.Dir)
 	}
-	return Outcome{Scenario: sc, Verdict: OK}
+	res, got, err := finalHash(cfg)
+	return r.judge(sc, cfg.Dir, res, got, err)
 }
 
-// executeCampaign checks recoverability: the killed (and possibly also
-// message-faulted) run must converge through the resilience campaign —
-// by checkpointed rollback, or, for Replace scenarios, by surgically
-// respawning the dead rank — and the converged final state must be
-// byte-identical to the fault-free golden run.
-func (r *Runner) executeCampaign(sc Scenario, plan *mpi.FaultPlan) Outcome {
-	dir, err := os.MkdirTemp("", "yychaos-*")
-	if err != nil {
-		return Outcome{Scenario: sc, Verdict: CleanAbort, Detail: fmt.Sprintf("campaign tempdir: %v", err)}
-	}
-	defer os.RemoveAll(dir)
-
-	every := r.cfg.Steps / 2
-	if every < 1 {
-		every = 1
-	}
-	rcfg := resilience.Config{
-		Core:            r.coreConfig(),
-		NProcs:          worldSize,
-		Steps:           r.cfg.Steps,
-		CheckpointEvery: every,
-		Dir:             dir,
-		Deadline:        runDeadline,
-		Faults:          plan,
-		Reliability:     &mpi.Reliability{AckTimeout: ackTimeout},
-		Heartbeat:       &mpi.Heartbeat{Interval: campaignHeartbeat},
-		DTSchedule:      dtSchedule(r.cfg),
-		Telemetry:       r.cfg.Telemetry,
-	}
-	if sc.Replace {
-		rcfg.Replace = &mpi.Elastic{}
-	}
-	res, err := resilience.RunCampaign(rcfg)
-	if err != nil {
+// judge turns a scenario's campaign result into its verdict; dir is
+// the campaign's checkpoint directory ("" in memory).
+func (r *Runner) judge(sc Scenario, dir string, res *resilience.Result, got [32]byte, err error) Outcome {
+	kills := len(sc.Kills) > 0
+	switch {
+	case err != nil && kills:
 		detail := fmt.Sprintf("campaign did not converge: %v", err)
 		if res != nil {
 			detail += timelineOf(res.Events)
 			r.saveArtifacts(sc, dir, res.Events)
 		}
 		return Outcome{Scenario: sc, Verdict: CampaignFailed, Detail: detail}
+	case err != nil:
+		return Outcome{Scenario: sc, Verdict: CleanAbort, Detail: err.Error()}
+	case !kills && len(res.Recoveries) > 0:
+		return Outcome{Scenario: sc, Verdict: CleanAbort, Detail: fmt.Sprintf("message faults cost a recovery: %s", res.Recoveries[0])}
 	}
-	// Safety holds for campaigns too: rollback and rank replacement both
-	// must land on the exact bytes of the fault-free run (the dt
-	// schedule pins every segment to the direct run's fixed step).
 	want, err := r.Golden()
 	if err != nil {
 		return Outcome{Scenario: sc, Verdict: CleanAbort, Detail: err.Error()}
 	}
-	var buf bytes.Buffer
-	if err := snapshot.WriteCheckpoint(&buf, res.Final); err != nil {
-		return Outcome{Scenario: sc, Verdict: CleanAbort, Detail: fmt.Sprintf("hashing campaign final state: %v", err)}
-	}
-	if got := sha256.Sum256(buf.Bytes()); got != want {
+	if got != want {
 		r.saveArtifacts(sc, dir, res.Events)
 		return Outcome{
 			Scenario: sc,
@@ -272,15 +257,4 @@ func (r *Runner) saveArtifacts(sc Scenario, campaignDir string, events []mpi.Eve
 		b.WriteByte('\n')
 	}
 	_ = store.WriteFileAtomic(filepath.Join(r.cfg.ArtifactDir, base+"-timeline.txt"), []byte(b.String()), 0o644)
-}
-
-// dtSchedule fixes every segment's time step to the configured DT so
-// campaign runs and direct runs advance identically.
-func dtSchedule(cfg Config) []float64 {
-	n := cfg.Steps + 1
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = runDT
-	}
-	return s
 }

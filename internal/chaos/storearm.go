@@ -120,21 +120,11 @@ func (r *Runner) RunStore(sc StoreScenario) StoreOutcome {
 // campaign attempt — the store arm runs no message faults, so the two
 // chaos arms stay orthogonal.
 func (r *Runner) storeCampaignConfig(st *store.Store, runID string) resilience.Config {
-	every := r.cfg.Steps / 2
-	if every < 1 {
-		every = 1
-	}
-	return resilience.Config{
-		Core:            r.coreConfig(),
-		NProcs:          worldSize,
-		Steps:           r.cfg.Steps,
-		CheckpointEvery: every,
-		Store:           st,
-		RunID:           runID,
-		Deadline:        runDeadline,
-		Heartbeat:       &mpi.Heartbeat{Interval: campaignHeartbeat},
-		DTSchedule:      dtSchedule(r.cfg),
-	}
+	cfg := r.config(Scenario{}, nil)
+	cfg.CheckpointEvery = max(r.cfg.Steps/2, 1)
+	cfg.Store, cfg.RunID = st, runID
+	cfg.Heartbeat = &mpi.Heartbeat{Interval: campaignHeartbeat}
+	return cfg
 }
 
 func (r *Runner) executeStore(sc StoreScenario) StoreOutcome {

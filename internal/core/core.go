@@ -1,7 +1,9 @@
 // Package core is the public face of the yygo library: it assembles the
 // Yin-Yang grid, the compressible MHD solver, the diagnostics and the
-// visualization into a single Simulation type, and provides a one-call
-// parallel runner over the goroutine message-passing runtime.
+// visualization into a single Simulation type, and provides the rank
+// prologue (RunRanks, RunRanksFrom) of every decomposed driver. Programs
+// run through resilience.RunCampaign; New and RunParallel* remain for
+// the examples and benchmark/ (until ROADMAP 21b).
 //
 // A minimal use:
 //
@@ -119,7 +121,8 @@ type Simulation struct {
 	history []mhd.Diagnostics
 }
 
-// New builds and initializes a simulation.
+// New builds and initializes a simulation for the examples and
+// benchmark/ to step directly (yycore runs a serial campaign).
 func New(cfg Config) (*Simulation, error) {
 	cfg = cfg.withDefaults()
 	// A serial run records on rank 0's track; nil Obs makes rr nil and
@@ -282,7 +285,8 @@ func RunRanksFrom(cfg Config, layout *decomp.Layout, rc mpi.RunConfig, plane *te
 // goroutine ranks (2 panels x 2-D process grid, exactly the paper's
 // parallelization) for the given number of steps, and returns the
 // diagnostics recorded every recordEvery steps by rank 0. A fixed dt <= 0
-// selects the automatic estimate.
+// selects the automatic estimate. It stays only because benchmark/
+// calls it, until ROADMAP 21b; programs run resilience.RunCampaign.
 func RunParallel(cfg Config, nProcs, steps, recordEvery int, dt float64) ([]mhd.Diagnostics, error) {
 	cfg = cfg.withDefaults()
 	if recordEvery <= 0 {
@@ -319,17 +323,17 @@ func RunParallel(cfg Config, nProcs, steps, recordEvery int, dt float64) ([]mhd.
 
 // RunParallelWithCheckpoint runs the decomposed simulation like
 // RunParallel and, at the end, gathers the global state on rank 0 and
-// writes a checkpoint to w — the persistence path of a decomposed
-// campaign (its counterpart, RunRanksFrom, restarts one).
+// writes a checkpoint to w (its counterpart, RunRanksFrom, restarts
+// one). It stays only because benchmark/ calls it, until ROADMAP 21b.
 func RunParallelWithCheckpoint(cfg Config, nProcs, steps int, dt float64, w io.Writer) ([]mhd.Diagnostics, error) {
 	return RunParallelCheckpointWith(cfg, mpi.RunConfig{}, nProcs, steps, dt, w)
 }
 
 // RunParallelCheckpointWith is RunParallelWithCheckpoint under an
 // explicit mpi.RunConfig — deadline, fault plan, reliable transport,
-// heartbeat detection, elastic rank replacement — so fault-injection
-// harnesses (resilience campaigns, the chaos fuzzer) can drive a full
-// solver run through the self-healing runtime. The checkpoint is
+// heartbeat detection, elastic rank replacement — so a benchmark can
+// drive a full solver run through the self-healing runtime. It stays
+// only because benchmark/ calls it, until ROADMAP 21b. The checkpoint is
 // serialized in memory per epoch and flushed to w only after the world
 // has shut down: under rc.Elastic a rank replacement can fence an
 // epoch that had already gathered, and the re-entered world must not

@@ -51,7 +51,7 @@ type executor struct {
 // newExecutor is a variable so a test can swap in the relaunch oracle.
 var newExecutor = func(cfg Config, rc mpi.RunConfig) (executor, error) {
 	if cfg.NProcs == 1 {
-		e := &serialExec{safety: cfg.Core.SafetyFactor}
+		e := &serialExec{safety: cfg.Core.SafetyFactor, rr: cfg.Obs.RankFor(0)}
 		return executor{e.run, func() error { return nil }}, nil
 	}
 	layout, err := decomp.NewLayout(cfg.Core.Spec(), cfg.NProcs)
@@ -60,24 +60,40 @@ var newExecutor = func(cfg Config, rc mpi.RunConfig) (executor, error) {
 }
 
 // serialExec keeps one solver, restored through the interior form as a
-// world restores, so it commits the checkpoints any world size does.
+// world restores, so it commits the checkpoints any world size does. It
+// records on rank 0's track what a world's rank 0 records: its window
+// from the first order to the last, setup, step, gather and diagnose
+// spans and the dt gauge (a nil rr makes each a no-op).
 type serialExec struct {
 	sv     *mhd.Solver
 	safety float64
+	rr     *obs.RankRec
 }
 
 func (e *serialExec) run(o order) (mhd.Diagnostics, float64, error) {
+	e.rr.Open()
+	defer e.rr.Close()
 	if o.state != nil {
-		var err error
-		if e.sv, err = o.state.Solver(); err != nil {
+		sp := e.rr.Begin(obs.SpanSetup)
+		sv, err := o.state.Solver()
+		sp.End()
+		if err != nil {
 			return mhd.Diagnostics{}, 0, err
 		}
+		e.sv = sv
 	}
 	dt := o.stepDT(e.sv.EstimateDT, e.safety)
 	for i := 0; i < o.steps; i++ {
+		e.rr.SetStep(e.sv.Step)
+		sp := e.rr.Begin(obs.SpanStep)
 		e.sv.Advance(dt)
+		sp.End()
+		e.rr.SetGauge("dt", dt)
 	}
+	sp := e.rr.Begin(obs.SpanGather)
 	o.into.Capture(e.sv)
+	sp.End()
+	defer e.rr.Begin(obs.SpanDiagnose).End()
 	return e.sv.Diagnose(), dt, nil
 }
 

@@ -4,7 +4,7 @@
 // number of steps, gathers the result on rank 0 and validates it. A
 // segment that blows up (non-finite state or CFL collapse) or dies in
 // the runtime (rank kill, communication deadline) is rolled back to the
-// last checkpoint on disk and retried — with exponentially backed-off
+// last checkpoint and retried — with exponentially backed-off
 // time step when the solver itself failed — until it commits or the
 // retry budget is exhausted, at which point a post-mortem is saved next
 // to the checkpoints and the campaign aborts gracefully. A campaign
@@ -51,8 +51,10 @@ type Config struct {
 	// committed at every multiple (default: Steps, one segment).
 	CheckpointEvery int
 	// Dir is the campaign directory holding checkpoints and, on
-	// failure, the post-mortem: the root of a store.DirBackend.
-	// Required unless Store is set; created if missing.
+	// failure, the post-mortem: the root of a store.DirBackend, created
+	// if missing. With neither Dir nor Store the campaign commits to
+	// memory only: rollback and rank replacement work, nothing is
+	// written, nothing resumes.
 	Dir string
 	// Store, when non-nil, replaces the loose-file directory with the
 	// content-addressed artifact store: checkpoints dedup by sha256
@@ -148,17 +150,16 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// runName labels the campaign for telemetry and artifact commits: the
-// store run id when the ledger substrate is in use, the checkpoint
-// directory otherwise.
+// runName labels the campaign for telemetry: the checkpoint directory
+// when it is the substrate, the run id (default "campaign") otherwise.
 func (c Config) runName() string {
-	if c.Store != nil {
-		if c.RunID != "" {
-			return c.RunID
-		}
-		return "campaign"
+	if c.Store == nil && c.Dir != "" {
+		return c.Dir
 	}
-	return c.Dir
+	if c.RunID != "" {
+		return c.RunID
+	}
+	return "campaign"
 }
 
 // retryBackoff scales the time step on each blow-up retry.
@@ -237,9 +238,6 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 	cfg = cfg.withDefaults()
 	if cfg.Steps <= 0 {
 		return nil, fmt.Errorf("resilience: campaign needs a positive step count, got %d", cfg.Steps)
-	}
-	if cfg.Dir == "" && cfg.Store == nil {
-		return nil, fmt.Errorf("resilience: campaign needs a directory or a store for checkpoints")
 	}
 	sink, err := cfg.sink()
 	if err != nil {
@@ -388,7 +386,7 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 		}
 		// reload is the rank-replacement restore path: a world
 		// re-entering its segment at a fenced epoch restores the
-		// segment's own committed checkpoint from disk, because the
+		// segment's own committed checkpoint from the sink, because the
 		// respawned rank never saw the original scatter and the
 		// survivors' in-segment progress was fenced away with the dead
 		// epoch. Any failure here aborts the attempt and falls back to
@@ -418,8 +416,8 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 				res.Retries++
 				plane.Retry()
 				// Roll back: the failed attempt may have consumed or
-				// corrupted the in-memory state, so reload the segment's
-				// own checkpoint from disk.
+				// corrupted the live state, so reload the segment's own
+				// checkpoint from the sink.
 				rb := drv.Begin(obs.SpanCkptRead)
 				st, _, err := sink.newest(spec)
 				rb.End()

@@ -1,12 +1,13 @@
 package resilience
 
-// The checkpoint sink abstracts where a campaign's durable artifacts
-// live: a plain run directory (the original substrate, dirSink) or a
+// The checkpoint sink abstracts where a campaign's artifacts live: a
+// plain run directory (the original substrate, dirSink), a
 // content-addressed store with a Merkle-chained ledger
-// (internal/store, storeSink). The campaign loop speaks only to this
+// (internal/store, storeSink), or, for a run that persists nothing,
+// memory (memSink). The campaign loop speaks only to this
 // interface, so recovery semantics — the newest-valid fallback ladder,
-// rollback, rewind, rank-replacement reload — are identical over both;
-// the store additionally dedups bit-identical checkpoints and appends
+// rollback, rewind, rank-replacement reload — are identical over all
+// three; the store additionally dedups bit-identical checkpoints and appends
 // one ledger manifest per commit so every recovery decision is
 // verifiable offline.
 
@@ -56,7 +57,8 @@ type ckptSink interface {
 	// prune retires all but the newest keep checkpoints.
 	prune(keep int) error
 	// postmortem durably saves the failure account and returns a
-	// human-readable location ("" if even that failed).
+	// human-readable location ("" if even that failed, "none saved"
+	// with nowhere to save it).
 	postmortem(text string) string
 	// artifacts durably saves auxiliary run artifacts (segment pprof
 	// profiles, traces, run reports): loose files beside the
@@ -94,6 +96,9 @@ func CommitArtifacts(st *store.Store, runID string, step int, note string, arts 
 
 // sink builds the campaign's storage substrate from its config.
 func (c Config) sink() (ckptSink, error) {
+	if c.Store == nil && c.Dir == "" {
+		return &memSink{}, nil
+	}
 	if c.Store != nil {
 		run := c.RunID
 		if run == "" {
@@ -107,6 +112,34 @@ func (c Config) sink() (ckptSink, error) {
 	}
 	return &dirSink{dir: c.Dir, b: b}, nil
 }
+
+// memSink is the substrate of a campaign with neither Dir nor Store: a
+// reference to the newest committed Interior, which rollback and
+// rank-replacement reload read. It needs no copy: RunCampaign recycles
+// a committed state into spare only once a newer one has committed, so
+// nothing writes the referenced Interior while it is the newest commit.
+// Nothing outlives the process: no resume, prune, artifact or
+// post-mortem.
+type memSink struct{ last *snapshot.Interior }
+
+func (m *memSink) sweep() ([]string, error) { return nil, nil }
+
+func (m *memSink) newest(grid.Spec) (*snapshot.Interior, []string, error) { return m.last, nil, nil }
+
+func (m *memSink) write(in *snapshot.Interior, _ segMeta) error { m.last = in; return nil }
+
+func (m *memSink) segment(step int) (*snapshot.Interior, error) {
+	if m.last == nil || m.last.Step != step {
+		return nil, fmt.Errorf("resilience: no checkpoint in memory at step %d", step)
+	}
+	return m.last, nil
+}
+
+func (m *memSink) prune(int) error { return nil }
+
+func (m *memSink) postmortem(string) string { return "none saved" }
+
+func (m *memSink) artifacts(int, string, []Artifact) error { return nil }
 
 // dirSink is the loose-files substrate: a store.DirBackend rooted at
 // Config.Dir holding ckpt-*.yyck, with postmortem.txt and profiles

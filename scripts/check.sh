@@ -78,6 +78,34 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every directory this script makes with mktemp is removed on exit,
+# success or failure; one a caller names through CHAOS_ART, OBS_OUT,
+# TELE_OUT or STORE_OUT is the caller's to keep. The same trap stops the
+# telemetry smoke's lingering server if a check fails while it runs.
+tmp_dirs=""
+tele_pid=""
+cleanup() {
+	if [ -n "$tele_pid" ]; then
+		kill "$tele_pid" 2>/dev/null || true
+		wait "$tele_pid" 2>/dev/null || true
+	fi
+	if [ -n "$tmp_dirs" ]; then
+		rm -rf $tmp_dirs
+	fi
+}
+trap cleanup EXIT
+
+# out_dir VAR NAME sets NAME to $VAR, or to a new directory the trap
+# removes when VAR is unset or empty.
+out_dir() {
+	eval "dir=\${$1:-}"
+	if [ -z "$dir" ]; then
+		dir="$(mktemp -d)"
+		tmp_dirs="$tmp_dirs $dir"
+	fi
+	eval "$2=\$dir"
+}
+
 echo "==> go build ./..."
 go build ./...
 
@@ -102,6 +130,7 @@ go test -timeout 120s ./benchmark
 # measurement. Run one short workload and fail if any process of that
 # binary is still alive once it has returned.
 bench_out="$(mktemp -d)"
+tmp_dirs="$tmp_dirs $bench_out"
 echo "==> leftover-process guard: benchmark -workload world4_small -seconds 2"
 go build -o "$bench_out/benchmark" ./benchmark
 "$bench_out/benchmark" -workload world4_small -seconds 2 -out "$bench_out/out" >/dev/null
@@ -110,7 +139,6 @@ if pgrep -f "$bench_out/benchmark" >/dev/null; then
 	pgrep -af "$bench_out/benchmark"
 	exit 1
 fi
-rm -rf "$bench_out"
 
 echo "==> go test -timeout 120s ./... (all but ./benchmark)"
 go list ./... | grep -v '^repro/benchmark$' | xargs go test -timeout 120s
@@ -133,7 +161,7 @@ go test -race -timeout 240s ./internal/mpi ./internal/decomp ./internal/overset 
 # Violating chaos scenarios leave their postmortem.txt and event
 # timeline under $chaos_art; CI exports CHAOS_ART and uploads the
 # directory as an artifact when the gate fails.
-chaos_art="${CHAOS_ART:-$(mktemp -d)}"
+out_dir CHAOS_ART chaos_art
 echo "==> chaos smoke: go run ./cmd/yychaos -seeds 25 -steps 5 -artifacts $chaos_art"
 go run ./cmd/yychaos -seeds 25 -steps 5 -artifacts "$chaos_art"
 
@@ -146,7 +174,7 @@ go run ./cmd/yychaos -corpus internal/chaos/testdata/corpus_replace.json -artifa
 echo "==> chaos store corpus: go run ./cmd/yychaos -store-corpus internal/chaos/testdata/corpus_store.json"
 go run ./cmd/yychaos -store-corpus internal/chaos/testdata/corpus_store.json -artifacts "$chaos_art"
 
-obs_out="${OBS_OUT:-$(mktemp -d)}"
+out_dir OBS_OUT obs_out
 echo "==> traced smoke: go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -every 2 -procs 2 -trace $obs_out/trace.json -runreport $obs_out/report.txt"
 go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -every 2 -procs 2 \
 	-trace "$obs_out/trace.json" -runreport "$obs_out/report.txt"
@@ -161,18 +189,17 @@ grep -q "Span Coverage" "$obs_out/report.txt"
 # the scrape itself is broken). -linger keeps the server up for the
 # post-run checks; the watcher reads the :0-bound address from the
 # addr file.
-tele_out="${TELE_OUT:-$(mktemp -d)}"
+out_dir TELE_OUT tele_out
 echo "==> telemetry smoke: yycore -campaign -telemetry + silent kill, scraped live by yywatch"
 go build -o "$tele_out/yycore" ./cmd/yycore
 go build -o "$tele_out/yywatch" ./cmd/yywatch
-"$tele_out/yycore" -nr 9 -nt 13 -steps 6 -procs 2 -campaign "$tele_out/camp" -ckpt-every 2 \
+"$tele_out/yycore" -nr 9 -nt 13 -steps 6 -every 2 -procs 2 -campaign "$tele_out/camp" \
 	-hb 5ms -inject-kill-silent 1@2 \
 	-telemetry 127.0.0.1:0 -telemetry-addr-file "$tele_out/addr" -linger 120s \
 	>"$tele_out/yycore.log" 2>&1 &
 tele_pid=$!
 # A failing check below exits the script under set -e; the trap stops
 # the lingering server then instead of leaving it to serve for 120 s.
-trap 'kill "$tele_pid" 2>/dev/null || true; wait "$tele_pid" 2>/dev/null || true' EXIT
 "$tele_out/yywatch" -addr-file "$tele_out/addr" -interval 200ms -timeout 90s
 # Keep the scraped exposition and final progress line as CI artifacts
 # next to the yycore log, then assert on them.
@@ -181,12 +208,12 @@ trap 'kill "$tele_pid" 2>/dev/null || true; wait "$tele_pid" 2>/dev/null || true
 "$tele_out/yywatch" -addr-file "$tele_out/addr" -check -expect-alert rank-dead
 kill "$tele_pid" 2>/dev/null || true
 wait "$tele_pid" 2>/dev/null || true
-trap - EXIT
+tele_pid=""
 
-store_out="${STORE_OUT:-$(mktemp -d)}"
+out_dir STORE_OUT store_out
 store_dir="$store_out/run.store"
-echo "==> store smoke: go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -ckpt-every 2 -store $store_dir -runid smoke -deadline 60s -hb 5ms -replace -inject-kill-silent 1@2"
-go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -ckpt-every 2 -store "$store_dir" -runid smoke \
+echo "==> store smoke: go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -every 2 -procs 2 -store $store_dir -runid smoke -deadline 60s -hb 5ms -replace -inject-kill-silent 1@2"
+go run ./cmd/yycore -nr 9 -nt 13 -steps 4 -every 2 -procs 2 -store "$store_dir" -runid smoke \
 	-deadline 60s -hb 5ms -replace -inject-kill-silent 1@2 >"$store_out/yycore.log" 2>&1 ||
 	{ cat "$store_out/yycore.log"; exit 1; }
 cat "$store_out/yycore.log"
