@@ -177,14 +177,22 @@ func runCampaign(args []string, out, errOut io.Writer) error {
 	if cfg.Faults != nil {
 		fmt.Fprintf(out, "fault injection: silent death of rank %d at step %d\n", rank, step)
 	}
+	// Each step line prints as its segment commits; show catches up on
+	// whatever is left when the campaign returns.
+	shown, resumedShown := 0, false
+	show := func(res *resilience.Result) {
+		if res.Resumed && !resumedShown {
+			fmt.Fprintf(out, "resumed from checkpoint at step %d\n", res.StartStep)
+			resumedShown = true
+		}
+		for ; shown < len(res.Diags); shown++ {
+			fmt.Fprintf(out, "%s dt=%.4g\n", res.Diags[shown], res.DTs[shown])
+		}
+	}
+	cfg.OnCommit = show
 	res, err := resilience.RunCampaign(cfg)
 	if res != nil {
-		if res.Resumed {
-			fmt.Fprintf(out, "resumed from checkpoint at step %d\n", res.StartStep)
-		}
-		for i, d := range res.Diags {
-			fmt.Fprintf(out, "%s dt=%.4g\n", d, res.DTs[i])
-		}
+		show(res)
 		if res.Retries > 0 {
 			fmt.Fprintf(out, "recovered from %d failed segment attempt(s)\n", res.Retries)
 		}

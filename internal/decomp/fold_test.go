@@ -1,0 +1,163 @@
+package decomp
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+	"time"
+	"unsafe"
+
+	"repro/internal/field"
+	"repro/internal/grid"
+	"repro/internal/mhd"
+	"repro/internal/mpi"
+)
+
+// rkBuffers returns a panel's Runge-Kutta buffers u0 and acc, which mhd
+// keeps unexported, for the oracle comparison below.
+func rkBuffers(pl *mhd.Panel) (u0, acc *mhd.State) {
+	v := reflect.ValueOf(pl).Elem()
+	at := func(name string) *mhd.State {
+		return (*mhd.State)(unsafe.Pointer(v.FieldByName(name).UnsafeAddr()))
+	}
+	return at("u0"), at("acc")
+}
+
+// digest folds every bit of each variable of the states, halos
+// included, into one value per variable.
+func digest(sts ...*mhd.State) []uint64 {
+	var out []uint64
+	for _, st := range sts {
+		for _, f := range st.Scalars() {
+			h := uint64(14695981039346656037)
+			for _, x := range f.Data {
+				h = (h ^ math.Float64bits(x)) * 1099511628211
+			}
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// combineOracle is a rank's stage loop before the fold moved into the
+// sweep: the sequential schedule's right-hand side into a full-field k,
+// then the combine over the full padded arrays into the oracle's own
+// u0 and acc.
+type combineOracle struct{ u0, k, acc mhd.State }
+
+func newCombineOracle(p *grid.Patch) *combineOracle {
+	return &combineOracle{mhd.NewState(p.Shape), mhd.NewState(p.Shape), mhd.NewState(p.Shape)}
+}
+
+func (o *combineOracle) advance(r *Rank, dt float64, constrain func()) {
+	stages := [...]struct{ c, a float64 }{{0.5, 1}, {0.5, 2}, {1, 2}, {0, 1}}
+	pl := r.PL
+	for si, stg := range stages {
+		first, last := si == 0, si == len(stages)-1
+		c := stg.c * dt
+		if last {
+			c = dt / 6
+		}
+		mhd.ComputeVTB(pl, &pl.U)
+		r.exchangeHalos([]*field.Scalar{pl.B.R, pl.B.T, pl.B.P}, tagHaloBBase)
+		mhd.FinishRHS(pl, r.Prm, &pl.U, &o.k, func(fs ...*field.Scalar) {
+			r.exchangeHalos(fs, tagHaloAuxBase)
+		})
+		us, u0s, ks, accs := pl.U.Scalars(), o.u0.Scalars(), o.k.Scalars(), o.acc.Scalars()
+		for v := range us {
+			u, u0, k, acc := us[v].Data, u0s[v].Data, ks[v].Data, accs[v].Data
+			for i := range u {
+				switch {
+				case first:
+					x := u[i]
+					u0[i] = x
+					acc[i] = 0*x + 0*x + stg.a*k[i]
+					u[i] = x + c*k[i]
+				case last:
+					u[i] = u0[i] + c*(acc[i]+stg.a*k[i])
+				default:
+					acc[i] += stg.a * k[i]
+					u[i] = u0[i] + c*k[i]
+				}
+			}
+		}
+		constrain()
+	}
+}
+
+// TestStageMatchesCombineWorlds: on 2- and 4-rank worlds (the 4-rank
+// blocks have φ seams, whose halo slices the sweep reads and folds
+// last), with the overlapped and the sequential schedule and with one
+// and two workers per rank, every rank's U, u0 and acc, halos included,
+// equal the combine oracle's bit for bit at every constraint point of
+// two steps.
+func TestStageMatchesCombineWorlds(t *testing.T) {
+	s := grid.NewSpec(9, 13)
+	const steps = 2
+	const dt = 2e-3
+	// world runs step on every rank of a fresh world and returns each
+	// rank's digests, one per constraint point.
+	world := func(t *testing.T, nProcs, workers int, step func(r *Rank, record func(u0, acc *mhd.State))) [][][]uint64 {
+		t.Helper()
+		l, err := NewLayout(s, nProcs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		digests := make([][][]uint64, nProcs)
+		err = mpi.RunWith(nProcs, mpi.RunConfig{Deadline: 60 * time.Second}, func(w *mpi.Comm) {
+			r, err := NewRankWorkers(w, l, mhd.Default(), mhd.DefaultIC(), workers)
+			if err != nil {
+				w.Abort(err)
+				return
+			}
+			defer r.Close()
+			for n := 0; n < steps; n++ {
+				step(r, func(u0, acc *mhd.State) {
+					digests[w.Rank()] = append(digests[w.Rank()], digest(&r.PL.U, u0, acc))
+				})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digests
+	}
+	for _, nProcs := range []int{2, 4} {
+		want := world(t, nProcs, 1, func(r *Rank, record func(u0, acc *mhd.State)) {
+			o := newCombineOracle(r.PL.Patch)
+			o.advance(r, dt, func() {
+				record(&o.u0, &o.acc)
+				r.applyConstraints()
+			})
+		})
+		for _, overlap := range []bool{true, false} {
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("world%d/overlap=%v/workers%d", nProcs, overlap, workers), func(t *testing.T) {
+					got := world(t, nProcs, workers, func(r *Rank, record func(u0, acc *mhd.State)) {
+						r.SetOverlap(overlap)
+						mhd.AdvanceRK4(dt, []*mhd.Panel{r.PL}, func(_ *mhd.Panel, st mhd.Stage) {
+							r.rhs(st)
+						}, func() {
+							record(rkBuffers(r.PL))
+							r.applyConstraints()
+						})
+					})
+					for rank := range want {
+						if len(got[rank]) != len(want[rank]) || len(want[rank]) != 4*steps {
+							t.Fatalf("rank %d: %d constraint points, oracle %d", rank, len(got[rank]), len(want[rank]))
+						}
+						for c := range want[rank] {
+							for i := range want[rank][c] {
+								if got[rank][c][i] != want[rank][c][i] {
+									t.Fatalf("rank %d, constraint point %d: %s var %d differs from the combine oracle",
+										rank, c, [...]string{"U", "u0", "acc"}[i/8], i%8)
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}

@@ -24,7 +24,8 @@ const (
 // Reuse is safe because mpi.Send copies its payload synchronously: the
 // moment Send returns, the staging buffer may be repacked, and receive
 // buffers are consumed (Wait + unpack) within the same exchange phase
-// that posted them.
+// that posted them, or, for exchanges in flight together, staged in
+// disjoint field slots (RecvSlot).
 type HaloBufs struct {
 	nrP, ntP, npP int
 	maxFields     int
@@ -177,7 +178,15 @@ func (hb *HaloBufs) UnpackThetaRange(fields []*field.Scalar, j, k0, k1 int, buf 
 // RecvRange returns the dir-th receive buffer sized for a message of
 // nFields fields over nRows rows, columns or rim cells.
 func (hb *HaloBufs) RecvRange(nFields, nRows, dir int) []float64 {
-	return hb.recv[dir][:nFields*nRows*hb.nrP]
+	return hb.RecvSlot(0, nFields, nRows, dir)
+}
+
+// RecvSlot is RecvRange for a message whose fields take staging slots
+// [slot, slot+nFields) of the maxFields the buffer holds, so that
+// exchanges on disjoint slots can be in flight together.
+func (hb *HaloBufs) RecvSlot(slot, nFields, nRows, dir int) []float64 {
+	n := nRows * hb.nrP
+	return hb.recv[dir][slot*n : (slot+nFields)*n]
 }
 
 // RecvTheta sizes the receive buffer for a full theta-phase message.

@@ -404,7 +404,11 @@ type haloOverlap struct {
 // corner-carrying phases for the overset donors. Tags follow the
 // exchangeHalos convention (theta +0/+1, phi +2/+3), so fault plans
 // target both schedules identically.
-func (r *Rank) haloStart(fields []*field.Scalar, tagBase int) haloOverlap {
+//
+// slot is the index of the exchange's first field in the HaloBufs
+// receive staging: two exchanges in flight together take disjoint
+// field slots, since their receives are consumed only at haloFinish.
+func (r *Rank) haloStart(fields []*field.Scalar, tagBase, slot int) haloOverlap {
 	north, south, west, east := r.Cart.Neighbours()
 	p := r.PL.Patch
 	h := p.H
@@ -414,19 +418,19 @@ func (r *Rank) haloStart(fields []*field.Scalar, tagBase int) haloOverlap {
 
 	sp := r.obs.Begin(obs.SpanHaloPack)
 	if east >= 0 {
-		ov.bufEast = hb.RecvRange(nf, p.Nt, dirEast)
+		ov.bufEast = hb.RecvSlot(slot, nf, p.Nt, dirEast)
 		ov.reqEast = r.Cart.Irecv(east, tagBase+2, ov.bufEast)
 	}
 	if west >= 0 {
-		ov.bufWest = hb.RecvRange(nf, p.Nt, dirWest)
+		ov.bufWest = hb.RecvSlot(slot, nf, p.Nt, dirWest)
 		ov.reqWest = r.Cart.Irecv(west, tagBase+3, ov.bufWest)
 	}
 	if south >= 0 {
-		ov.bufSouth = hb.RecvRange(nf, p.Np, dirSouth)
+		ov.bufSouth = hb.RecvSlot(slot, nf, p.Np, dirSouth)
 		ov.reqSouth = r.Cart.Irecv(south, tagBase+0, ov.bufSouth)
 	}
 	if north >= 0 {
-		ov.bufNorth = hb.RecvRange(nf, p.Np, dirNorth)
+		ov.bufNorth = hb.RecvSlot(slot, nf, p.Np, dirNorth)
 		ov.reqNorth = r.Cart.Irecv(north, tagBase+1, ov.bufNorth)
 	}
 	if west >= 0 {
@@ -701,49 +705,51 @@ func (r *Rank) rimRefresh() {
 	}
 }
 
-// rhs evaluates the right-hand side into the panel's k state: compute
-// the subsidiary fields, refresh the magnetic-field halos (its curl is
-// differentiated), then finish.
+// rhs evaluates the stage's right-hand side and folds it into the
+// state: compute the subsidiary fields, refresh the magnetic-field and
+// div-v halos (both are differentiated), then sweep once over the owned
+// columns with mhd.RHSStage.
 //
 // With overlap enabled the two halo refreshes hide under compute. Both
 // exchanged families (B, div v) are consumed only by axis-aligned
 // stencils, so the corner-free haloStart exchange suffices, and the
 // interior — every owned point at least the stencil radius from a
 // neighbour boundary — depends on no incoming halo at all. The schedule
-// therefore posts the B exchange, evaluates div v everywhere plus the
-// current-density curl on the interior while B flies, waits, finishes
-// the curl on the rim, then repeats the trick for the div-v exchange
-// under the interior update. Every point is still computed exactly once
-// by the same arithmetic, so the result is bitwise identical to the
-// sequential fallback below.
-func (r *Rank) rhs(u, out *mhd.State) {
+// therefore posts the B exchange, evaluates div v everywhere under it
+// (div v reads no B), posts the div-v exchange, evaluates the
+// current-density curl on the interior while both fly, finishes B and
+// the curl on the rim, finishes div v, and ends in the one full-cover
+// stage sweep. Every point is still computed exactly once by the same
+// arithmetic, so the result is bitwise identical to the sequential
+// fallback below.
+func (r *Rank) rhs(st mhd.Stage) {
 	defer r.obs.Begin(obs.SpanRHS).End()
-	mhd.ComputeVTB(r.PL, u)
+	pl := r.PL
+	mhd.ComputeVTB(pl, &pl.U)
+	b := []*field.Scalar{pl.B.R, pl.B.T, pl.B.P}
 	if !r.overlap {
-		r.exchangeHalos([]*field.Scalar{r.PL.B.R, r.PL.B.T, r.PL.B.P}, tagHaloBBase)
-		mhd.FinishRHS(r.PL, r.Prm, u, out, func(fs ...*field.Scalar) {
+		r.exchangeHalos(b, tagHaloBBase)
+		mhd.FinishStage(pl, r.Prm, st, func(fs ...*field.Scalar) {
 			r.exchangeHalos(fs, tagHaloAuxBase)
 		})
 		return
 	}
-	pl := r.PL
-	ovB := r.haloStart([]*field.Scalar{pl.B.R, pl.B.T, pl.B.P}, tagHaloBBase)
+	ovB := r.haloStart(b, tagHaloBBase, 0)
 	o := r.obs.Begin(obs.SpanHaloOverlap)
 	mhd.RHSDivV(pl, r.fullReg)
-	mhd.RHSCurlJ(pl, r.interior)
 	o.End()
-	r.haloFinish(&ovB)
-	mhd.RHSCurlJ(pl, r.rim)
-	ovA := r.haloStart([]*field.Scalar{pl.DivV}, tagHaloAuxBase)
+	ovA := r.haloStart([]*field.Scalar{pl.DivV}, tagHaloAuxBase, len(b))
 	o = r.obs.Begin(obs.SpanHaloOverlap)
 	in := r.obs.Begin(obs.SpanRHSInterior)
-	mhd.RHSUpdate(pl, r.Prm, u, out, r.interior)
+	mhd.RHSCurlJ(pl, r.interior)
 	in.End()
 	o.End()
-	r.haloFinish(&ovA)
+	r.haloFinish(&ovB)
 	rim := r.obs.Begin(obs.SpanRHSRim)
-	mhd.RHSUpdate(pl, r.Prm, u, out, r.rim)
+	mhd.RHSCurlJ(pl, r.rim)
 	rim.End()
+	r.haloFinish(&ovA)
+	mhd.RHSStage(pl, r.Prm, st)
 }
 
 // Advance performs one RK4 step through the serial solver's stage loop
@@ -756,8 +762,8 @@ func (r *Rank) Advance(dt float64) {
 	defer r.obs.Begin(obs.SpanStep).End()
 	r.obs.SetGauge("dt", dt)
 	r.lastDT = dt
-	mhd.AdvanceRK4(dt, []*mhd.Panel{r.PL}, func(pl *mhd.Panel, k *mhd.State) {
-		r.rhs(&pl.U, k)
+	mhd.AdvanceRK4(dt, []*mhd.Panel{r.PL}, func(_ *mhd.Panel, st mhd.Stage) {
+		r.rhs(st)
 	}, r.applyConstraints)
 	r.Time += dt
 	r.StepN++

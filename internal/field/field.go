@@ -81,7 +81,7 @@ func (f *Scalar) Row(j, k int) []float64 {
 
 // Clone returns a deep copy.
 //
-//yyvet:ignore reach oracle for TestCombineMatchesSweeps
+//yyvet:ignore reach oracle for TestFoldMatchesSweeps
 func (f *Scalar) Clone() *Scalar {
 	g := NewScalar(f.Shape)
 	copy(g.Data, f.Data)
@@ -101,7 +101,7 @@ func (f *Scalar) mustMatch(gs ...*Scalar) {
 
 // CopyFrom copies g into f.
 //
-//yyvet:ignore reach oracle for TestCombineMatchesSweeps
+//yyvet:ignore reach oracle for TestFoldMatchesSweeps
 func (f *Scalar) CopyFrom(g *Scalar) {
 	f.mustMatch(g)
 	copy(f.Data, g.Data)
@@ -120,7 +120,7 @@ func (f *Scalar) countSweep(fl int) {
 
 // AXPY sets f = f + a*g element-wise.
 //
-//yyvet:ignore reach oracle for TestCombineMatchesSweeps
+//yyvet:ignore reach oracle for TestFoldMatchesSweeps
 func (f *Scalar) AXPY(a float64, g *Scalar) {
 	f.mustMatch(g)
 	fd, gd := f.Data, g.Data
@@ -132,7 +132,7 @@ func (f *Scalar) AXPY(a float64, g *Scalar) {
 
 // LinComb sets f = a*x + b*y element-wise.
 //
-//yyvet:ignore reach oracle for TestCombineMatchesSweeps
+//yyvet:ignore reach oracle for TestFoldMatchesSweeps
 func (f *Scalar) LinComb(a float64, x *Scalar, b float64, y *Scalar) {
 	f.mustMatch(x, y)
 	fd, xd, yd := f.Data, x.Data, y.Data

@@ -5,47 +5,45 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/par"
 	"repro/internal/sphops"
 )
 
-// TestPanelFootprint pins what a stepping serial solver holds to the 43
-// doubles per padded point a step reads and writes — 32 of Runge-Kutta
-// state (U, u0, k, acc), 9 of V, B, J and 2 of T, div v — plus a
-// point's worth of slack for the rotation and ownership tables, the
-// overset exchanger (about half a point at this grid) and the kernels'
-// scratch rows. The reference kernel's operator outputs and the
-// full-field operators' scratch are created only by the callers that
-// need them, so neither shows here; the reference still equals the fused
-// kernel on the stepped panels, and the column-fused curl and divergence
-// the step uses allocate nothing once warm. scripts/check.sh prints the
-// logged figure.
+// TestPanelFootprint pins what a stepping serial solver holds to the 35
+// doubles per padded point a step reads and writes — 24 of Runge-Kutta
+// state (U, u0, acc; the right-hand side never exists as a full field),
+// 9 of V, B, J and 2 of T, div v — plus two points' worth of slack for
+// the stage sweep's ring of right-hand-side slices (about half a point
+// at this grid), the rotation and ownership tables, the overset
+// exchanger (about half a point) and the kernels' scratch rows. The
+// reference kernel's operator outputs and the full-field operators'
+// scratch are created only by the callers that need them, so neither
+// shows here; the reference still equals the fused kernel on the
+// stepped panels, and the column-fused curl and divergence the step
+// uses allocate nothing once warm. scripts/check.sh prints the logged
+// figure.
 func TestPanelFootprint(t *testing.T) {
-	spec := grid.NewSpec(17, 17)
-	// A first solver fills the process-wide caches (the overset plan)
-	// that the measured one then shares.
-	if _, err := NewSolver(spec, Default(), DefaultIC()); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	sv, err := NewSolver(spec, Default(), DefaultIC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n < 3; n++ {
-		sv.Advance(1e-3)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	points := 0
-	for _, pl := range sv.Panels {
-		points += pl.U.Rho.Len()
-	}
-	perPoint := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 8 / float64(points)
+	sv, perPoint := steppedFootprint(t, nil)
 	t.Logf("doubles per padded point: %.1f", perPoint)
-	if perPoint > 44 {
-		t.Errorf("a stepped solver holds %.1f doubles per padded point, want <= 44", perPoint)
+	if perPoint > 37 {
+		t.Errorf("a stepped solver holds %.1f doubles per padded point, want <= 37", perPoint)
+	}
+	// With a worker pool each sweep tile keeps the right-hand side of
+	// its first and last φ-slice for the join (DESIGN.md, "The
+	// Runge-Kutta stage"), and each worker has its own ring, so a
+	// pooled panel also holds 8 doubles for each kept slice and for a
+	// second ring's slices — on a block with fewer than two slices per
+	// tile, a whole k again.
+	const workers, tiles = 2, 4 * 2 // par.Pool.For's tiling at 2 workers
+	pool := par.NewPool(workers)
+	defer pool.Close()
+	psv, pooled := steppedFootprint(t, pool)
+	p := psv.Panels[0].Patch
+	_, _, npP := p.Padded()
+	extra := 8 * float64(min(p.Np, 2*tiles)+ringSlots) / float64(npP)
+	t.Logf("doubles per padded point with %d workers: %.1f (kept slices and second ring %.1f)", workers, pooled, extra)
+	if pooled > 37+extra {
+		t.Errorf("a pooled stepped solver holds %.1f doubles per padded point, want <= %.1f", pooled, 37+extra)
 	}
 
 	for _, pl := range sv.Panels {
@@ -74,4 +72,34 @@ func TestPanelFootprint(t *testing.T) {
 		t.Errorf("CurlOn + DivOn: %v allocs per call, want 0", a)
 	}
 	runtime.KeepAlive(sv)
+}
+
+// steppedFootprint builds a 17×17 solver on pool, steps it three times
+// and returns it with the heap it added, in doubles per padded point.
+func steppedFootprint(t *testing.T, pool *par.Pool) (*Solver, float64) {
+	t.Helper()
+	spec := grid.NewSpec(17, 17)
+	// A first solver fills the process-wide caches (the overset plan)
+	// that the measured one then shares.
+	if _, err := NewSolver(spec, Default(), DefaultIC()); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sv, err := NewSolver(spec, Default(), DefaultIC())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv.SetPool(pool)
+	for n := 0; n < 3; n++ {
+		sv.Advance(1e-3)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	points := 0
+	for _, pl := range sv.Panels {
+		points += pl.U.Rho.Len()
+	}
+	return sv, float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / 8 / float64(points)
 }

@@ -1,6 +1,10 @@
 package mhd
 
-import "repro/internal/perfcount"
+import (
+	"sync"
+
+	"repro/internal/perfcount"
+)
 
 // rk4Stages is the paper's classical fourth-order Runge-Kutta scheme as
 // low-storage stages: evaluate the right-hand side k at the current U,
@@ -10,73 +14,255 @@ var rk4Stages = [...]struct{ stepCoeff, accCoeff float64 }{{0.5, 1}, {0.5, 2}, {
 
 const rk4Final = 1.0 / 6.0
 
+// Stage is one Runge-Kutta stage's fold of its right-hand side k into
+// the state, applied point by point:
+//
+//	first stage:  u0 = U, acc = 0*u0 + 0*u0 + a*k, U = u0 + c*k
+//	later stages: acc += a*k,                     U = u0 + c*k
+//	last stage:   U = u0 + c*(acc + a*k)
+//
+// These are the expressions, in their order, of the separate copy,
+// seed, accumulate, copy and add sweeps the fold replaces — the seed's
+// signed zeros included — so the bits are theirs. The last stage does
+// not store acc: nothing reads it before the next step reseeds it.
+type Stage struct {
+	first, last bool
+	a, c        float64
+}
+
 // AdvanceRK4 performs one step of size dt on the panels, the one stage
 // loop of both the serial solver and a decomposed rank. For every
-// stage, rhs must evaluate the right-hand side at pl.U into k without
-// modifying pl.U; constrain then re-imposes the boundary conditions on
-// every panel's U:
+// stage, rhs must bring the panel's right-hand side inputs up to date
+// and end in RHSStage (or FinishStage), which evaluates k at pl.U and
+// folds it into the state; constrain then re-imposes the boundary
+// conditions on every panel's U:
 //
 //	k1 = R(u0)            u <- u0 + dt/2 k1
 //	k2 = R(u)             u <- u0 + dt/2 k2
 //	k3 = R(u)             u <- u0 + dt   k3
 //	k4 = R(u)             u <- u0 + dt/6 (k1 + 2 k2 + 2 k3 + k4)
-func AdvanceRK4(dt float64, pls []*Panel, rhs func(pl *Panel, k *State), constrain func()) {
+func AdvanceRK4(dt float64, pls []*Panel, rhs func(pl *Panel, st Stage), constrain func()) {
 	last := len(rk4Stages) - 1
 	for si, stg := range rk4Stages {
-		c := stg.stepCoeff * dt
-		if si == last {
-			c = rk4Final * dt
+		st := Stage{first: si == 0, last: si == last, a: stg.accCoeff, c: stg.stepCoeff * dt}
+		if st.last {
+			st.c = rk4Final * dt
 		}
 		for _, pl := range pls {
-			rhs(pl, &pl.k)
-			pl.combine(si == 0, si == last, stg.accCoeff, c)
+			rhs(pl, st)
 		}
 		constrain()
 	}
 }
 
-// combine is one stage's update after k holds its right-hand side, in a
-// single pass over the full padded arrays:
-//
-//	first stage:  u0 = U, acc = 0*u0 + 0*u0 + a*k
-//	later stages: acc += a*k
-//	then:         U = u0 + c*k, or U = u0 + c*acc on the last stage
-//
-// Every element sees the operations of the separate copy, seed,
-// accumulate, copy and add sweeps this pass replaces, in their order —
-// the seed's signed zeros included — so the bits are theirs, and the
-// counters are charged what those sweeps charged. The last stage does
-// not store acc: nothing reads it before the next step reseeds it.
-func (pl *Panel) combine(first, last bool, a, c float64) {
-	us, u0s, ks, accs := pl.U.Scalars(), pl.u0.Scalars(), pl.k.Scalars(), pl.acc.Scalars()
-	for v := range us {
-		u := us[v].Data
-		u0, k, acc := u0s[v].Data[:len(u)], ks[v].Data[:len(u)], accs[v].Data[:len(u)]
-		switch {
-		case first:
-			for i, x := range u {
-				u0[i] = x
-				acc[i] = 0*x + 0*x + a*k[i]
-				u[i] = x + c*k[i]
+// ringSlots is the number of φ-slices of k a sweep tile holds in
+// flight: the slice being evaluated and the one before it, and a third
+// where a global φ edge's one-sided stencil reads two slices back.
+const ringSlots = 3
+
+// stager is a panel's single-sweep stage (RHSStage). The sweep
+// evaluates the owned φ-slices in order and writes each slice's eight
+// right-hand-side planes into a small ring instead of a full-field k;
+// a slice is folded into U, u0 and acc as soon as the last slice whose
+// stencils read its U has been evaluated, one slice behind the sweep.
+// Ring planes are zero outside the owned window and never written
+// there, so folding whole padded planes reproduces the combine's halo
+// arithmetic.
+type stager struct {
+	pl  *Panel
+	prm Params
+	st  Stage
+	// tileFn is tile bound once, so a pooled sweep hands it over
+	// without allocating a closure.
+	tileFn func(lo, hi int)
+	plane  int       // doubles per φ-slice of one field
+	zero   []float64 // a zero plane: the k of the φ-halo slices
+
+	mu    sync.Mutex
+	rings [][]float64 // free rings, ringSlots slices of 8 planes each
+
+	// With a worker pool, a slice that a neighbouring tile reads is
+	// evaluated into kept[d] and folded after the join; held marks
+	// the slices of the current sweep.
+	kept [][]float64
+	held []bool
+}
+
+func (f *stager) init(pl *Panel) {
+	nrP, ntP, _ := pl.Patch.Padded()
+	f.pl = pl
+	f.tileFn = f.tile
+	f.plane = ntP * nrP
+	f.zero = make([]float64, f.plane)
+	f.kept = make([][]float64, pl.Patch.Np)
+	f.held = make([]bool, pl.Patch.Np)
+}
+
+// RHSStage is a stage's one sweep over the owned columns: the update
+// of RHSUpdate, with its outputs folded into the state by st instead of
+// stored. ComputeVTB, RHSCurlJ and RHSDivV must have run on every owned
+// column, and at decomposition seams the B and div v halos must be
+// current. Within the sweep U is read only on the column's own φ-slice
+// and its φ neighbours (two back at a global φ edge), so a slice whose
+// last reader has been evaluated is dead for the rest of the stage and
+// folds at once. With a worker pool each tile's first and last slice,
+// read by the neighbouring tiles, fold after the join, and the φ-halo
+// slices, which a seamed block's edge columns read, fold last of all
+// with k = 0. The result is bit for bit that of RHSUpdate into a
+// full-field k followed by the fold over whole arrays, and the counters
+// are charged the same.
+func RHSStage(pl *Panel, prm Params, st Stage) {
+	p := pl.Patch
+	f := &pl.stage
+	f.prm, f.st = prm, st
+	p.Par.For(p.Np, f.tileFn)
+	f.join()
+}
+
+// join folds what the tiles left for after the sweep — the slices
+// another tile read, then the φ-halo slices — and charges the stage.
+func (f *stager) join() {
+	p := f.pl.Patch
+	for d, held := range f.held {
+		if held {
+			f.fold(p.H+d, f.kept[d], f.plane)
+			f.held[d] = false
+		}
+	}
+	_, _, npP := p.Padded()
+	for kk := 0; kk < npP; kk++ {
+		if kk < p.H || kk >= p.H+p.Np {
+			f.fold(kk, f.zero, 0)
+		}
+	}
+	chargeRHSUpdate(p, p.OwnedRegion())
+	f.charge()
+}
+
+// tile evaluates and folds the owned φ-slices [a, b) (offsets from the
+// first owned slice).
+func (f *stager) tile(a, b int) {
+	pl := f.pl
+	p := pl.Patch
+	h := p.H
+	nrP, _, _ := p.Padded()
+	n8 := 8 * f.plane
+	backing := pl.W.Rows(rhsRowCount)
+	s := bindRHSRows(backing, nrP)
+	ring := f.takeRing()
+	for d := a; d < b; d++ {
+		out := ring[d%ringSlots*n8:][:n8]
+		if f.shared(d, a, b) {
+			if f.kept[d] == nil {
+				f.kept[d] = make([]float64, n8)
 			}
-		case last:
-			for i := range u {
-				u[i] = u0[i] + c*(acc[i]+a*k[i])
+			out = f.kept[d]
+			f.held[d] = true
+		}
+		var o outRows
+		for j := h; j < h+p.Nt; j++ {
+			for v := range o {
+				o[v] = out[v*f.plane+j*nrP:][:nrP]
 			}
-		default:
-			for i := range u {
-				acc[i] += a * k[i]
-				u[i] = u0[i] + c*k[i]
+			fusedRHSColumn(pl, f.prm, &pl.U, &o, &s, j, h+d)
+		}
+		for e := max(a, d-2); e <= d; e++ {
+			if f.lastReader(e) == d && !f.shared(e, a, b) {
+				f.fold(h+e, ring[e%ringSlots*n8:][:n8], f.plane)
 			}
 		}
 	}
-	// Two-flop accumulate and add sweeps, plus the three-flop seed.
+	f.putRing(ring)
+	pl.W.PutRows(backing)
+}
+
+// firstReader and lastReader bound the owned φ-slices whose columns
+// read U on owned slice d: its neighbours d-1 and d+1, except that the
+// one-sided stencils at a global φ edge reach two slices in.
+func (f *stager) firstReader(d int) int {
+	if d == 2 && f.pl.Patch.GlobalEdge(4) {
+		return 0
+	}
+	return max(d-1, 0)
+}
+
+func (f *stager) lastReader(d int) int {
+	np := f.pl.Patch.Np
+	if d == np-3 && f.pl.Patch.GlobalEdge(5) {
+		return np - 1
+	}
+	return min(d+1, np-1)
+}
+
+// shared reports whether a slice of tile [a, b) is read by another
+// tile, so that it must wait for the join.
+func (f *stager) shared(d, a, b int) bool {
+	return f.firstReader(d) < a || f.lastReader(d) >= b
+}
+
+func (f *stager) takeRing() []float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.rings); n > 0 {
+		r := f.rings[n-1]
+		f.rings = f.rings[:n-1]
+		return r
+	}
+	return make([]float64, ringSlots*8*f.plane)
+}
+
+func (f *stager) putRing(r []float64) {
+	f.mu.Lock()
+	f.rings = append(f.rings, r)
+	f.mu.Unlock()
+}
+
+// fold applies the stage to padded φ-slice kk of every state variable,
+// with variable v's k plane at k[v*stride:].
+func (f *stager) fold(kk int, k []float64, stride int) {
+	pl := f.pl
+	us, u0s, accs := pl.U.Scalars(), pl.u0.Scalars(), pl.acc.Scalars()
+	lo, hi := kk*f.plane, (kk+1)*f.plane
+	for v := range us {
+		foldPlane(f.st, us[v].Data[lo:hi], u0s[v].Data[lo:hi], accs[v].Data[lo:hi], k[v*stride:][:f.plane])
+	}
+}
+
+// foldPlane applies st to one plane.
+func foldPlane(st Stage, u, u0, acc, k []float64) {
+	u0, acc, k = u0[:len(u)], acc[:len(u)], k[:len(u)]
+	a, c := st.a, st.c
+	switch {
+	case st.first:
+		for i := range u {
+			x := u[i]
+			u0[i] = x
+			acc[i] = 0*x + 0*x + a*k[i]
+			u[i] = x + c*k[i]
+		}
+	case st.last:
+		for i := range u {
+			u[i] = u0[i] + c*(acc[i]+a*k[i])
+		}
+	default:
+		for i := range u {
+			acc[i] += a * k[i]
+			u[i] = u0[i] + c*k[i]
+		}
+	}
+}
+
+// charge reports a stage's fold as the separate sweeps it replaces:
+// the two-flop accumulate and add sweeps over the full padded arrays,
+// plus the three-flop seed on the first stage.
+func (f *stager) charge() {
 	flops, sweeps := int64(4), int64(2)
-	if first {
+	if f.st.first {
 		flops, sweeps = 7, 3
 	}
+	pl := f.pl
 	nrP, _, _ := pl.Patch.Padded()
-	n := int64(len(us)) * int64(len(pl.U.Rho.Data))
+	n := 8 * int64(len(pl.U.Rho.Data))
 	rows := n / int64(nrP)
 	perfcount.AddFlops(n * flops)
 	perfcount.AddVectorLoops(rows*sweeps, n*sweeps)

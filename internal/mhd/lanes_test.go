@@ -139,8 +139,9 @@ func comparePasses(t *testing.T, prm Params, pl *Panel, nr int, adversarial bool
 						nr, p.Panel, adversarial, ps.name, j, k, n/nrP, n%nrP, goRows[n], laneRows[n])
 				}
 			}
-			withLanes(false, func() { fusedRHSColumn(pl, prm, u, &outGo, &sGo, j, k) })
-			withLanes(true, func() { fusedRHSColumn(pl, prm, u, &outLane, &sLane, j, k) })
+			oGo, oLane := stateRows(&outGo, j, k), stateRows(&outLane, j, k)
+			withLanes(false, func() { fusedRHSColumn(pl, prm, u, &oGo, &sGo, j, k) })
+			withLanes(true, func() { fusedRHSColumn(pl, prm, u, &oLane, &sLane, j, k) })
 		}
 	}
 	for fi, pair := range [][2]*field.Scalar{
@@ -153,6 +154,15 @@ func comparePasses(t *testing.T, prm Params, pl *Panel, nr int, adversarial bool
 				nr, p.Panel, adversarial, fi, n, pair[0].Data[n], pair[1].Data[n])
 		}
 	}
+}
+
+// stateRows returns the rows of column (j, k) of every variable of st.
+func stateRows(st *State, j, k int) outRows {
+	var o outRows
+	for v, f := range st.Scalars() {
+		o[v] = f.Row(j, k)
+	}
+	return o
 }
 
 // TestLanesRatio prints how many times faster the lane bodies make

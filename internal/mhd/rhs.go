@@ -43,16 +43,29 @@ func ComputeVTB(pl *Panel, u *State) {
 // (RHSCurlJ, RHSDivV, RHSUpdate in rhs_fused.go) over the full owned
 // region, bit-identical to the unfused FinishRHSReference — the
 // equivalence suite in rhs_reference_test.go pins that. A decomposed
-// rank that overlaps halo traffic with compute calls the three phases
-// directly with interior/rim regions instead of going through here.
+// rank that overlaps halo traffic with compute calls the phases
+// directly, the curl on interior and rim regions, instead of going
+// through FinishStage.
 func FinishRHS(pl *Panel, prm Params, u, out *State, sync func(fs ...*field.Scalar)) {
+	curlDiv(pl, sync)
+	RHSUpdate(pl, prm, u, out, pl.Patch.OwnedRegion())
+}
+
+// FinishStage is FinishRHS at pl.U ending in RHSStage: the stage's
+// right-hand side is folded into the state instead of stored.
+func FinishStage(pl *Panel, prm Params, st Stage, sync func(fs ...*field.Scalar)) {
+	curlDiv(pl, sync)
+	RHSStage(pl, prm, st)
+}
+
+// curlDiv is the first two phases of FinishRHS over the owned columns.
+func curlDiv(pl *Panel, sync func(fs ...*field.Scalar)) {
 	full := pl.Patch.OwnedRegion()
 	RHSCurlJ(pl, full)
 	RHSDivV(pl, full)
 	if sync != nil {
 		sync(pl.DivV)
 	}
-	RHSUpdate(pl, prm, u, out, full)
 }
 
 // ComputeJ fills the current density J = curl B from the panel's B

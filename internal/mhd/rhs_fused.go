@@ -103,10 +103,12 @@ func bindRHSRows(backing []float64, nrP int) rhsRows {
 // div v — both must be current on (at least) the columns of reg, and at
 // decomposition seams the rim columns differentiate pl.DivV halos, so
 // the rim may only run after the aux halo exchange. Writes out on the
-// columns of reg only.
+// columns of reg only. A stepping solver runs the same columns through
+// RHSStage instead, which folds them into the state as it goes.
 func RHSUpdate(pl *Panel, prm Params, u, out *State, reg grid.Region) {
 	p := pl.Patch
 	nrP, _, _ := p.Padded()
+	outs := out.Scalars()
 	for _, rc := range reg {
 		if rc.Empty() {
 			continue
@@ -115,9 +117,13 @@ func RHSUpdate(pl *Panel, prm Params, u, out *State, reg grid.Region) {
 		p.Par.For(rc.K1-rc.K0, func(klo, khi int) {
 			backing := pl.W.Rows(rhsRowCount)
 			s := bindRHSRows(backing, nrP)
+			var o outRows
 			for k := rc.K0 + klo; k < rc.K0+khi; k++ {
 				for j := rc.J0; j < rc.J1; j++ {
-					fusedRHSColumn(pl, prm, u, out, &s, j, k)
+					for v, f := range outs {
+						o[v] = f.Row(j, k)
+					}
+					fusedRHSColumn(pl, prm, u, &o, &s, j, k)
 				}
 			}
 			pl.W.PutRows(backing)
@@ -125,6 +131,11 @@ func RHSUpdate(pl *Panel, prm Params, u, out *State, reg grid.Region) {
 	}
 	chargeRHSUpdate(p, reg)
 }
+
+// outRows are the eight padded output rows of one column, in the order
+// of State.Scalars: rows of a full-field k for RHSUpdate, of a ring
+// plane for RHSStage.
+type outRows [8][]float64
 
 // chargeRHSUpdate reports the aggregate work of the fused update on a
 // region: the per-node flop and per-column loop totals of the unfused
@@ -144,9 +155,9 @@ func chargeRHSUpdate(p *grid.Patch, reg grid.Region) {
 // derivative over the shared input rows, seeding the operator
 // accumulators with their radial metric terms, with the one-sided
 // closures at the global radial boundaries re-deriving the two boundary
-// entries. Each value matches the reference expression for the radial
-// part of its operator; the radial flux-product stencils form their
-// products v_r f_b in place.
+// entries in straight-line code. Each value matches the reference
+// expression for the radial part of its operator; the radial
+// flux-product stencils form their products v_r f_b in place.
 func derivColumnR(pl *Panel, u *State, s *rhsRows, j, k int) {
 	p := pl.Patch
 	h, n := p.H, p.Nr
@@ -225,17 +236,21 @@ func derivColumnR(pl *Panel, u *State, s *rhsRows, j, k int) {
 		s.gDr[i] = c1 * (-3*gR[i] + 4*gR[i+1] - gR[i+2])
 		s.lT[i] = c2*(tR[i]-2*tR[i+1]+tR[i+2]) +
 			2*ir*(c1*(-3*tR[i]+4*tR[i+1]-tR[i+2]))
-		vin := [3][]float64{vrR, vtR, vpR}
-		for c, vv := range vin {
-			d1 := c1 * (-3*vv[i] + 4*vv[i+1] - vv[i+2])
-			s.vD1r[c][i] = d1
-			s.lap[c][i] = c2*(vv[i]-2*vv[i+1]+vv[i+2]) + 2*ir*d1
-		}
-		fin := [3][]float64{frR, ftR, fpR}
-		for c, ff := range fin {
-			s.adv[c][i] = c1*(-3*(vrR[i]*ff[i])+4*(vrR[i+1]*ff[i+1])-(vrR[i+2]*ff[i+2])) +
-				2*(vrR[i]*ff[i])*ir
-		}
+		d1 := c1 * (-3*vrR[i] + 4*vrR[i+1] - vrR[i+2])
+		s.vD1r[0][i] = d1
+		s.lap[0][i] = c2*(vrR[i]-2*vrR[i+1]+vrR[i+2]) + 2*ir*d1
+		d1 = c1 * (-3*vtR[i] + 4*vtR[i+1] - vtR[i+2])
+		s.vD1r[1][i] = d1
+		s.lap[1][i] = c2*(vtR[i]-2*vtR[i+1]+vtR[i+2]) + 2*ir*d1
+		d1 = c1 * (-3*vpR[i] + 4*vpR[i+1] - vpR[i+2])
+		s.vD1r[2][i] = d1
+		s.lap[2][i] = c2*(vpR[i]-2*vpR[i+1]+vpR[i+2]) + 2*ir*d1
+		s.adv[0][i] = c1*(-3*(vrR[i]*frR[i])+4*(vrR[i+1]*frR[i+1])-(vrR[i+2]*frR[i+2])) +
+			2*(vrR[i]*frR[i])*ir
+		s.adv[1][i] = c1*(-3*(vrR[i]*ftR[i])+4*(vrR[i+1]*ftR[i+1])-(vrR[i+2]*ftR[i+2])) +
+			2*(vrR[i]*ftR[i])*ir
+		s.adv[2][i] = c1*(-3*(vrR[i]*fpR[i])+4*(vrR[i+1]*fpR[i+1])-(vrR[i+2]*fpR[i+2])) +
+			2*(vrR[i]*fpR[i])*ir
 	}
 	if p.GlobalEdge(1) {
 		i := h + n - 1
@@ -245,17 +260,21 @@ func derivColumnR(pl *Panel, u *State, s *rhsRows, j, k int) {
 		s.gDr[i] = c1 * (3*gR[i] - 4*gR[i-1] + gR[i-2])
 		s.lT[i] = c2*(tR[i]-2*tR[i-1]+tR[i-2]) +
 			2*ir*(c1*(3*tR[i]-4*tR[i-1]+tR[i-2]))
-		vin := [3][]float64{vrR, vtR, vpR}
-		for c, vv := range vin {
-			d1 := c1 * (3*vv[i] - 4*vv[i-1] + vv[i-2])
-			s.vD1r[c][i] = d1
-			s.lap[c][i] = c2*(vv[i]-2*vv[i-1]+vv[i-2]) + 2*ir*d1
-		}
-		fin := [3][]float64{frR, ftR, fpR}
-		for c, ff := range fin {
-			s.adv[c][i] = c1*(3*(vrR[i]*ff[i])-4*(vrR[i-1]*ff[i-1])+(vrR[i-2]*ff[i-2])) +
-				2*(vrR[i]*ff[i])*ir
-		}
+		d1 := c1 * (3*vrR[i] - 4*vrR[i-1] + vrR[i-2])
+		s.vD1r[0][i] = d1
+		s.lap[0][i] = c2*(vrR[i]-2*vrR[i-1]+vrR[i-2]) + 2*ir*d1
+		d1 = c1 * (3*vtR[i] - 4*vtR[i-1] + vtR[i-2])
+		s.vD1r[1][i] = d1
+		s.lap[1][i] = c2*(vtR[i]-2*vtR[i-1]+vtR[i-2]) + 2*ir*d1
+		d1 = c1 * (3*vpR[i] - 4*vpR[i-1] + vpR[i-2])
+		s.vD1r[2][i] = d1
+		s.lap[2][i] = c2*(vpR[i]-2*vpR[i-1]+vpR[i-2]) + 2*ir*d1
+		s.adv[0][i] = c1*(3*(vrR[i]*frR[i])-4*(vrR[i-1]*frR[i-1])+(vrR[i-2]*frR[i-2])) +
+			2*(vrR[i]*frR[i])*ir
+		s.adv[1][i] = c1*(3*(vrR[i]*ftR[i])-4*(vrR[i-1]*ftR[i-1])+(vrR[i-2]*ftR[i-2])) +
+			2*(vrR[i]*ftR[i])*ir
+		s.adv[2][i] = c1*(3*(vrR[i]*fpR[i])-4*(vrR[i-1]*fpR[i-1])+(vrR[i-2]*fpR[i-2])) +
+			2*(vrR[i]*fpR[i])*ir
 	}
 }
 
@@ -541,12 +560,12 @@ func derivColumnP(pl *Panel, u *State, s *rhsRows, j, k int) {
 // fusedRHSColumn evaluates the full fused update for one (j, k) column:
 // the flux-product rows, three direction passes building every
 // derivative row and directional operator accumulation over shared
-// inputs, then one loop producing all eight outputs with every
-// remaining intermediate in registers. Every arithmetic statement
-// mirrors its full-field counterpart in ops.go / advect.go /
+// inputs, then one loop producing all eight outputs, into the rows of
+// o, with every remaining intermediate in registers. Every arithmetic
+// statement mirrors its full-field counterpart in ops.go / advect.go /
 // rhs_reference.go, preserving rounding order; register-held float64s
 // round identically to stored ones on every supported target.
-func fusedRHSColumn(pl *Panel, prm Params, u, out *State, s *rhsRows, j, k int) {
+func fusedRHSColumn(pl *Panel, prm Params, u *State, o *outRows, s *rhsRows, j, k int) {
 	p := pl.Patch
 	h := p.H
 	nr := p.Nr
@@ -606,14 +625,9 @@ func fusedRHSColumn(pl *Panel, prm Params, u, out *State, s *rhsRows, j, k int) 
 	jp := w(pl.J.P.Row(j, k))
 	dV := w(pl.DivV.Row(j, k))
 
-	oRho := w(out.Rho.Row(j, k))
-	oP := w(out.P.Row(j, k))
-	oFr := w(out.F.R.Row(j, k))
-	oFt := w(out.F.T.Row(j, k))
-	oFp := w(out.F.P.Row(j, k))
-	oAr := w(out.A.R.Row(j, k))
-	oAt := w(out.A.T.Row(j, k))
-	oAp := w(out.A.P.Row(j, k))
+	oRho, oP := w(o[0]), w(o[1])
+	oFr, oFt, oFp := w(o[2]), w(o[3]), w(o[4])
+	oAr, oAt, oAp := w(o[5]), w(o[6]), w(o[7])
 
 	lo := 0
 	if simd.AVX2 {

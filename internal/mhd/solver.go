@@ -125,9 +125,9 @@ func (sv *Solver) applyConstraints() {
 // following the paper's use of interpolation as the internal boundary
 // condition of each component grid.
 func (sv *Solver) Advance(dt float64) {
-	AdvanceRK4(dt, sv.Panels[:], func(pl *Panel, k *State) {
+	AdvanceRK4(dt, sv.Panels[:], func(pl *Panel, st Stage) {
 		ComputeVTB(pl, &pl.U)
-		FinishRHS(pl, sv.Prm, &pl.U, k, nil)
+		FinishStage(pl, sv.Prm, st, nil)
 	}, sv.applyConstraints)
 	sv.Time += dt
 	sv.Step++

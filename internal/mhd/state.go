@@ -44,8 +44,11 @@ type Panel struct {
 	Patch *grid.Patch
 	U     State // current state
 
-	// Runge-Kutta scratch.
-	u0, k, acc State
+	// Runge-Kutta storage: the stage's start state and accumulated
+	// right-hand sides. The right-hand side itself never exists as a
+	// full field; stage holds it a few φ-slices at a time.
+	u0, acc State
+	stage   stager
 
 	// Derived subsidiary fields (scratch, rebuilt each RHS evaluation).
 	V, B, J *field.Vector
@@ -79,7 +82,6 @@ func NewPanel(p *grid.Patch, omega float64) *Panel {
 		Patch: p,
 		U:     NewState(p.Shape),
 		u0:    NewState(p.Shape),
-		k:     NewState(p.Shape),
 		acc:   NewState(p.Shape),
 		V:     p.NewVector(),
 		B:     p.NewVector(),
@@ -88,6 +90,7 @@ func NewPanel(p *grid.Patch, omega float64) *Panel {
 		DivV:  p.NewScalar(),
 		W:     sphops.NewWorkspace(p),
 	}
+	pl.stage.init(pl)
 	pl.precomputeOmega(omega)
 	pl.precomputeOwnership()
 	return pl

@@ -62,9 +62,9 @@ const (
 	// flight (between posting the receives and completing them); its
 	// growth is exactly the wait time the overlapped schedule hides.
 	SpanHaloOverlap
-	// SpanRHSInterior / SpanRHSRim split the overlapped RHS update into
-	// the halo-independent interior evaluation and the seam rim finished
-	// after the exchange completes.
+	// SpanRHSInterior / SpanRHSRim split the overlapped schedule's
+	// current-density curl into the halo-independent interior and the
+	// seam rim finished after the B exchange completes.
 	SpanRHSInterior
 	SpanRHSRim
 	numSpanKinds

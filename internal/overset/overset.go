@@ -189,14 +189,14 @@ func (e *Exchanger) count(components int) {
 // ExchangeScalar sets the rim values of each panel's scalar field from
 // the partner panel.
 func (e *Exchanger) ExchangeScalar(yin, yang *field.Scalar) {
+	// The closure exists only on the pooled path: a serial exchange
+	// allocates nothing.
+	if n := len(e.plan.Targets); e.pool == nil {
+		e.gatherScalars(yin, yang, 0, n)
+	} else {
+		e.pool.For(n, func(lo, hi int) { e.gatherScalars(yin, yang, lo, hi) })
+	}
 	h := e.h
-	e.pool.For(len(e.plan.Targets), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t := e.plan.Targets[i]
-			gatherScalar(yang, t, h, e.a[i][0]) // Yin rim <- Yang donors
-			gatherScalar(yin, t, h, e.b[i][0])  // Yang rim <- Yin donors
-		}
-	})
 	for i, t := range e.plan.Targets {
 		copy(yin.Row(t.Recv.J+h, t.Recv.K+h), e.a[i][0])
 		copy(yang.Row(t.Recv.J+h, t.Recv.K+h), e.b[i][0])
@@ -208,13 +208,11 @@ func (e *Exchanger) ExchangeScalar(yin, yang *field.Scalar) {
 // the partner panel, rotating tangential components between the frames.
 // The radial component is frame-invariant.
 func (e *Exchanger) ExchangeVector(yin, yang *field.Vector) {
-	e.pool.For(len(e.plan.Targets), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			t := e.plan.Targets[i]
-			e.gatherVector(yang, t, e.a[i])
-			e.gatherVector(yin, t, e.b[i])
-		}
-	})
+	if n := len(e.plan.Targets); e.pool == nil {
+		e.gatherVectors(yin, yang, 0, n)
+	} else {
+		e.pool.For(n, func(lo, hi int) { e.gatherVectors(yin, yang, lo, hi) })
+	}
 	for i, t := range e.plan.Targets {
 		e.scatterVector(yin, t, e.a[i])
 		e.scatterVector(yang, t, e.b[i])
@@ -222,6 +220,24 @@ func (e *Exchanger) ExchangeVector(yin, yang *field.Vector) {
 	e.count(3)
 	// Rotation: 4 flops per tangential pair per radial node.
 	perfcount.AddFlops(int64(len(e.plan.Targets)) * int64(e.nrP) * 8)
+}
+
+// gatherScalars interpolates targets [lo, hi) of both directions into
+// the staging columns.
+func (e *Exchanger) gatherScalars(yin, yang *field.Scalar, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		t := e.plan.Targets[i]
+		gatherScalar(yang, t, e.h, e.a[i][0]) // Yin rim <- Yang donors
+		gatherScalar(yin, t, e.h, e.b[i][0])  // Yang rim <- Yin donors
+	}
+}
+
+func (e *Exchanger) gatherVectors(yin, yang *field.Vector, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		t := e.plan.Targets[i]
+		e.gatherVector(yang, t, e.a[i])
+		e.gatherVector(yin, t, e.b[i])
+	}
 }
 
 func (e *Exchanger) gatherVector(dv *field.Vector, t Target, buf [3][]float64) {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -208,5 +209,29 @@ func TestCampaignLaunchesOneWorld(t *testing.T) {
 		estimate, float64(estimate)/float64(perLaunch))
 	if estimate >= int64(perLaunch)/4 {
 		t.Errorf("estimating dt costs %d bytes over 6 segments, not under a quarter world launch (%d bytes)", estimate, perLaunch/4)
+	}
+}
+
+// TestOnCommitPerSegment: OnCommit sees each segment as it commits —
+// one call per segment, the new commit last in Diags and DTs — and the
+// calls add up to the Result the campaign returns.
+func TestOnCommitPerSegment(t *testing.T) {
+	var steps []int
+	cfg := Config{
+		Core: core.Config{Nr: 5, Nt: 9}, NProcs: 1, Steps: 6, CheckpointEvery: 2,
+		OnCommit: func(res *Result) {
+			if len(res.Diags) != len(steps)+1 || len(res.DTs) != len(res.Diags) {
+				t.Errorf("commit %d: %d diagnostics, %d time steps", len(steps)+1, len(res.Diags), len(res.DTs))
+				return
+			}
+			steps = append(steps, res.Diags[len(res.Diags)-1].Step)
+		},
+	}
+	res, err := RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, 4, 6}; !slices.Equal(steps, want) || len(res.Diags) != len(want) {
+		t.Errorf("OnCommit saw steps %v, want %v; result has %d commits", steps, want, len(res.Diags))
 	}
 }

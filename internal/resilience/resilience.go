@@ -131,6 +131,11 @@ type Config struct {
 	// plane reads shared memory only; a telemetrized campaign's
 	// committed trajectory is sha256-identical to a dark one.
 	Telemetry *telemetry.Plane
+	// OnCommit, when set, is called on the campaign goroutine after
+	// every segment commit, with res holding every commit so far (its
+	// last Diags and DTs entries are the new segment's), so a caller
+	// can report progress while the campaign runs.
+	OnCommit func(res *Result)
 }
 
 func (c Config) withDefaults() Config {
@@ -516,6 +521,9 @@ func RunCampaign(cfg Config) (res *Result, err error) {
 					return res, err
 				}
 				plane.Commit(state.Step)
+				if cfg.OnCommit != nil {
+					cfg.OnCommit(res)
+				}
 				// Save the committed attempt's profiles next to its
 				// checkpoint. Best-effort: a campaign never fails over a
 				// lost profile.
