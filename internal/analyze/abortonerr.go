@@ -17,6 +17,11 @@ import (
 // Recv, turning one rank's failure into a whole-run wedge. The capture
 // must be followed on the same path by `return` or, better, by
 // Comm.Abort(err), which wakes every waiter with the cause.
+//
+// Only this analyzer catches it (EXPERIMENTS.md G2): a
+// core.RunParallelCheckpointWith rank that records its checkpoint
+// encode error in a shared variable instead of calling Abort passes
+// every check.sh stage, because no test makes the encode fail.
 var AbortOnErr = &Analyzer{
 	Name: "abort-on-err",
 	Doc: "an error captured into a shared variable inside an mpi.Run rank " +

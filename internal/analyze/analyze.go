@@ -1,23 +1,13 @@
 // Package analyze is a static-analysis framework for this module, built
 // only on the standard library's go/ast, go/parser, go/token and
-// go/types. It exists because the solver's correctness and Earth
-// Simulator performance rest on invariants the Go compiler cannot check:
-// every posted mpi.Irecv must be completed with Wait before its halo
-// buffer is read, hot-loop array dimensions must avoid the power-of-two
-// strides that trigger memory-bank conflicts (modeled in internal/es),
-// floating-point values must not be compared with == outside designated
-// tolerance helpers, message tags must stay inside their allocated
-// spaces, and recycled payload buffers must never be touched after
-// release.
+// go/types. An analyzer earns its place by catching what no test,
+// golden or race run of the repository catches (EXPERIMENTS.md G2); an
+// invariant one of those already carries lives there instead.
 //
 // Two analyzer shapes exist. Per-package analyzers (Run) see one
-// type-checked package at a time and walk its ASTs. Interprocedural
-// analyzers (RunModule) see the whole module through a ModulePass and
-// build on the engine in callgraph.go (repo-wide call graph), cfg.go
-// (per-function control-flow graphs), dataflow.go (a forward dataflow
-// solver), and consts.go (interprocedural constant propagation with
-// one-iteration call-site summaries). Engine artifacts are computed at
-// most once per run and shared between analyzers through Module.Fact.
+// type-checked package at a time and walk its ASTs. Whole-program
+// analyzers (RunModule) see every selected package at once through a
+// ModulePass.
 //
 // Each invariant is an Analyzer; cmd/yyvet loads every package of the
 // module and runs them all, package-parallel. A finding can be
@@ -43,10 +33,10 @@ import (
 
 // An Analyzer checks one invariant. Exactly one of Run and RunModule is
 // set: Run analyzers see one package per call, RunModule analyzers see
-// the whole module at once (call graph, cross-package summaries).
+// the whole module at once.
 type Analyzer struct {
 	// Name identifies the analyzer in findings and ignore directives,
-	// e.g. "irecv-wait".
+	// e.g. "cond-wait-loop".
 	Name string
 	// Doc is a one-paragraph description of the invariant and why it
 	// matters for the reproduction.
@@ -55,7 +45,7 @@ type Analyzer struct {
 	// pass.Reportf.
 	Run func(pass *Pass) error
 	// RunModule inspects every selected package at once; use it when
-	// the invariant needs the call graph or cross-package dataflow.
+	// the invariant is a whole-program property.
 	RunModule func(mp *ModulePass) error
 }
 
@@ -91,7 +81,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.module.report(p.Analyzer.Name, p.Fset.Position(pos), fmt.Sprintf(format, args...))
 }
 
-// A ModulePass carries one interprocedural analyzer's view of the whole
+// A ModulePass carries one whole-program analyzer's view of the
 // selected module.
 type ModulePass struct {
 	Analyzer *Analyzer
@@ -108,8 +98,7 @@ func (mp *ModulePass) Reportf(pkg *Package, pos token.Pos, format string, args .
 }
 
 // Module is the shared state of one analysis run: the selected
-// packages, the suppression-directive registry, the finding sink, and
-// the memoized engine facts (call graph, constant propagation, ...).
+// packages, the suppression-directive registry and the finding sink.
 type Module struct {
 	Pkgs []*Package
 
@@ -117,65 +106,13 @@ type Module struct {
 
 	mu       sync.Mutex
 	findings []Finding
-
-	factMu sync.Mutex
-	facts  map[string]*factEntry
-}
-
-type factEntry struct {
-	once sync.Once
-	val  any
-	err  error
 }
 
 func newModule(pkgs []*Package) *Module {
 	return &Module{
 		Pkgs:       pkgs,
 		directives: buildDirectiveSet(pkgs),
-		facts:      map[string]*factEntry{},
 	}
-}
-
-// Fact memoizes one engine artifact per run so independent analyzers
-// share a single call graph, constant-propagation result, etc. The
-// build function runs at most once per key; concurrent callers block on
-// the first.
-func (m *Module) Fact(key string, build func() (any, error)) (any, error) {
-	m.factMu.Lock()
-	e := m.facts[key]
-	if e == nil {
-		e = &factEntry{}
-		m.facts[key] = e
-	}
-	m.factMu.Unlock()
-	e.once.Do(func() { e.val, e.err = build() })
-	return e.val, e.err
-}
-
-// callGraph returns the module-wide call graph fact.
-func (m *Module) callGraph() (*CallGraph, error) {
-	v, err := m.Fact("callgraph", func() (any, error) {
-		return buildCallGraph(m.Pkgs), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*CallGraph), nil
-}
-
-// constProp returns the interprocedural parameter-constant fact.
-func (m *Module) constProp() (*ConstProp, error) {
-	g, err := m.callGraph()
-	if err != nil {
-		return nil, err
-	}
-	v, err := m.Fact("constprop", func() (any, error) {
-		return buildConstProp(g), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*ConstProp), nil
 }
 
 // report appends one finding unless a directive suppresses it.
@@ -266,16 +203,7 @@ func RunN(pkgs []*Package, analyzers []*Analyzer, workers int) ([]Finding, error
 		}
 		return a.Message < b.Message
 	})
-	// Dataflow analyzers can reach one defect along several paths;
-	// collapse exact duplicates.
-	dedup := findings[:0]
-	for i, f := range findings {
-		if i > 0 && f == findings[i-1] {
-			continue
-		}
-		dedup = append(dedup, f)
-	}
-	return dedup, nil
+	return findings, nil
 }
 
 // runTasks executes the tasks over a bounded worker pool, returning the

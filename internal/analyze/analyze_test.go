@@ -124,12 +124,12 @@ func TestDirectiveScope(t *testing.T) {
 		analyzer string
 		want     bool
 	}{
-		{10, "float-eq", true},    // same line
-		{11, "float-eq", true},    // directive on line above
-		{12, "float-eq", false},   // out of range
-		{9, "float-eq", false},    // directive below the finding
-		{10, "irecv-wait", false}, // different analyzer
-		{11, "pow2-stride", true}, // second name in the list
+		{10, "float-eq", true},        // same line
+		{11, "float-eq", true},        // directive on line above
+		{12, "float-eq", false},       // out of range
+		{9, "float-eq", false},        // directive below the finding
+		{10, "cond-wait-loop", false}, // different analyzer
+		{11, "pow2-stride", true},     // second name in the list
 	}
 	for _, c := range cases {
 		pos := token.Position{Filename: "f.go", Line: c.line}

@@ -5,20 +5,16 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		AbortOnErr,
 		AtomicArtifact,
-		BufLifetime,
 		CondWaitLoop,
 		DetPurity,
 		FloatEq,
 		IgnoreAudit,
-		IrecvWait,
 		Knob,
-		OverlapOrder,
 		PoolDisjoint,
 		Pow2Stride,
 		Reach,
 		RunWithDeadline,
 		SpanEnd,
-		TagSpace,
 		TypedErr,
 	}
 }

@@ -14,6 +14,9 @@ import (
 // spuriously or after another waiter consumed the state, so the
 // predicate must be re-checked in a loop; a bare Wait turns a missed
 // wakeup into a whole-run deadlock at scale.
+//
+// Only this analyzer catches it (EXPERIMENTS.md G2): turning
+// mpi.Barrier's `for st.gen == 0` into `if` passes every check.sh stage.
 var CondWaitLoop = &Analyzer{
 	Name: "cond-wait-loop",
 	Doc: "sync.Cond.Wait outside a for loop misses spurious or stolen wakeups; " +

@@ -421,3 +421,29 @@ func decoded(t types.Type, write func(token.Pos), seen map[types.Type]bool) {
 		}
 	}
 }
+
+// calleeObj resolves the *types.Func a call expression statically
+// targets, or nil (builtins, conversions, function values, interface
+// methods).
+func calleeObj(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		fn, _ := info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		if sel, ok := info.Selections[fun]; ok {
+			if sel.Kind() != types.MethodVal {
+				return nil
+			}
+			fn, _ := sel.Obj().(*types.Func)
+			if fn != nil && types.IsInterface(sel.Recv()) {
+				return nil // dynamic dispatch
+			}
+			return fn
+		}
+		// Qualified package call (pkg.F).
+		fn, _ := info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
+}

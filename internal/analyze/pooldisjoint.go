@@ -15,6 +15,11 @@ import (
 // partial combined in tile order, the ReduceMax/ReduceSum shape), and
 // writes into captured memory indexed by nothing derived from the tile
 // induction variables (tiles may collide on the same element).
+//
+// No check.sh stage catches it reliably (EXPERIMENTS.md G2): a captured
+// counter in the tile closure of sphops' region sweep was reported by
+// -race in 7 of 8 runs of decomp's pooled tests, missing the second of
+// the first three.
 var PoolDisjoint = &Analyzer{
 	Name: "pool-disjoint",
 	Doc: "par.Pool.For tile closures must write only through tile-derived indices; " +

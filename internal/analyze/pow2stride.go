@@ -32,6 +32,10 @@ var hotPackages = map[string]bool{
 // (internal/es models this as BankPenalty). A power-of-two constant
 // dimension in a hot package silently re-introduces the penalized
 // layout.
+//
+// Only this analyzer catches it (EXPERIMENTS.md G2): sphops
+// Workspace.Rows allocating its row sets with capacity 4096 passes
+// every check.sh stage, since no host measurement sees bank conflicts.
 var Pow2Stride = &Analyzer{
 	Name: "pow2-stride",
 	Doc: "a numeric array or slice sized to a power-of-two constant inside the " +

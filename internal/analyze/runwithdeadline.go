@@ -16,6 +16,10 @@ import (
 // error; every test-side RunWith must set it. Production callsites are
 // exempt: long campaign runs legitimately compute their own deadlines
 // or run open-ended.
+//
+// Only this analyzer catches it (EXPERIMENTS.md G2): deleting the
+// Deadline of decomp.TestKilledRankAbortsAdvance passes every check.sh
+// stage; the missing watchdog shows only the day that test wedges.
 var RunWithDeadline = &Analyzer{
 	Name: "runwith-deadline",
 	Doc: "mpi.RunWith in a test must set RunConfig.Deadline so a wedged " +

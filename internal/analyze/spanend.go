@@ -17,6 +17,11 @@ import (
 // inside it. An early return between Begin and End is the same bug on
 // one path only — which is why the safe idiom is
 // `defer rr.Begin(kind).End()` or a defer on the assigned span.
+//
+// Only this analyzer catches it on an error path (EXPERIMENTS.md G2):
+// RunCampaign returning on a checkpoint-read error before it ends its
+// ckpt.read span passes every check.sh stage. An End dropped on the
+// step path is also caught by core.TestTraceCoverageAndTracks.
 var SpanEnd = &Analyzer{
 	Name: "span-end",
 	Doc: "an obs span Begin whose Span is discarded, never ended, or ended " +
@@ -209,6 +214,51 @@ func isSpanBeginCall(pass *Pass, call *ast.CallExpr) bool {
 	for i := 0; i < named.NumMethods(); i++ {
 		if named.Method(i).Name() == "End" {
 			return true
+		}
+	}
+	return false
+}
+
+// nearestParent returns the innermost non-paren ancestor.
+func nearestParent(parents []ast.Node) ast.Node {
+	for i := len(parents) - 1; i >= 0; i-- {
+		if _, ok := parents[i].(*ast.ParenExpr); ok {
+			continue
+		}
+		return parents[i]
+	}
+	return nil
+}
+
+// assignedIdent finds the identifier on the LHS of assign that receives
+// the value of call, or nil when the destination is not an identifier.
+func assignedIdent(assign *ast.AssignStmt, call *ast.CallExpr) *ast.Ident {
+	idx := 0
+	if len(assign.Rhs) == len(assign.Lhs) {
+		for i, rhs := range assign.Rhs {
+			if rhs == call {
+				idx = i
+			}
+		}
+	}
+	if idx >= len(assign.Lhs) {
+		return nil
+	}
+	id, _ := assign.Lhs[idx].(*ast.Ident)
+	return id
+}
+
+// blankAssigned reports whether id appears on the RHS of assign with a
+// blank identifier as its destination.
+func blankAssigned(assign *ast.AssignStmt, id *ast.Ident) bool {
+	for i, rhs := range assign.Rhs {
+		if rhs != id {
+			continue
+		}
+		if i < len(assign.Lhs) {
+			if lhs, ok := assign.Lhs[i].(*ast.Ident); ok && lhs.Name == "_" {
+				return true
+			}
 		}
 	}
 	return false

@@ -18,7 +18,7 @@ func multiAnalyzerList(a, b float64) bool {
 }
 
 func wrongAnalyzerName(a, b float64) bool {
-	//yyvet:ignore irecv-wait fixture: names a different analyzer
+	//yyvet:ignore cond-wait-loop fixture: names a different analyzer
 	return a == b // want "floating-point values compared with =="
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/mhd"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/snapshot"
 )
 
@@ -609,5 +610,67 @@ func TestKilledRankAbortsAdvance(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("run wedged after the rank kill")
+	}
+}
+
+// TestStepTrafficUsesExchangeTags pins ExchangeTags as the registry of
+// the step path's traffic, which the chaos fault space and the tag
+// metrics key on. On an 8-rank world with seams in theta and phi, each
+// magnetic wall condition runs with the overlapped and the sequential
+// schedule for two steps. Every user tag a run sends must be in
+// ExchangeTags, every tag ExchangeTags lists must be sent by some run,
+// and the gather and scatter tags must stay outside it. A halo, rim or
+// overset exchange moved onto another exchange's tags (the rim refresh
+// on the aux tags, say) leaves a listed tag unused and fails here.
+func TestStepTrafficUsesExchangeTags(t *testing.T) {
+	s := grid.NewSpec(9, 13)
+	l, err := NewLayoutDims(s, 8, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[int]bool{}
+	for _, tag := range ExchangeTags() {
+		listed[tag] = true
+	}
+	for _, tag := range []int{tagGatherBase, tagScatterBase} {
+		if listed[tag] {
+			t.Errorf("gather/scatter tag %d is in ExchangeTags", tag)
+		}
+	}
+	used := map[int]bool{}
+	for _, bc := range []mhd.MagneticBC{mhd.BCConfined, mhd.BCPseudoVacuum} {
+		for _, overlapped := range []bool{true, false} {
+			prm := mhd.Default()
+			prm.MagBC = bc
+			rec := obs.New(obs.Config{})
+			err := mpi.RunWith(8, mpi.RunConfig{Deadline: 60 * time.Second, Obs: rec}, func(w *mpi.Comm) {
+				r, err := NewRank(w, l, prm, mhd.DefaultIC())
+				if err != nil {
+					w.Abort(err)
+					return
+				}
+				r.SetOverlap(overlapped)
+				for n := 0; n < 2; n++ {
+					r.Advance(2e-3)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := range rec.TagStats() {
+				if k.Tag < 0 {
+					continue // the runtime's own collectives
+				}
+				if !listed[k.Tag] {
+					t.Errorf("MagBC %v, overlap %v: tag %d (comm %d) is not in ExchangeTags", bc, overlapped, k.Tag, k.Comm)
+				}
+				used[k.Tag] = true
+			}
+		}
+	}
+	for _, tag := range ExchangeTags() {
+		if !used[tag] {
+			t.Errorf("ExchangeTags lists tag %d, but no run sent on it", tag)
+		}
 	}
 }

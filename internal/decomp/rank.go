@@ -295,9 +295,11 @@ func (r *Rank) exchangeHalos(fields []*field.Scalar, tagBase int) {
 	//
 	// Each phase follows the paper's non-blocking pattern: post
 	// MPI_IRECV for both neighbours first, send, then complete each
-	// receive with Wait before unpacking (the ordering the irecv-wait
-	// analyzer in cmd/yyvet enforces). The phases cannot overlap each
-	// other: theta packing must see the freshly unpacked phi halos.
+	// receive with Wait before unpacking (drop a Wait and the
+	// serial-equivalence goldens, TestParallelMatchesSerial and
+	// TestOverlapByteIdentity among them, fail). The phases cannot
+	// overlap each other: theta packing must see the freshly unpacked
+	// phi halos.
 	// All staging buffers come from the rank's preallocated HaloBufs
 	// arena: Send copies synchronously, and every receive buffer is
 	// consumed within its phase, so reuse is race-free and the
@@ -578,8 +580,9 @@ func (r *Rank) stateFields() []*field.Scalar {
 
 // applyConstraints mirrors the serial solver's constraint application:
 // refresh halos (the overset donors interpolate from interior-plus-halo
-// data), impose walls, run the overset exchange, re-impose walls at the
-// rim columns, and refresh halos once more so that halo copies of the
+// data), impose walls, run the overset exchange, re-impose the walls
+// (ApplyWallBC sweeps every column, not only the overset-rewritten rim
+// ones), and refresh halos once more so that halo copies of the
 // partner blocks' rim columns carry their post-overset values — without
 // the second refresh, stencils at block seams adjacent to the panel rim
 // would consume stale rim data that the serial solver never sees.

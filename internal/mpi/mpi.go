@@ -875,7 +875,8 @@ func (r *Request) Wait() int {
 
 // Irecv posts a non-blocking receive into buf; complete it with Wait.
 // The buffer must not be read (and no overlapping Recv posted) until
-// Wait returns — cmd/yyvet's irecv-wait analyzer enforces the Wait.
+// Wait returns; the decomp serial-equivalence goldens fail when a halo
+// exchange drops its Wait.
 // The tag must be non-negative. The peer is validated up front, in the
 // caller's goroutine, so a bad src fails the posting rank immediately
 // instead of surfacing only at Wait.

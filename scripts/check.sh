@@ -7,17 +7,16 @@
 #   2. go vet        — the standard toolchain analyzers
 #   3. yyvet         — the repo-specific invariant analyzers
 #                      (internal/analyze), run package-parallel:
-#                      per-function walks (irecv-wait, pow2-stride,
-#                      float-eq, cond-wait-loop, abort-on-err,
-#                      runwith-deadline, span-end, det-purity,
-#                      pool-disjoint, typed-err, overlap-order,
-#                      atomic-artifact) plus the interprocedural
-#                      passes (tag-space, buf-lifetime, reach: every
-#                      declaration some main reaches, knob: every
-#                      exported library field some program sets and
-#                      some program reads, every cmd/ flag a stage of
-#                      this script or a test of its command passes) and
-#                      the directive audit (ignore-audit)
+#                      per-package walks (abort-on-err, atomic-artifact,
+#                      cond-wait-loop, det-purity, float-eq,
+#                      pool-disjoint, pow2-stride, runwith-deadline,
+#                      span-end, typed-err) plus the whole-program
+#                      passes (reach: every declaration some main
+#                      reaches, knob: every exported library field some
+#                      program sets and some program reads, every cmd/
+#                      flag a stage of this script or a test of its
+#                      command passes) and the directive audit
+#                      (ignore-audit)
 #   4. go test       — the full test suite (benchmark/'s timing-
 #                      sensitive pipeline test first and alone, then a
 #                      short benchmark run that must leave no process
@@ -227,11 +226,13 @@ go run ./cmd/yystore -root "$store_dir" gc
 # the machine-readable report for upload.
 go run ./cmd/yystore -root "$store_dir" verify ${STORE_REPORT:+-o "$STORE_REPORT"}
 
-# The tracked size of the codebase (ROADMAP north star 2) and of what a
-# stepping solver holds per padded grid point (mhd.TestPanelFootprint):
-# every PR description owes the delta of these numbers against its parent.
+# The tracked size of the codebase (ROADMAP north star 2), of its
+# assembly, and of what a stepping solver holds per padded grid point
+# (mhd.TestPanelFootprint): every PR description owes the delta of these
+# numbers against its parent.
 loc=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs cat | wc -l)
+asm=$(find . -name '*.s' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs cat | wc -l)
 dpp=$(go test -count=1 -run '^TestPanelFootprint$' -v ./internal/mhd | sed -n 's/.*doubles per padded point: //p')
-echo "non-test Go LoC outside benchmark/: $loc; doubles per padded point: $dpp"
+echo "non-test Go LoC outside benchmark/: $loc; assembly lines: $asm; doubles per padded point: $dpp"
 
 echo "==> all checks passed"
