@@ -135,6 +135,19 @@ func TestLayoutBlocksTile(t *testing.T) {
 	}
 }
 
+// worldDeadline bounds how long a rank of a test world may stay blocked
+// in one call: a lost halo message fails the test in seconds, with the
+// blocked calls named, instead of wedging the package until its
+// -timeout.
+const worldDeadline = 10 * time.Second
+
+// runWorld runs fn on an n-rank world under the worldDeadline watchdog.
+// A test that counts allocations keeps mpi.Run: the watchdog's waiter
+// records would show in its count.
+func runWorld(n int, fn func(w *mpi.Comm)) error {
+	return mpi.RunWith(n, mpi.RunConfig{Deadline: worldDeadline}, fn)
+}
+
 // runSerial advances the serial reference and returns it.
 func runSerial(t *testing.T, s grid.Spec, steps int, dt float64) *mhd.Solver {
 	t.Helper()
@@ -164,7 +177,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 		}
 		var mu sync.Mutex
 		var mismatches int
-		err = mpi.Run(nProcs, func(w *mpi.Comm) {
+		err = runWorld(nProcs, func(w *mpi.Comm) {
 			r, err := NewRank(w, l, mhd.Default(), mhd.DefaultIC())
 			if err != nil {
 				t.Error(err)
@@ -223,7 +236,7 @@ func TestParallelDiagnostics(t *testing.T) {
 	}
 	var mu sync.Mutex
 	checked := false
-	err = mpi.Run(8, func(w *mpi.Comm) {
+	err = runWorld(8, func(w *mpi.Comm) {
 		r, err := NewRank(w, l, mhd.Default(), mhd.DefaultIC())
 		if err != nil {
 			t.Error(err)
@@ -289,7 +302,7 @@ func TestParallelEstimateDT(t *testing.T) {
 		var mu sync.Mutex
 		var vals [2]map[uint64]int
 		vals[0], vals[1] = map[uint64]int{}, map[uint64]int{}
-		err = mpi.Run(n, func(w *mpi.Comm) {
+		err = runWorld(n, func(w *mpi.Comm) {
 			r, err := NewRank(w, l, mhd.Default(), mhd.DefaultIC())
 			if err != nil {
 				t.Error(err)
@@ -335,7 +348,7 @@ func TestGatherStateMatchesSerial(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var gathered *mhd.Solver
-	err = mpi.Run(8, func(w *mpi.Comm) {
+	err = runWorld(8, func(w *mpi.Comm) {
 		r, err := NewRank(w, l, mhd.Default(), mhd.DefaultIC())
 		if err != nil {
 			t.Error(err)
@@ -432,7 +445,7 @@ func TestParallelMatchesSerialPseudoVacuum(t *testing.T) {
 	}
 	var mu sync.Mutex
 	mismatches := 0
-	err = mpi.Run(8, func(w *mpi.Comm) {
+	err = runWorld(8, func(w *mpi.Comm) {
 		r, err := NewRank(w, l, prm, ic)
 		if err != nil {
 			t.Error(err)
@@ -491,7 +504,7 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 	}
 	var mu sync.Mutex
 	mismatches := 0
-	err = mpi.Run(8, func(w *mpi.Comm) {
+	err = runWorld(8, func(w *mpi.Comm) {
 		// Start ranks from a DIFFERENT initial condition, then scatter.
 		ic := mhd.DefaultIC()
 		ic.Seed = 99

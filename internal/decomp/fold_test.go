@@ -41,13 +41,17 @@ func digest(sts ...*mhd.State) []uint64 {
 }
 
 // combineOracle is a rank's stage loop before the fold moved into the
-// sweep: the sequential schedule's right-hand side into a full-field k,
-// then the combine over the full padded arrays into the oracle's own
-// u0 and acc.
-type combineOracle struct{ u0, k, acc mhd.State }
+// sweep: the sequential schedule's right-hand side into a full-field k
+// through rhs (mhd.FinishRHS, or mhd.FinishRHSReference for a
+// full-field j), then the combine over the full padded arrays into the
+// oracle's own u0 and acc.
+type combineOracle struct {
+	u0, k, acc mhd.State
+	rhs        func(pl *mhd.Panel, prm mhd.Params, u, out *mhd.State, sync func(fs ...*field.Scalar))
+}
 
 func newCombineOracle(p *grid.Patch) *combineOracle {
-	return &combineOracle{mhd.NewState(p.Shape), mhd.NewState(p.Shape), mhd.NewState(p.Shape)}
+	return &combineOracle{mhd.NewState(p.Shape), mhd.NewState(p.Shape), mhd.NewState(p.Shape), mhd.FinishRHS}
 }
 
 func (o *combineOracle) advance(r *Rank, dt float64, constrain func()) {
@@ -61,7 +65,7 @@ func (o *combineOracle) advance(r *Rank, dt float64, constrain func()) {
 		}
 		mhd.ComputeVTB(pl, &pl.U)
 		r.exchangeHalos([]*field.Scalar{pl.B.R, pl.B.T, pl.B.P}, tagHaloBBase)
-		mhd.FinishRHS(pl, r.Prm, &pl.U, &o.k, func(fs ...*field.Scalar) {
+		o.rhs(pl, r.Prm, &pl.U, &o.k, func(fs ...*field.Scalar) {
 			r.exchangeHalos(fs, tagHaloAuxBase)
 		})
 		us, u0s, ks, accs := pl.U.Scalars(), o.u0.Scalars(), o.k.Scalars(), o.acc.Scalars()
@@ -96,35 +100,8 @@ func TestStageMatchesCombineWorlds(t *testing.T) {
 	s := grid.NewSpec(9, 13)
 	const steps = 2
 	const dt = 2e-3
-	// world runs step on every rank of a fresh world and returns each
-	// rank's digests, one per constraint point.
-	world := func(t *testing.T, nProcs, workers int, step func(r *Rank, record func(u0, acc *mhd.State))) [][][]uint64 {
-		t.Helper()
-		l, err := NewLayout(s, nProcs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		digests := make([][][]uint64, nProcs)
-		err = mpi.RunWith(nProcs, mpi.RunConfig{Deadline: 60 * time.Second}, func(w *mpi.Comm) {
-			r, err := NewRankWorkers(w, l, mhd.Default(), mhd.DefaultIC(), workers)
-			if err != nil {
-				w.Abort(err)
-				return
-			}
-			defer r.Close()
-			for n := 0; n < steps; n++ {
-				step(r, func(u0, acc *mhd.State) {
-					digests[w.Rank()] = append(digests[w.Rank()], digest(&r.PL.U, u0, acc))
-				})
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return digests
-	}
 	for _, nProcs := range []int{2, 4} {
-		want := world(t, nProcs, 1, func(r *Rank, record func(u0, acc *mhd.State)) {
+		want := stepWorld(t, s, nProcs, 1, mhd.Default(), mhd.DefaultIC(), steps, func(r *Rank, record func(u0, acc *mhd.State)) {
 			o := newCombineOracle(r.PL.Patch)
 			o.advance(r, dt, func() {
 				record(&o.u0, &o.acc)
@@ -134,29 +111,103 @@ func TestStageMatchesCombineWorlds(t *testing.T) {
 		for _, overlap := range []bool{true, false} {
 			for _, workers := range []int{1, 2} {
 				t.Run(fmt.Sprintf("world%d/overlap=%v/workers%d", nProcs, overlap, workers), func(t *testing.T) {
-					got := world(t, nProcs, workers, func(r *Rank, record func(u0, acc *mhd.State)) {
-						r.SetOverlap(overlap)
-						mhd.AdvanceRK4(dt, []*mhd.Panel{r.PL}, func(_ *mhd.Panel, st mhd.Stage) {
-							r.rhs(st)
-						}, func() {
-							record(rkBuffers(r.PL))
-							r.applyConstraints()
-						})
-					})
-					for rank := range want {
-						if len(got[rank]) != len(want[rank]) || len(want[rank]) != 4*steps {
-							t.Fatalf("rank %d: %d constraint points, oracle %d", rank, len(got[rank]), len(want[rank]))
-						}
-						for c := range want[rank] {
-							for i := range want[rank][c] {
-								if got[rank][c][i] != want[rank][c][i] {
-									t.Fatalf("rank %d, constraint point %d: %s var %d differs from the combine oracle",
-										rank, c, [...]string{"U", "u0", "acc"}[i/8], i%8)
-								}
-							}
-						}
-					}
+					got := stepWorld(t, s, nProcs, workers, mhd.Default(), mhd.DefaultIC(), steps, rankStep(dt, overlap))
+					sameDigests(t, got, want, 4*steps)
 				})
+			}
+		}
+	}
+}
+
+// TestWorldMatchesFullJ: on a 4-rank world (two blocks per panel) under
+// both magnetic walls, the ranks' stage loop — the current density
+// evaluated a φ-slice at a time inside each rank's stage sweep, behind
+// the overlapped B and div-v exchanges — leaves every rank's U, u0 and
+// acc,
+// halos included, bitwise equal at every constraint point of two steps
+// to the combine oracle evaluating the right-hand side through
+// mhd.FinishRHSReference, whose j = curl B is a full field.
+func TestWorldMatchesFullJ(t *testing.T) {
+	s := grid.NewSpec(9, 13)
+	const steps, dt = 2, 2e-3
+	for _, bc := range []mhd.MagneticBC{mhd.BCConfined, mhd.BCPseudoVacuum} {
+		t.Run(fmt.Sprintf("bc%d", bc), func(t *testing.T) {
+			prm := mhd.Default()
+			prm.MagBC = bc
+			ic := mhd.DefaultIC()
+			ic.SeedBAmp = 0.02
+			want := stepWorld(t, s, 4, 1, prm, ic, steps, func(r *Rank, record func(u0, acc *mhd.State)) {
+				o := newCombineOracle(r.PL.Patch)
+				o.rhs = mhd.FinishRHSReference
+				o.advance(r, dt, func() {
+					record(&o.u0, &o.acc)
+					r.applyConstraints()
+				})
+			})
+			got := stepWorld(t, s, 4, 1, prm, ic, steps, rankStep(dt, true))
+			sameDigests(t, got, want, 4*steps)
+		})
+	}
+}
+
+// rankStep is Rank.Advance's stage loop under the given schedule, with
+// every constraint point recorded.
+func rankStep(dt float64, overlap bool) func(r *Rank, record func(u0, acc *mhd.State)) {
+	return func(r *Rank, record func(u0, acc *mhd.State)) {
+		r.SetOverlap(overlap)
+		mhd.AdvanceRK4(dt, []*mhd.Panel{r.PL}, func(_ *mhd.Panel, st mhd.Stage) {
+			r.rhs(st)
+		}, func() {
+			record(rkBuffers(r.PL))
+			r.applyConstraints()
+		})
+	}
+}
+
+// stepWorld runs step steps times on every rank of a fresh nProcs-rank
+// world of spec s and returns each rank's digests, one per recorded
+// point.
+func stepWorld(t *testing.T, s grid.Spec, nProcs, workers int, prm mhd.Params, ic mhd.InitialConditions, steps int, step func(r *Rank, record func(u0, acc *mhd.State))) [][][]uint64 {
+	t.Helper()
+	l, err := NewLayout(s, nProcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := make([][][]uint64, nProcs)
+	err = mpi.RunWith(nProcs, mpi.RunConfig{Deadline: 60 * time.Second}, func(w *mpi.Comm) {
+		r, err := NewRankWorkers(w, l, prm, ic, workers)
+		if err != nil {
+			w.Abort(err)
+			return
+		}
+		defer r.Close()
+		for n := 0; n < steps; n++ {
+			step(r, func(u0, acc *mhd.State) {
+				digests[w.Rank()] = append(digests[w.Rank()], digest(&r.PL.U, u0, acc))
+			})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return digests
+}
+
+// sameDigests fails at the first rank and recorded point where got and
+// the oracle's want differ; each rank must have recorded points of
+// them.
+func sameDigests(t *testing.T, got, want [][][]uint64, points int) {
+	t.Helper()
+	for rank := range want {
+		if len(got[rank]) != len(want[rank]) || len(want[rank]) != points {
+			t.Fatalf("rank %d: %d recorded points, oracle %d", rank, len(got[rank]), len(want[rank]))
+		}
+		for c := range want[rank] {
+			for i := range want[rank][c] {
+				if got[rank][c][i] != want[rank][c][i] {
+					t.Fatalf("rank %d, point %d: %s var %d differs from the oracle",
+						rank, c, [...]string{"U", "u0", "acc"}[i/8], i%8)
+				}
 			}
 		}
 	}

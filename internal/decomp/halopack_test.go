@@ -172,7 +172,7 @@ func TestParallelKernelHaloStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = mpi.Run(4, func(w *mpi.Comm) {
+	err = runWorld(4, func(w *mpi.Comm) {
 		r, err := NewRankWorkers(w, l, mhd.Default(), mhd.DefaultIC(), 2)
 		if err != nil {
 			w.Abort(err)
@@ -204,7 +204,7 @@ func TestWorkersMatchSerial(t *testing.T) {
 	}
 	run := func(workers int) *mhd.Solver {
 		var sv *mhd.Solver
-		err := mpi.Run(nProcs, func(w *mpi.Comm) {
+		err := runWorld(nProcs, func(w *mpi.Comm) {
 			r, err := NewRankWorkers(w, l, mhd.Default(), mhd.DefaultIC(), workers)
 			if err != nil {
 				w.Abort(err)

@@ -88,16 +88,13 @@ type Rank struct {
 	tele *telemetry.RankPub
 	snap telemetry.Snapshot
 
-	// Overlapped-RHS schedule state: the owned columns split once into
-	// the seam-independent interior and the width-1 rim (the stencil
-	// radius), plus the toggle that falls back to the fully sequential
-	// exchange-then-compute schedule. Both schedules are bit-identical;
-	// the toggle exists so correctness suites can pin that and so a
-	// regression can be bisected at runtime.
-	overlap  bool
-	interior grid.Region
-	rim      grid.Region
-	fullReg  grid.Region
+	// Overlapped-RHS schedule state: the owned columns, plus the toggle
+	// that falls back to the fully sequential exchange-then-compute
+	// schedule. Both schedules are bit-identical; the toggle exists so
+	// correctness suites can pin that and so a regression can be
+	// bisected at runtime.
+	overlap bool
+	fullReg grid.Region
 
 	nrP int // padded radial extent (column length)
 }
@@ -200,9 +197,6 @@ func newStatelessRank(world *mpi.Comm, l *Layout, prm mhd.Params, workers int) (
 		overlap: true,
 		nrP:     l.Spec.Nr + 2*patch.H,
 	}
-	in, rim := patch.SplitInteriorRim(1)
-	r.interior = grid.Region{in}
-	r.rim = rim
 	r.fullReg = patch.OwnedRegion()
 	// The rank's largest halo exchange moves the 8 state scalars.
 	r.halo = NewHaloBufs(patch, len(r.stateFields()))
@@ -379,7 +373,7 @@ func (r *Rank) exchangeHalos(fields []*field.Scalar, tagBase int) {
 }
 
 // SetOverlap selects between the overlapped RHS schedule (halo receives
-// posted, interior computed while messages fly, rim finished after the
+// posted, div v computed while messages fly, the stage sweep after the
 // waits) and the sequential exchange-then-compute fallback. Both produce
 // bitwise-identical states; the default is overlapped.
 func (r *Rank) SetOverlap(on bool) { r.overlap = on }
@@ -711,20 +705,17 @@ func (r *Rank) rimRefresh() {
 // rhs evaluates the stage's right-hand side and folds it into the
 // state: compute the subsidiary fields, refresh the magnetic-field and
 // div-v halos (both are differentiated), then sweep once over the owned
-// columns with mhd.RHSStage.
+// columns with mhd.RHSStage, which evaluates the current density
+// j = curl B a φ-slice at a time as it goes.
 //
-// With overlap enabled the two halo refreshes hide under compute. Both
+// With overlap enabled the halo refreshes hide under compute. Both
 // exchanged families (B, div v) are consumed only by axis-aligned
-// stencils, so the corner-free haloStart exchange suffices, and the
-// interior — every owned point at least the stencil radius from a
-// neighbour boundary — depends on no incoming halo at all. The schedule
-// therefore posts the B exchange, evaluates div v everywhere under it
-// (div v reads no B), posts the div-v exchange, evaluates the
-// current-density curl on the interior while both fly, finishes B and
-// the curl on the rim, finishes div v, and ends in the one full-cover
-// stage sweep. Every point is still computed exactly once by the same
-// arithmetic, so the result is bitwise identical to the sequential
-// fallback below.
+// stencils, so the corner-free haloStart exchange suffices. The
+// schedule posts the B exchange, evaluates div v everywhere under it
+// (div v reads no B), posts the div-v exchange, finishes both, and ends
+// in the one full-cover stage sweep. Every point is still computed
+// exactly once by the same arithmetic, so the result is bitwise
+// identical to the sequential fallback below.
 func (r *Rank) rhs(st mhd.Stage) {
 	defer r.obs.Begin(obs.SpanRHS).End()
 	pl := r.PL
@@ -742,15 +733,7 @@ func (r *Rank) rhs(st mhd.Stage) {
 	mhd.RHSDivV(pl, r.fullReg)
 	o.End()
 	ovA := r.haloStart([]*field.Scalar{pl.DivV}, tagHaloAuxBase, len(b))
-	o = r.obs.Begin(obs.SpanHaloOverlap)
-	in := r.obs.Begin(obs.SpanRHSInterior)
-	mhd.RHSCurlJ(pl, r.interior)
-	in.End()
-	o.End()
 	r.haloFinish(&ovB)
-	rim := r.obs.Begin(obs.SpanRHSRim)
-	mhd.RHSCurlJ(pl, r.rim)
-	rim.End()
 	r.haloFinish(&ovA)
 	mhd.RHSStage(pl, r.Prm, st)
 }

@@ -21,7 +21,7 @@ func restoreAndCompare(t *testing.T, l *Layout, raw []byte, ref *mhd.Solver, dt 
 	t.Helper()
 	var mu sync.Mutex
 	mismatches := 0
-	err := mpi.Run(l.NProcs, func(w *mpi.Comm) {
+	err := runWorld(l.NProcs, func(w *mpi.Comm) {
 		// Start ranks from a DIFFERENT initial condition, then restore.
 		ic := mhd.DefaultIC()
 		ic.Seed = 99
@@ -144,7 +144,7 @@ func TestScatterInteriorRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = mpi.Run(2, func(w *mpi.Comm) {
+	err = runWorld(2, func(w *mpi.Comm) {
 		r, err := NewRank(w, l, mhd.Default(), mhd.DefaultIC())
 		if err != nil {
 			t.Error(err)
@@ -191,7 +191,7 @@ func TestBlankRankAndGatherInterior(t *testing.T) {
 			}
 			for _, blank := range []bool{true, false} {
 				var got, viaState []byte
-				err := mpi.Run(nProcs, func(w *mpi.Comm) {
+				err := runWorld(nProcs, func(w *mpi.Comm) {
 					var r *Rank
 					var err error
 					if blank {

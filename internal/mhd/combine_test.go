@@ -348,7 +348,7 @@ func TestStageAnyTiling(t *testing.T) {
 	calls := 0
 	stepAgainstCombine(t, sv, oracle, ks, sv.EstimateDT(0.3), func(pl *Panel, st Stage) {
 		ComputeVTB(pl, &pl.U)
-		curlDiv(pl, nil)
+		divV(pl, nil)
 		f := &pl.stage
 		f.prm, f.st = sv.Prm, st
 		bounds := tilings[calls/len(sv.Panels)]

@@ -9,24 +9,25 @@ import (
 	"repro/internal/sphops"
 )
 
-// TestPanelFootprint pins what a stepping serial solver holds to the 35
+// TestPanelFootprint pins what a stepping serial solver holds to the 32
 // doubles per padded point a step reads and writes — 24 of Runge-Kutta
 // state (U, u0, acc; the right-hand side never exists as a full field),
-// 9 of V, B, J and 2 of T, div v — plus two points' worth of slack for
+// 6 of V, B (the current density j = curl B never exists as a full
+// field either) and 2 of T, div v — plus two points' worth of slack for
 // the stage sweep's ring of right-hand-side slices (about half a point
-// at this grid), the rotation and ownership tables, the overset
-// exchanger (about half a point) and the kernels' scratch rows. The
-// reference kernel's operator outputs and the full-field operators'
-// scratch are created only by the callers that need them, so neither
-// shows here; the reference still equals the fused kernel on the
-// stepped panels, and the column-fused curl and divergence the step
-// uses allocate nothing once warm. scripts/check.sh prints the logged
-// figure.
+// at this grid) and its tile's j planes, the rotation and ownership
+// tables, the overset exchanger (about half a point) and the kernels'
+// scratch rows. The reference kernel's operator outputs, the
+// full-field operators' scratch and the diagnostics' full-field J are
+// created only by the callers that need them, so none shows here; the
+// reference still equals the fused kernel on the stepped panels, and
+// the column-fused curl and divergence the step uses allocate nothing
+// once warm. scripts/check.sh prints the logged figure.
 func TestPanelFootprint(t *testing.T) {
 	sv, perPoint := steppedFootprint(t, nil)
 	t.Logf("doubles per padded point: %.1f", perPoint)
-	if perPoint > 37 {
-		t.Errorf("a stepped solver holds %.1f doubles per padded point, want <= 37", perPoint)
+	if perPoint > 34 {
+		t.Errorf("a stepped solver holds %.1f doubles per padded point, want <= 34", perPoint)
 	}
 	// With a worker pool each sweep tile keeps the right-hand side of
 	// its first and last φ-slice for the join (DESIGN.md, "The
@@ -42,8 +43,8 @@ func TestPanelFootprint(t *testing.T) {
 	_, _, npP := p.Padded()
 	extra := 8 * float64(min(p.Np, 2*tiles)+ringSlots) / float64(npP)
 	t.Logf("doubles per padded point with %d workers: %.1f (kept slices and second ring %.1f)", workers, pooled, extra)
-	if pooled > 37+extra {
-		t.Errorf("a pooled stepped solver holds %.1f doubles per padded point, want <= %.1f", pooled, 37+extra)
+	if pooled > 34+extra {
+		t.Errorf("a pooled stepped solver holds %.1f doubles per padded point, want <= %.1f", pooled, 34+extra)
 	}
 
 	for _, pl := range sv.Panels {
@@ -65,8 +66,9 @@ func TestPanelFootprint(t *testing.T) {
 
 	pl := sv.Panels[grid.Yin]
 	reg := pl.Patch.OwnedRegion()
+	j := pl.Patch.NewVector()
 	if a := testing.AllocsPerRun(10, func() {
-		sphops.CurlOn(pl.Patch, reg, pl.B, pl.J, pl.W)
+		sphops.CurlOn(pl.Patch, reg, pl.B, j, pl.W)
 		sphops.DivOn(pl.Patch, reg, pl.V, pl.DivV, pl.W)
 	}); a != 0 {
 		t.Errorf("CurlOn + DivOn: %v allocs per call, want 0", a)

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/perfcount"
+	"repro/internal/sphops"
 )
 
 // rk4Stages is the paper's classical fourth-order Runge-Kutta scheme as
@@ -67,11 +68,13 @@ const ringSlots = 3
 // stencils read its U has been evaluated, one slice behind the sweep.
 // Ring planes are zero outside the owned window and never written
 // there, so folding whole padded planes reproduces the combine's halo
-// arithmetic.
+// arithmetic. Each slice's current density is evaluated into the
+// tile's jSlice just before the slice's columns.
 type stager struct {
-	pl  *Panel
-	prm Params
-	st  Stage
+	pl   *Panel
+	prm  Params
+	st   Stage
+	curl sphops.CurlColumns // curl B, bound once for the panel's life
 	// tileFn is tile bound once, so a pooled sweep hands it over
 	// without allocating a closure.
 	tileFn func(lo, hi int)
@@ -91,6 +94,7 @@ type stager struct {
 func (f *stager) init(pl *Panel) {
 	nrP, ntP, _ := pl.Patch.Padded()
 	f.pl = pl
+	f.curl = sphops.BindCurl(pl.Patch, pl.B)
 	f.tileFn = f.tile
 	f.plane = ntP * nrP
 	f.zero = make([]float64, f.plane)
@@ -99,28 +103,30 @@ func (f *stager) init(pl *Panel) {
 }
 
 // RHSStage is a stage's one sweep over the owned columns: the update
-// of RHSUpdate, with its outputs folded into the state by st instead of
-// stored. ComputeVTB, RHSCurlJ and RHSDivV must have run on every owned
-// column, and at decomposition seams the B and div v halos must be
-// current. Within the sweep U is read only on the column's own φ-slice
-// and its φ neighbours (two back at a global φ edge), so a slice whose
-// last reader has been evaluated is dead for the rest of the stage and
-// folds at once. With a worker pool each tile's first and last slice,
-// read by the neighbouring tiles, fold after the join, and the φ-halo
-// slices, which a seamed block's edge columns read, fold last of all
-// with k = 0. The result is bit for bit that of RHSUpdate into a
-// full-field k followed by the fold over whole arrays, and the counters
-// are charged the same.
+// of RHSUpdate, j = curl B included, with its outputs folded into the
+// state by st instead of stored. ComputeVTB and RHSDivV must have run on
+// every owned column, and at decomposition seams the B and div v halos
+// must be current. Within the sweep U is read only on the column's own
+// φ-slice and its φ neighbours (two back at a global φ edge), so a
+// slice whose last reader has been evaluated is dead for the rest of
+// the stage and folds at once. With a worker pool each tile's first and
+// last slice, read by the neighbouring tiles, fold after the join, and
+// the φ-halo slices, which a seamed block's edge columns read, fold
+// last of all with k = 0. The result is bit for bit that of RHSCurlJ
+// and RHSUpdate into full-field J and k followed by the fold over whole
+// arrays, and the counters are charged the same.
 func RHSStage(pl *Panel, prm Params, st Stage) {
 	p := pl.Patch
 	f := &pl.stage
 	f.prm, f.st = prm, st
 	p.Par.For(p.Np, f.tileFn)
 	f.join()
+	sphops.ChargeCurl(p, p.OwnedRegion())
 }
 
 // join folds what the tiles left for after the sweep — the slices
-// another tile read, then the φ-halo slices — and charges the stage.
+// another tile read, then the φ-halo slices — and charges the update
+// and the fold (RHSStage charges the curl).
 func (f *stager) join() {
 	p := f.pl.Patch
 	for d, held := range f.held {
@@ -147,8 +153,7 @@ func (f *stager) tile(a, b int) {
 	h := p.H
 	nrP, _, _ := p.Padded()
 	n8 := 8 * f.plane
-	backing := pl.W.Rows(rhsRowCount)
-	s := bindRHSRows(backing, nrP)
+	backing, s, js := takeRHSRows(pl)
 	ring := f.takeRing()
 	for d := a; d < b; d++ {
 		out := ring[d%ringSlots*n8:][:n8]
@@ -159,11 +164,13 @@ func (f *stager) tile(a, b int) {
 			out = f.kept[d]
 			f.held[d] = true
 		}
+		js.fill(&f.curl, h, h+p.Nt, h+d)
 		var o outRows
 		for j := h; j < h+p.Nt; j++ {
 			for v := range o {
 				o[v] = out[v*f.plane+j*nrP:][:nrP]
 			}
+			js.bind(&s, j)
 			fusedRHSColumn(pl, f.prm, &pl.U, &o, &s, j, h+d)
 		}
 		for e := max(a, d-2); e <= d; e++ {

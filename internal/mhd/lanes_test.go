@@ -140,6 +140,8 @@ func comparePasses(t *testing.T, prm Params, pl *Panel, nr int, adversarial bool
 				}
 			}
 			oGo, oLane := stateRows(&outGo, j, k), stateRows(&outLane, j, k)
+			bindFullJ(&sGo, pl.J, j, k)
+			bindFullJ(&sLane, pl.J, j, k)
 			withLanes(false, func() { fusedRHSColumn(pl, prm, u, &oGo, &sGo, j, k) })
 			withLanes(true, func() { fusedRHSColumn(pl, prm, u, &oLane, &sLane, j, k) })
 		}

@@ -39,38 +39,38 @@ func ComputeVTB(pl *Panel, u *State) {
 // compressive part of the viscous force). A serial full-panel solver
 // passes nil: its patch edges are all global boundaries, where one-sided
 // closures never read halos.
-// FinishRHS is the fused evaluation: three cache-blocked column passes
-// (RHSCurlJ, RHSDivV, RHSUpdate in rhs_fused.go) over the full owned
-// region, bit-identical to the unfused FinishRHSReference — the
-// equivalence suite in rhs_reference_test.go pins that. A decomposed
-// rank that overlaps halo traffic with compute calls the phases
-// directly, the curl on interior and rim regions, instead of going
-// through FinishStage.
+// FinishRHS is the fused evaluation: two cache-blocked column passes
+// (RHSDivV, then RHSUpdate with j = curl B evaluated slice by slice, in
+// rhs_fused.go) over the full owned region, bit-identical to the unfused
+// FinishRHSReference — the equivalence suite in rhs_reference_test.go
+// pins that. A decomposed rank that overlaps halo traffic with compute
+// calls RHSDivV and RHSStage directly instead of going through
+// FinishStage.
 func FinishRHS(pl *Panel, prm Params, u, out *State, sync func(fs ...*field.Scalar)) {
-	curlDiv(pl, sync)
+	divV(pl, sync)
 	RHSUpdate(pl, prm, u, out, pl.Patch.OwnedRegion())
 }
 
 // FinishStage is FinishRHS at pl.U ending in RHSStage: the stage's
 // right-hand side is folded into the state instead of stored.
 func FinishStage(pl *Panel, prm Params, st Stage, sync func(fs ...*field.Scalar)) {
-	curlDiv(pl, sync)
+	divV(pl, sync)
 	RHSStage(pl, prm, st)
 }
 
-// curlDiv is the first two phases of FinishRHS over the owned columns.
-func curlDiv(pl *Panel, sync func(fs ...*field.Scalar)) {
-	full := pl.Patch.OwnedRegion()
-	RHSCurlJ(pl, full)
-	RHSDivV(pl, full)
+// divV is the first phase of FinishRHS over the owned columns, with the
+// div v halos synced when sync is given.
+func divV(pl *Panel, sync func(fs ...*field.Scalar)) {
+	RHSDivV(pl, pl.Patch.OwnedRegion())
 	if sync != nil {
 		sync(pl.DivV)
 	}
 }
 
-// ComputeJ fills the current density J = curl B from the panel's B
-// field; ComputeVTB must have run. Diagnostics (e.g. the magnetic
-// moment) use it outside the right-hand-side path.
+// ComputeJ fills the full-field current density pl.J = curl B from the
+// panel's B field, allocating pl.J on first use; ComputeVTB must have
+// run. Diagnostics (e.g. the magnetic moment) use it outside the
+// right-hand-side path.
 func ComputeJ(pl *Panel) {
 	RHSCurlJ(pl, pl.Patch.OwnedRegion())
 }

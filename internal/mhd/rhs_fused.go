@@ -23,21 +23,30 @@ import (
 // combine expressions, same rounding order — so the results are bitwise
 // identical; the equivalence suite in rhs_reference_test.go pins that.
 //
-// The evaluation is split into three region-capable phases so a
+// The evaluation is split into two region-capable phases so a
 // decomposed rank can overlap halo traffic with compute:
 //
-//	RHSCurlJ   j = curl B        — needs B halos at its rim columns
 //	RHSDivV    div v -> pl.DivV  — no halo dependency (V is pointwise-
 //	                               derived over the full padded arrays)
-//	RHSUpdate  everything else   — needs DivV halos at its rim columns
+//	RHSUpdate  everything else   — needs B and DivV halos at its rim
+//	                               columns
 //
-// Each phase accepts a grid.Region; any disjoint cover of the owned
-// columns (all at once, or interior then rim) produces identical bits.
+// The update evaluates the current density j = curl B itself, one
+// φ-slice at a time into a per-tile plane just before that slice's
+// columns (jSlice): j is read only at its own column, so it never needs
+// to exist as a full field. Each phase accepts a grid.Region; any
+// disjoint cover of the owned columns (all at once, or interior then
+// rim) produces identical bits.
 
-// RHSCurlJ fills the current density j = curl B on the columns of reg.
-// ComputeVTB must have run; at decomposition seams the rim columns read
-// B halos, so they may only be evaluated after the B halo exchange.
+// RHSCurlJ fills the full-field current density pl.J = curl B on the
+// columns of reg, allocating pl.J on first use. The step never calls
+// it — the update evaluates j a φ-slice at a time — but diagnostics
+// and probes that want j as a field do. ComputeVTB must have run; at
+// decomposition seams the rim columns read B halos.
 func RHSCurlJ(pl *Panel, reg grid.Region) {
+	if pl.J == nil {
+		pl.J = pl.Patch.NewVector()
+	}
 	sphops.CurlOn(pl.Patch, reg, pl.B, pl.J, pl.W)
 }
 
@@ -71,6 +80,10 @@ type rhsRows struct {
 	lap, adv [3][]float64
 	// Derivatives of div v for its gradient.
 	gDr, gDt, gDp []float64
+	// The current density j = curl B at the column, bound by the caller
+	// before each column: rows of a sweep tile's jSlice, or of a
+	// full-field J. Not part of the backing bindRHSRows lays out.
+	jr, jt, jp []float64
 }
 
 // The momentum-flux products v_a f_b have no rows at all: every stencil
@@ -99,36 +112,78 @@ func bindRHSRows(backing []float64, nrP int) rhsRows {
 	return s
 }
 
-// RHSUpdate evaluates everything of the right-hand side except j and
-// div v — both must be current on (at least) the columns of reg, and at
-// decomposition seams the rim columns differentiate pl.DivV halos, so
-// the rim may only run after the aux halo exchange. Writes out on the
-// columns of reg only. A stepping solver runs the same columns through
-// RHSStage instead, which folds them into the state as it goes.
+// takeRHSRows takes one sweep tile's scratch from the panel workspace
+// as one set of padded radial rows: the update's rows, then a jSlice.
+// Return the backing with pl.W.PutRows.
+func takeRHSRows(pl *Panel) (backing []float64, s rhsRows, js jSlice) {
+	nrP, ntP, _ := pl.Patch.Padded()
+	backing = pl.W.Rows(rhsRowCount + 3*ntP + sphops.CurlRows)
+	js = jSlice{rows: backing[rhsRowCount*nrP:], nrP: nrP, plane: ntP * nrP}
+	return backing, bindRHSRows(backing, nrP), js
+}
+
+// jSlice is a sweep tile's current density j = curl B on one φ-slice:
+// three planes (r, θ, φ) of ntP padded radial rows, followed by the
+// curl's derivative rows. The update is j's only reader and reads it
+// only at its own column, so a tile fills the planes of slice k just
+// before that slice's columns and j never exists as a full field while
+// stepping. The values are CurlOn's, bit for bit.
+type jSlice struct {
+	rows       []float64
+	nrP, plane int
+}
+
+// fill evaluates j on the columns [j0, j1) of φ-slice k.
+func (js *jSlice) fill(curl *sphops.CurlColumns, j0, j1, k int) {
+	scratch := js.rows[3*js.plane:]
+	for j := j0; j < j1; j++ {
+		curl.Column(j, k, scratch, js.row(0, j), js.row(1, j), js.row(2, j))
+	}
+}
+
+// row is component c's padded radial row of column j.
+func (js *jSlice) row(c, j int) []float64 {
+	return js.rows[c*js.plane+j*js.nrP:][:js.nrP]
+}
+
+// bind points the update's j rows at column j of the filled slice.
+func (js *jSlice) bind(s *rhsRows, j int) {
+	s.jr, s.jt, s.jp = js.row(0, j), js.row(1, j), js.row(2, j)
+}
+
+// RHSUpdate evaluates everything of the right-hand side except div v,
+// which must be current on (at least) the columns of reg; j = curl B is
+// evaluated here, slice by slice. At decomposition seams the rim
+// columns differentiate B and pl.DivV halos, so the rim may only run
+// after both halo exchanges. Writes out on the columns of reg only. A
+// stepping solver runs the same columns through RHSStage instead,
+// which folds them into the state as it goes.
 func RHSUpdate(pl *Panel, prm Params, u, out *State, reg grid.Region) {
 	p := pl.Patch
-	nrP, _, _ := p.Padded()
 	outs := out.Scalars()
+	curl := sphops.BindCurl(p, pl.B)
 	for _, rc := range reg {
 		if rc.Empty() {
 			continue
 		}
 		rc := rc
 		p.Par.For(rc.K1-rc.K0, func(klo, khi int) {
-			backing := pl.W.Rows(rhsRowCount)
-			s := bindRHSRows(backing, nrP)
+			backing, s, js := takeRHSRows(pl)
 			var o outRows
 			for k := rc.K0 + klo; k < rc.K0+khi; k++ {
+				js.fill(&curl, rc.J0, rc.J1, k)
 				for j := rc.J0; j < rc.J1; j++ {
 					for v, f := range outs {
 						o[v] = f.Row(j, k)
 					}
+					js.bind(&s, j)
 					fusedRHSColumn(pl, prm, u, &o, &s, j, k)
 				}
 			}
 			pl.W.PutRows(backing)
 		})
 	}
+	sphops.ChargeCurl(p, reg)
 	chargeRHSUpdate(p, reg)
 }
 
@@ -561,7 +616,8 @@ func derivColumnP(pl *Panel, u *State, s *rhsRows, j, k int) {
 // the flux-product rows, three direction passes building every
 // derivative row and directional operator accumulation over shared
 // inputs, then one loop producing all eight outputs, into the rows of
-// o, with every remaining intermediate in registers. Every arithmetic
+// o, with every remaining intermediate in registers. It reads j from
+// the rows bound in s. Every arithmetic
 // statement mirrors its full-field counterpart in ops.go / advect.go /
 // rhs_reference.go, preserving rounding order; register-held float64s
 // round identically to stored ones on every supported target.
@@ -620,9 +676,7 @@ func fusedRHSColumn(pl *Panel, prm Params, u *State, o *outRows, s *rhsRows, j, 
 	br := w(pl.B.R.Row(j, k))
 	bt := w(pl.B.T.Row(j, k))
 	bp := w(pl.B.P.Row(j, k))
-	jr := w(pl.J.R.Row(j, k))
-	jt := w(pl.J.T.Row(j, k))
-	jp := w(pl.J.P.Row(j, k))
+	jr, jt, jp := w(s.jr), w(s.jt), w(s.jp)
 	dV := w(pl.DivV.Row(j, k))
 
 	oRho, oP := w(o[0]), w(o[1])

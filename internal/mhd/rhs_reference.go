@@ -19,10 +19,11 @@ func FinishRHSReference(pl *Panel, prm Params, u, out *State, sync func(fs ...*f
 	w := pl.W
 	h := p.H
 
-	// Current density j = curl B.
-	sphops.Curl(p, pl.B, pl.J, w)
+	// Scratch fields, the current density j = curl B first.
+	jv := &field.Vector{R: w.Get(), T: w.Get(), P: w.Get()}
+	defer w.Put(jv.R, jv.T, jv.P)
+	sphops.Curl(p, pl.B, jv, w)
 
-	// Scratch fields.
 	divF := w.Get()
 	divV := w.Get()
 	vgp := w.Get()
@@ -73,9 +74,9 @@ func FinishRHSReference(pl *Panel, prm Params, u, out *State, sync func(fs ...*f
 				br := pl.B.R.Row(j, k)
 				bt := pl.B.T.Row(j, k)
 				bp := pl.B.P.Row(j, k)
-				jr := pl.J.R.Row(j, k)
-				jt := pl.J.T.Row(j, k)
-				jp := pl.J.P.Row(j, k)
+				jr := jv.R.Row(j, k)
+				jt := jv.T.Row(j, k)
+				jp := jv.P.Row(j, k)
 
 				oRho := out.Rho.Row(j, k)
 				oP := out.P.Row(j, k)

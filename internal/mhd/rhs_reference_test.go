@@ -2,6 +2,7 @@ package mhd
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/field"
@@ -151,10 +152,11 @@ func TestFusedRHSBitIdentical(t *testing.T) {
 }
 
 // TestFusedRHSRegionCover pins that evaluating RHSUpdate as interior
-// then rim — the overlapped schedule's split — writes bitwise the same
-// right-hand side as one full-region pass, and that RHSCurlJ/RHSDivV
-// split the same way. This is the panel-local half of the overlap
-// correctness argument; the decomp suite covers the message timing.
+// then rim — an overlapped schedule's split — writes bitwise the same
+// right-hand side as one full-region pass, and that RHSDivV and the
+// diagnostics' RHSCurlJ split the same way. This is the panel-local
+// half of the overlap correctness argument; the decomp suite covers the
+// message timing.
 func TestFusedRHSRegionCover(t *testing.T) {
 	spec := grid.NewSpec(9, 9)
 	p := grid.NewSubPatch(spec, grid.Yin, 1, 0, spec.Nr, 0, spec.Nt, 6, 19)
@@ -165,16 +167,33 @@ func TestFusedRHSRegionCover(t *testing.T) {
 
 	full := NewState(p.Shape)
 	FinishRHS(pl, Default(), &u, &full, sync)
+	ComputeJ(pl)
+	fullJ := [3][]float64{slices.Clone(pl.J.R.Data), slices.Clone(pl.J.T.Data), slices.Clone(pl.J.P.Data)}
 
-	// Split evaluation: the decomposed rank's phase order.
-	interior, rim := p.SplitInteriorRim(1)
+	// The block's seams are its two φ edges: the interior keeps one
+	// column (the stencil radius) away from both, the rim is the rest.
+	own := p.Owned()
+	interior := grid.Rect{J0: own.J0, J1: own.J1, K0: own.K0 + 1, K1: own.K1 - 1}
+	rim := grid.Region{
+		{J0: own.J0, J1: own.J1, K0: own.K0, K1: own.K0 + 1},
+		{J0: own.J0, J1: own.J1, K0: own.K1 - 1, K1: own.K1},
+	}
 	split := NewState(p.Shape)
-	RHSDivV(pl, p.OwnedRegion())
-	RHSCurlJ(pl, grid.Region{interior})
-	RHSCurlJ(pl, rim)
+	RHSDivV(pl, grid.Region{interior})
+	RHSDivV(pl, rim)
 	sync(pl.DivV)
 	RHSUpdate(pl, Default(), &u, &split, grid.Region{interior})
 	RHSUpdate(pl, Default(), &u, &split, rim)
+	for _, f := range pl.J.Components() {
+		clear(f.Data)
+	}
+	RHSCurlJ(pl, grid.Region{interior})
+	RHSCurlJ(pl, rim)
+	for c, f := range pl.J.Components() {
+		if n := firstBitDiff(f.Data, fullJ[c]); n >= 0 {
+			t.Fatalf("j component %d index %d: split %x, full %x", c, n, f.Data[n], fullJ[c][n])
+		}
+	}
 
 	h := p.H
 	for vi, a := range full.Scalars() {

@@ -51,8 +51,13 @@ type Panel struct {
 	stage   stager
 
 	// Derived subsidiary fields (scratch, rebuilt each RHS evaluation).
-	V, B, J *field.Vector
-	T       *field.Scalar
+	V, B *field.Vector
+	T    *field.Scalar
+
+	// J is the current density curl B as a full field, for diagnostics
+	// only: nil until RHSCurlJ (or ComputeJ) first fills it. The step
+	// evaluates j a φ-slice at a time and never reads J.
+	J *field.Vector
 
 	// div v, computed by RHSDivV each evaluation. A dedicated field
 	// rather than workspace scratch because a decomposed rank exchanges
@@ -85,7 +90,6 @@ func NewPanel(p *grid.Patch, omega float64) *Panel {
 		acc:   NewState(p.Shape),
 		V:     p.NewVector(),
 		B:     p.NewVector(),
-		J:     p.NewVector(),
 		T:     p.NewScalar(),
 		DivV:  p.NewScalar(),
 		W:     sphops.NewWorkspace(p),

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -191,6 +192,53 @@ func TestDuplicatedMessage(t *testing.T) {
 			c.Recv(0, 2, b)
 			if a[0] != 7 || b[0] != 7 {
 				t.Errorf("duplicate payloads %v %v", a[0], b[0])
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDuplicateSurvivesRecycledPayload: under a plan that duplicates
+// every message, a receiver that recycles each payload at once (every
+// Recv does) and answers with a send of the same length — which picks
+// the recycled buffer up again and overwrites it — still receives both
+// copies intact. A duplicate copied only after the original was in the
+// mailbox read a buffer the receiver could already be reusing: a DATA
+// RACE under -race, and a duplicate carrying the reply's bytes without
+// it.
+func TestDuplicateSurvivesRecycledPayload(t *testing.T) {
+	const msgs, n = 200, 4096
+	plan := NewFaultPlan()
+	for e := 0; e < msgs; e++ {
+		plan.Add(Fault{Src: 0, Dst: 1, Tag: 3, Epoch: e, Action: Duplicate})
+	}
+	err := RunWith(2, RunConfig{Deadline: 10 * time.Second, Faults: plan}, func(c *Comm) {
+		buf := make([]float64, n)
+		if c.Rank() == 0 {
+			for e := 0; e < msgs; e++ {
+				for i := range buf {
+					buf[i] = float64(e)
+				}
+				c.Send(1, 3, buf)
+				c.Recv(1, 4, buf)
+			}
+			return
+		}
+		reply := make([]float64, n)
+		for i := range reply {
+			reply[i] = -1
+		}
+		for e := 0; e < msgs; e++ {
+			for copyNo := 0; copyNo < 2; copyNo++ {
+				c.Recv(0, 3, buf)
+				if copyNo == 0 {
+					c.Send(0, 4, reply)
+				}
+				if i := slices.IndexFunc(buf, func(x float64) bool { return x != float64(e) }); i >= 0 {
+					t.Errorf("message %d copy %d: element %d is %v", e, copyNo, i, buf[i])
+				}
 			}
 		}
 	})

@@ -804,9 +804,11 @@ func (ctx *context) deliver(box *mailbox, m message) {
 				return
 			case Duplicate:
 				ctx.eventf("fault.duplicate", "comm=%d src=%d dst=%d tag=%d elems=%d", box.comm, m.src, box.owner, m.tag, len(m.data))
-				box.put(m)
+				// Copy before the first put: once m is in the mailbox
+				// the receiver may take it and recycle its buffer.
 				dup := ctx.getBuf(len(m.data))
 				copy(dup, m.data)
+				box.put(m)
 				box.put(message{src: m.src, tag: m.tag, seq: m.seq, rel: m.rel, data: dup})
 				perfcount.AddComm(int64(16 * len(m.data)))
 				ctx.cfg.Obs.CommDelivered(box.comm, m.tag, 16*len(m.data))

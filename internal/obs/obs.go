@@ -62,11 +62,6 @@ const (
 	// flight (between posting the receives and completing them); its
 	// growth is exactly the wait time the overlapped schedule hides.
 	SpanHaloOverlap
-	// SpanRHSInterior / SpanRHSRim split the overlapped schedule's
-	// current-density curl into the halo-independent interior and the
-	// seam rim finished after the B exchange completes.
-	SpanRHSInterior
-	SpanRHSRim
 	numSpanKinds
 )
 
@@ -88,8 +83,6 @@ var spanNames = [numSpanKinds]string{
 	SpanCkptRead:      "checkpoint.read",
 	SpanDiagnose:      "diagnose",
 	SpanHaloOverlap:   "halo.overlap",
-	SpanRHSInterior:   "rhs.interior",
-	SpanRHSRim:        "rhs.rim",
 }
 
 // String returns the span's trace name, e.g. "halo.wait".

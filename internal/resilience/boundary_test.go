@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"os"
@@ -70,6 +71,49 @@ func TestSegmentCommitAllocBudget(t *testing.T) {
 		if budget := uint64(len(raw) / 4); per > budget {
 			t.Errorf("%s sink: %d bytes allocated per committed segment of a %d-byte checkpoint, budget %d",
 				name, per, len(raw), budget)
+		}
+	}
+}
+
+// TestFirstCommitAllocBudget: a sink's first commit — the one every
+// campaign call makes on a fresh sink — allocates its encode buffer
+// once, at the checkpoint's size, plus the quarter-checkpoint budget of
+// any later commit, where a buffer doubling as the encode filled it
+// made about twice the checkpoint of garbage.
+func TestFirstCommitAllocBudget(t *testing.T) {
+	cfg, _, _ := storeConfig(t, 2, 2)
+	cfg = cfg.withDefaults()
+	sv, err := mhd.NewSolver(cfg.Core.Spec(), *cfg.Core.Params, *cfg.Core.IC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := snapshot.InteriorOf(sv)
+	size := uint64(state.EncodedLen())
+	// What growing a buffer to that size once allocates in this build:
+	// a race build allocates the buffer twice.
+	var ms0, ms1 runtime.MemStats
+	var buf bytes.Buffer
+	runtime.ReadMemStats(&ms0)
+	buf.Grow(int(size))
+	runtime.ReadMemStats(&ms1)
+	once := ms1.TotalAlloc - ms0.TotalAlloc
+	dirCfg := cfg
+	dirCfg.Store, dirCfg.Dir = nil, t.TempDir()
+	for name, c := range map[string]Config{"store": cfg, "dir": dirCfg} {
+		sink, err := c.sink()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms0)
+		if err := sink.write(state, segMeta{note: "origin"}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms1)
+		got := ms1.TotalAlloc - ms0.TotalAlloc
+		t.Logf("%s sink: %d bytes allocated by the first commit of a %d-byte checkpoint", name, got, size)
+		if budget := once + size/4; got > budget {
+			t.Errorf("%s sink: first commit allocated %d bytes for a %d-byte checkpoint, budget %d",
+				name, got, size, budget)
 		}
 	}
 }

@@ -180,11 +180,23 @@ func (d *dirSink) newest(spec grid.Spec) (*snapshot.Interior, []string, error) {
 }
 
 func (d *dirSink) write(in *snapshot.Interior, _ segMeta) error {
-	d.enc.Reset()
-	if err := in.Encode(&d.enc); err != nil {
-		return fmt.Errorf("resilience: encoding checkpoint: %w", err)
+	data, err := encodeInto(&d.enc, in)
+	if err != nil {
+		return err
 	}
-	return d.b.Put(ckptName(in.Step), d.enc.Bytes())
+	return d.b.Put(ckptName(in.Step), data)
+}
+
+// encodeInto encodes in into a sink's reused buffer, grown once to the
+// exact encoded size: a buffer left to double as the encode fills it
+// makes about twice a checkpoint of garbage on a sink's first commit.
+func encodeInto(buf *bytes.Buffer, in *snapshot.Interior) ([]byte, error) {
+	buf.Reset()
+	buf.Grow(in.EncodedLen())
+	if err := in.Encode(buf); err != nil {
+		return nil, fmt.Errorf("resilience: encoding checkpoint: %w", err)
+	}
+	return buf.Bytes(), nil
 }
 
 func (d *dirSink) segment(step int) (*snapshot.Interior, error) {
@@ -280,11 +292,10 @@ func (s *storeSink) newest(spec grid.Spec) (*snapshot.Interior, []string, error)
 }
 
 func (s *storeSink) write(in *snapshot.Interior, meta segMeta) error {
-	s.enc.Reset()
-	if err := in.Encode(&s.enc); err != nil {
-		return fmt.Errorf("resilience: encoding checkpoint: %w", err)
+	data, err := encodeInto(&s.enc, in)
+	if err != nil {
+		return err
 	}
-	data := s.enc.Bytes()
 	h, err := s.st.Put(data)
 	if err != nil {
 		return err

@@ -141,9 +141,12 @@ func (in *Interior) Encode(w io.Writer) error {
 	return e.finish()
 }
 
+// EncodedLen is the exact size of the interior's encoding.
+func (in *Interior) EncodedLen() int { return encodedLen(in.Spec) }
+
 // Bytes encodes the interior into a buffer of exactly the encoded size.
 func (in *Interior) Bytes() ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, encodedLen(in.Spec)))
+	buf := bytes.NewBuffer(make([]byte, 0, in.EncodedLen()))
 	if err := in.Encode(buf); err != nil {
 		return nil, err
 	}

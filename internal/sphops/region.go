@@ -23,8 +23,8 @@ import (
 
 // colArgs carries one column-fused kernel call's operands and stencil
 // constants to its per-column body: divColumn when div is set, else
-// curlColumn. The bodies are called directly, not through a func value,
-// so a serial sweep keeps colArgs on the stack.
+// curlColumn into the rows of out. The bodies are called directly, not
+// through a func value, so a serial sweep keeps colArgs on the stack.
 type colArgs struct {
 	p                  *grid.Patch
 	v                  *field.Vector
@@ -76,7 +76,7 @@ func sweepRange(rc grid.Rect, w *Workspace, rows int, a *colArgs, klo, khi int) 
 			if a.div != nil {
 				divColumn(a, j, k, s)
 			} else {
-				curlColumn(a, j, k, s)
+				curlColumn(a, j, k, s, a.out.R.Row(j, k), a.out.T.Row(j, k), a.out.P.Row(j, k))
 			}
 		}
 	}
@@ -214,14 +214,42 @@ func divColumn(a *colArgs, j, k int, s []float64) {
 // pass's input rows — before the combine; every stencil and combine
 // statement matches the full-field sweep, so the values are exact.
 func CurlOn(p *grid.Patch, reg grid.Region, v *field.Vector, out *field.Vector, w *Workspace) {
-	sweepOn(reg, w, 6, newColArgs(p, v, out, nil))
+	sweepOn(reg, w, CurlRows, newColArgs(p, v, out, nil))
+	ChargeCurl(p, reg)
+}
+
+// CurlRows is the number of padded radial scratch rows a curl column
+// needs: its six derivative rows.
+const CurlRows = 6
+
+// ChargeCurl charges the counters what CurlOn charges on reg, for a
+// caller that evaluates the same columns through CurlColumns.
+func ChargeCurl(p *grid.Patch, reg grid.Region) {
 	countOn(p, reg, 31, 7)
 }
 
+// CurlColumns is CurlOn's column body bound to one patch and input
+// field, for a caller that evaluates the curl a column at a time into
+// rows of its own instead of into a full field. Bind it once per sweep;
+// it charges nothing (ChargeCurl does).
+type CurlColumns struct{ a colArgs }
+
+// BindCurl binds the curl of v on p.
+func BindCurl(p *grid.Patch, v *field.Vector) CurlColumns {
+	return CurlColumns{newColArgs(p, v, nil, nil)}
+}
+
+// Column writes curl v at column (j, k) into the patch nodes [H, H+Nr)
+// of the padded rows r, t and ph, bitwise as CurlOn writes them, with s
+// (CurlRows padded rows) as scratch.
+func (c *CurlColumns) Column(j, k int, s, r, t, ph []float64) {
+	curlColumn(&c.a, j, k, s, r, t, ph)
+}
+
 // curlColumn is CurlOn's body for column (j, k), with its six derivative
-// rows in s.
-func curlColumn(cv *colArgs, j, k int, s []float64) {
-	p, v, out := cv.p, cv.v, cv.out
+// rows in s and its output in the padded rows outR, outT, outP.
+func curlColumn(cv *colArgs, j, k int, s, outR, outT, outP []float64) {
+	p, v := cv.p, cv.v
 	h := p.H
 	n := p.Nr
 	cr, ct, cp := cv.cr, cv.ct, cv.cp
@@ -321,9 +349,9 @@ func curlColumn(cv *colArgs, j, k int, s []float64) {
 		}
 	}
 
-	orr := out.R.Row(j, k)[h:][:n]
-	otr := out.T.Row(j, k)[h:][:n]
-	opr := out.P.Row(j, k)[h:][:n]
+	orr := outR[h:][:n]
+	otr := outT[h:][:n]
+	opr := outP[h:][:n]
 	vt := vtR[h:][:n]
 	vp := vpR[h:][:n]
 	invr := p.InvR[h:][:n]
