@@ -626,15 +626,62 @@ func TestKilledRankAbortsAdvance(t *testing.T) {
 	}
 }
 
+// tagTraffic is one message stream's totals: messages and payload bytes.
+type tagTraffic struct{ msgs, bytes int64 }
+
+// stepTraffic is the traffic of two steps of the 8-rank 2×2-block 9×13
+// world, per magnetic wall and schedule, keyed by tag. Halo and rim tags
+// are what each panel communicator carries (the Yin and the Yang panel
+// carry the same); tagOversetBase is the world communicator's overset
+// exchange. The corner-carrying state refresh runs once per constraint
+// on the conducting wall and three times on the pseudo-vacuum one, which
+// instead never sends the rim refresh; the overlapped schedule's
+// corner-free B and div-v messages span the owned range only.
+var stepTraffic = map[mhd.MagneticBC]map[bool]map[int]tagTraffic{
+	mhd.BCConfined: {
+		true: {
+			0: {18, 259776}, 1: {18, 259776}, 2: {18, 107712}, 3: {18, 107712},
+			8: {16, 78144}, 9: {16, 78144}, 10: {16, 27456}, 11: {16, 27456},
+			16: {16, 26048}, 17: {16, 26048}, 18: {16, 9152}, 19: {16, 9152},
+			24: {18, 12672}, 25: {18, 12672}, 26: {18, 12672}, 27: {18, 12672},
+			100: {144, 1216512},
+		},
+		false: {
+			0: {18, 259776}, 1: {18, 259776}, 2: {18, 107712}, 3: {18, 107712},
+			8: {16, 86592}, 9: {16, 86592}, 10: {16, 35904}, 11: {16, 35904},
+			16: {16, 28864}, 17: {16, 28864}, 18: {16, 11968}, 19: {16, 11968},
+			24: {18, 12672}, 25: {18, 12672}, 26: {18, 12672}, 27: {18, 12672},
+			100: {144, 1216512},
+		},
+	},
+	mhd.BCPseudoVacuum: {
+		true: {
+			0: {54, 779328}, 1: {54, 779328}, 2: {54, 323136}, 3: {54, 323136},
+			8: {16, 78144}, 9: {16, 78144}, 10: {16, 27456}, 11: {16, 27456},
+			16: {16, 26048}, 17: {16, 26048}, 18: {16, 9152}, 19: {16, 9152},
+			100: {144, 1216512},
+		},
+		false: {
+			0: {54, 779328}, 1: {54, 779328}, 2: {54, 323136}, 3: {54, 323136},
+			8: {16, 86592}, 9: {16, 86592}, 10: {16, 35904}, 11: {16, 35904},
+			16: {16, 28864}, 17: {16, 28864}, 18: {16, 11968}, 19: {16, 11968},
+			100: {144, 1216512},
+		},
+	},
+}
+
 // TestStepTrafficUsesExchangeTags pins ExchangeTags as the registry of
 // the step path's traffic, which the chaos fault space and the tag
-// metrics key on. On an 8-rank world with seams in theta and phi, each
-// magnetic wall condition runs with the overlapped and the sequential
-// schedule for two steps. Every user tag a run sends must be in
-// ExchangeTags, every tag ExchangeTags lists must be sent by some run,
-// and the gather and scatter tags must stay outside it. A halo, rim or
-// overset exchange moved onto another exchange's tags (the rim refresh
-// on the aux tags, say) leaves a listed tag unused and fails here.
+// metrics key on, and pins that traffic itself. On an 8-rank world with
+// seams in theta and phi, each magnetic wall condition runs with the
+// overlapped and the sequential schedule for two steps. Every user tag a
+// run sends must be in ExchangeTags, every tag ExchangeTags lists must
+// be sent by some run, and the gather and scatter tags must stay outside
+// it. A halo, rim or overset exchange moved onto another exchange's tags
+// (the rim refresh on the aux tags, say) leaves a listed tag unused and
+// fails here. Each (comm, tag) stream's message count and byte total
+// must equal stepTraffic, so a message dropped, added, widened or moved
+// to another communicator fails too.
 func TestStepTrafficUsesExchangeTags(t *testing.T) {
 	s := grid.NewSpec(9, 13)
 	l, err := NewLayoutDims(s, 8, 2, 2)
@@ -670,7 +717,9 @@ func TestStepTrafficUsesExchangeTags(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k := range rec.TagStats() {
+			want := stepTraffic[bc][overlapped]
+			seen := map[obs.TagKey]bool{}
+			for k, st := range rec.TagStats() {
 				if k.Tag < 0 {
 					continue // the runtime's own collectives
 				}
@@ -678,6 +727,18 @@ func TestStepTrafficUsesExchangeTags(t *testing.T) {
 					t.Errorf("MagBC %v, overlap %v: tag %d (comm %d) is not in ExchangeTags", bc, overlapped, k.Tag, k.Comm)
 				}
 				used[k.Tag] = true
+				seen[k] = true
+				if got := (tagTraffic{st.Msgs.Load(), st.Bytes.Load()}); got != want[k.Tag] {
+					t.Errorf("MagBC %v, overlap %v: comm %d tag %d carried %+v, want %+v", bc, overlapped, k.Comm, k.Tag, got, want[k.Tag])
+				}
+			}
+			// Comm 0 is the world, 1 and 2 the Yin and Yang panels.
+			for tag := range want {
+				for _, c := range map[bool][]int{true: {0}, false: {1, 2}}[tag == tagOversetBase] {
+					if !seen[obs.TagKey{Comm: c, Tag: tag}] {
+						t.Errorf("MagBC %v, overlap %v: comm %d sent nothing on tag %d", bc, overlapped, c, tag)
+					}
+				}
 			}
 		}
 	}
