@@ -72,48 +72,109 @@ func TestHaloPackRoundTrip(t *testing.T) {
 	}
 	restore()
 
-	// Rim cells.
+	// Rim cells: the rows a rim message carries, a theta layer over the
+	// rim columns and a phi layer over the rim rows.
 	cols := []int{h, h + p.Np - 1}
-	buf = hb.PackRowCells(fields, h+1, cols, dirSouth)
-	hb.UnpackRowCells(fields, h+3, cols, buf)
+	hb.unpack(fields, thetaLayer(nil, h+3, cols), hb.pack(fields, thetaLayer(nil, h+1, cols), dirSouth))
 	for fi, f := range fields {
 		for _, k := range cols {
-			mustEqualRow(fmt.Sprintf("rowcells field %d col %d", fi, k), f.Row(h+3, k), ref[fi].Row(h+1, k))
+			mustEqualRow(fmt.Sprintf("rim cols field %d col %d", fi, k), f.Row(h+3, k), ref[fi].Row(h+1, k))
 		}
 	}
 	restore()
 
 	rows := []int{h, h + p.Nt - 1}
-	buf = hb.PackColCells(fields, h+1, rows, dirEast)
-	hb.UnpackColCells(fields, h+3, rows, buf)
+	hb.unpack(fields, phiLayer(nil, h+3, rows), hb.pack(fields, phiLayer(nil, h+1, rows), dirEast))
 	for fi, f := range fields {
 		for _, j := range rows {
-			mustEqualRow(fmt.Sprintf("colcells field %d row %d", fi, j), f.Row(j, h+3), ref[fi].Row(j, h+1))
+			mustEqualRow(fmt.Sprintf("rim rows field %d row %d", fi, j), f.Row(j, h+3), ref[fi].Row(j, h+1))
 		}
 	}
 }
 
+// planRanks builds the ranks of an 8-rank world of 2×2 blocks per 9×13
+// panel, whose halo plans together hold messages in all four
+// directions, and returns them once the world has ended: their halo
+// plans and staging arenas stay usable without it.
+func planRanks(tb testing.TB) []*Rank {
+	tb.Helper()
+	l, err := NewLayoutDims(grid.NewSpec(9, 13), 8, 2, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ranks := make([]*Rank, l.NProcs)
+	err = runWorld(l.NProcs, func(w *mpi.Comm) {
+		r, err := NewRankWorkers(w, l, mhd.Default(), mhd.DefaultIC(), 1)
+		if err != nil {
+			w.Abort(err)
+		}
+		ranks[w.Rank()] = r
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ranks
+}
+
+// packPlans packs and unpacks every message of every halo plan of r:
+// the state plan's and the owned plan's with the 8 state fields, the
+// owned plan's again with the last field in slot 3 (the div-v refresh
+// in flight beside the B one), and the rim plan's.
+func packPlans(r *Rank) {
+	fields := r.stateFields()
+	each := func(phases []haloPhase, fields []*field.Scalar, slot int) {
+		for _, ph := range phases {
+			for _, m := range ph.sends {
+				r.halo.pack(fields, m.rows, m.dir)
+			}
+			for _, m := range ph.recvs {
+				r.halo.unpack(fields, m.rows, r.halo.recvBuf(m.dir, slot, len(fields), len(m.rows)))
+			}
+		}
+	}
+	each(r.halos.state[:], fields, 0)
+	owned := []haloPhase{r.halos.owned}
+	each(owned, fields, 0)
+	each(owned, fields[7:], 3)
+	each(r.halos.rim[:], fields, 0)
+}
+
 // TestHaloPackZeroAlloc pins the tentpole property: after construction,
-// the pack/unpack staging path performs zero allocations.
+// the pack/unpack staging path performs zero allocations — the forms
+// the benchmark times, and every message of every halo plan of each
+// rank of a 2×2-block world, which together cover all four directions
+// of each plan.
 func TestHaloPackZeroAlloc(t *testing.T) {
 	p, fields := testPatchAndFields(t, 8)
 	hb := NewHaloBufs(p, 8)
 	h := p.H
-	cols := []int{h, h + p.Np - 1}
-	rows := []int{h, h + p.Nt - 1}
+	ranks := planRanks(t)
+	var dirs [3][4]int
+	for _, r := range ranks {
+		for pi, phases := range [][]haloPhase{r.halos.state[:], {r.halos.owned}, r.halos.rim[:]} {
+			for _, ph := range phases {
+				for _, m := range ph.sends {
+					dirs[pi][m.dir]++
+				}
+			}
+		}
+	}
+	for pi, name := range []string{"state", "owned", "rim"} {
+		for d, n := range dirs[pi] {
+			if n == 0 {
+				t.Errorf("no rank's %s plan sends in direction %d", name, d)
+			}
+		}
+	}
 
 	allocs := testing.AllocsPerRun(100, func() {
 		buf := hb.PackPhi(fields, h, dirWest)
 		hb.UnpackPhi(fields, h, buf)
 		buf = hb.PackTheta(fields, h, dirNorth)
 		hb.UnpackTheta(fields, h, buf)
-		buf = hb.PackRowCells(fields, h, cols, dirSouth)
-		hb.UnpackRowCells(fields, h, cols, buf)
-		buf = hb.PackColCells(fields, h, rows, dirEast)
-		hb.UnpackColCells(fields, h, rows, buf)
-		_ = hb.RecvPhi(8, dirEast)
-		_ = hb.RecvTheta(8, dirSouth)
-		_ = hb.RecvCells(8, 2, dirWest)
+		for _, r := range ranks {
+			packPlans(r)
+		}
 	})
 	if allocs != 0 {
 		t.Fatalf("halo pack/unpack allocates %v allocs/op in steady state, want 0", allocs)
@@ -121,11 +182,14 @@ func TestHaloPackZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkHaloPackUnpack is the committed zero-alloc benchmark: run
-// with -benchmem, it must report 0 allocs/op.
+// with -benchmem, it must report 0 allocs/op. One op packs and unpacks
+// both full-range forms, then every message of every halo plan of each
+// rank of a 2×2-block world.
 func BenchmarkHaloPackUnpack(b *testing.B) {
 	p, fields := testPatchAndFields(b, 8)
 	hb := NewHaloBufs(p, 8)
 	h := p.H
+	ranks := planRanks(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -133,6 +197,9 @@ func BenchmarkHaloPackUnpack(b *testing.B) {
 		hb.UnpackPhi(fields, h+p.Np-1, buf)
 		buf = hb.PackTheta(fields, h, dirNorth)
 		hb.UnpackTheta(fields, h+p.Nt-1, buf)
+		for _, r := range ranks {
+			packPlans(r)
+		}
 	}
 }
 

@@ -60,10 +60,11 @@ type Rank struct {
 	peersSend   []int // sorted peer lists for deterministic iteration
 	peersRecv   []int
 
-	// Preallocated exchange state: the halo/rim staging arena, one
-	// message buffer per overset peer, and the posted-receive request
-	// list — sized once so the steady-state exchange path allocates
-	// nothing.
+	// Preallocated exchange state: the halo plans and their staging
+	// arena, one message buffer per overset peer, and the posted-receive
+	// request list — sized once so the steady-state exchange path
+	// allocates nothing.
+	halos     haloPlans
 	halo      *HaloBufs
 	ovSendBuf map[int][]float64
 	ovRecvBuf map[int][]float64
@@ -200,6 +201,7 @@ func newStatelessRank(world *mpi.Comm, l *Layout, prm mhd.Params, workers int) (
 	r.fullReg = patch.OwnedRegion()
 	// The rank's largest halo exchange moves the 8 state scalars.
 	r.halo = NewHaloBufs(patch, len(r.stateFields()))
+	r.buildHaloPlans()
 	if err := r.buildOversetPlan(); err != nil {
 		r.Close()
 		return nil, err
@@ -269,107 +271,179 @@ func sortedKeys(m map[int][]overset.Target) []int {
 	return keys
 }
 
-// exchangeHalos swaps one halo layer of every field with the four
-// nearest neighbours inside the panel (MPI_SEND / MPI_IRECV between
-// MPI_CART_SHIFT neighbours in the paper). Theta-direction messages span
-// the interior phi range and vice versa; corner halos are not needed by
-// the axis-aligned stencils.
-func (r *Rank) exchangeHalos(fields []*field.Scalar, tagBase int) {
+// haloMsg is one message of a halo plan: the neighbour it goes to or
+// comes from (a Cart rank), its tag offset, its staging direction, and
+// the rows it packs on send or fills on receive.
+type haloMsg struct {
+	peer, tag, dir int
+	rows           []rowIdx
+}
+
+// haloPhase is one posted round of a halo plan (post, then finish):
+// its receives and its sends, in posting order. A traced phase records
+// halo.pack around the posting and halo.unpack around each unpack; every
+// phase records halo.wait around each Wait.
+type haloPhase struct {
+	recvs, sends []haloMsg
+	traced       bool
+}
+
+// axis adds one axis's two messages to the phase: lo and hi are the
+// neighbours toward the lower and the higher index (negative where there
+// is none), tag the offset of the message that travels toward lo (the
+// one toward hi takes tag+1), [first, last] the owned layers, and at(i)
+// the rows of layer i a message carries.
+func (ph *haloPhase) axis(lo, hi, dirLo, dirHi, tag, first, last int, at func(int) []rowIdx) {
+	if hi >= 0 {
+		ph.recvs = append(ph.recvs, haloMsg{hi, tag, dirHi, at(last + 1)})
+	}
+	if lo >= 0 {
+		ph.recvs = append(ph.recvs, haloMsg{lo, tag + 1, dirLo, at(first - 1)})
+		ph.sends = append(ph.sends, haloMsg{lo, tag, dirLo, at(first)})
+	}
+	if hi >= 0 {
+		ph.sends = append(ph.sends, haloMsg{hi, tag + 1, dirHi, at(last)})
+	}
+}
+
+// haloPlans are the rank's three halo exchanges, built once from its
+// Cartesian neighbours and its patch. Tags follow one convention in all
+// of them (theta +0/+1, phi +2/+3 on the caller's tag base), so fault
+// plans target every schedule identically.
+type haloPlans struct {
+	// state is the corner-carrying refresh (exchangeHalos): a phi phase,
+	// then a theta phase whose messages span the full padded phi range
+	// and so carry the freshly filled phi halos into the corner cells.
+	// The axis-aligned stencils never read a corner, but the overset
+	// donors interpolate from 2x2 node cells that can straddle a block
+	// corner. The theta phase must see the phi phase's halos, so the two
+	// cannot overlap.
+	state [2]haloPhase
+	// owned is the corner-free refresh of the overlapped schedule
+	// (haloStart): both axes in one phase, each message over the owned
+	// range of its layer, so no corner is written and the directions
+	// need no order. Only exchanges whose consumers are axis-aligned
+	// stencils (the B and div-v refreshes) may use it.
+	owned haloPhase
+	// rim is the post-overset refresh (rimRefresh) of the cells on the
+	// panel's global rim columns and rows: a theta phase over the rim
+	// columns, then a phi phase over the rim rows. Theta neighbours
+	// share this block's column range, so both sides agree on the rim
+	// columns; likewise phi neighbours on the rim rows.
+	rim [2]haloPhase
+}
+
+// buildHaloPlans builds the rank's halo plans.
+func (r *Rank) buildHaloPlans() {
 	north, south, west, east := r.Cart.Neighbours()
 	p := r.PL.Patch
 	h := p.H
-	hb := r.halo
-	nf := len(fields)
+	_, ntP, npP := p.Padded()
+	// phi adds the phi-axis messages of columns over the theta rows js,
+	// theta the theta-axis messages of rows over the phi columns ks.
+	phi := func(ph *haloPhase, js []int) {
+		ph.axis(west, east, dirWest, dirEast, 2, h, h+p.Np-1, func(k int) []rowIdx { return phiLayer(nil, k, js) })
+	}
+	theta := func(ph *haloPhase, ks []int) {
+		ph.axis(north, south, dirNorth, dirSouth, 0, h, h+p.Nt-1, func(j int) []rowIdx { return thetaLayer(nil, j, ks) })
+	}
+	hp := &r.halos
+	phi(&hp.state[0], span(0, ntP))
+	theta(&hp.state[1], span(0, npP))
+	phi(&hp.owned, span(h, h+p.Nt))
+	theta(&hp.owned, span(h, h+p.Np))
+	hp.state[0].traced, hp.state[1].traced, hp.owned.traced = true, true, true
 
-	// Theta-direction messages span the FULL padded phi range: the phi
-	// exchange runs first, so the theta messages carry the freshly filled
-	// phi-halo values into the diagonal (corner) halo cells. Corner halos
-	// are not needed by the axis-aligned stencils, but the overset donors
-	// interpolate from 2x2 node cells that can straddle a block corner.
-	//
-	// Each phase follows the paper's non-blocking pattern: post
-	// MPI_IRECV for both neighbours first, send, then complete each
-	// receive with Wait before unpacking (drop a Wait and the
-	// serial-equivalence goldens, TestParallelMatchesSerial and
-	// TestOverlapByteIdentity among them, fail). The phases cannot
-	// overlap each other: theta packing must see the freshly unpacked
-	// phi halos.
-	// All staging buffers come from the rank's preallocated HaloBufs
-	// arena: Send copies synchronously, and every receive buffer is
-	// consumed within its phase, so reuse is race-free and the
-	// steady-state path allocates nothing.
+	// Local padded indices of the global rim columns/rows this block
+	// owns: at most two per direction.
+	var rimCols, rimRows []int
+	spec := r.Layout.Spec
+	if p.KOff == 0 {
+		rimCols = append(rimCols, h)
+	}
+	if p.KOff+p.Np == spec.Np {
+		rimCols = append(rimCols, h+p.Np-1)
+	}
+	if p.JOff == 0 {
+		rimRows = append(rimRows, h)
+	}
+	if p.JOff+p.Nt == spec.Nt {
+		rimRows = append(rimRows, h+p.Nt-1)
+	}
+	if len(rimCols) > 0 {
+		theta(&hp.rim[0], rimCols)
+	}
+	if len(rimRows) > 0 {
+		phi(&hp.rim[1], rimRows)
+	}
+}
 
-	// Phase 1: phi direction.
-	sp := r.obs.Begin(obs.SpanHaloPack)
-	var reqEast, reqWest *mpi.Request
-	var bufEast, bufWest []float64
-	if east >= 0 {
-		bufEast = hb.RecvPhi(nf, dirEast)
-		reqEast = r.Cart.Irecv(east, tagBase+2, bufEast)
+// haloPosted is one phase in flight between post and finish: the fields
+// it moves, their receive staging slot, and one request per receive.
+type haloPosted struct {
+	ph     *haloPhase
+	fields []*field.Scalar
+	slot   int
+	reqs   [4]*mpi.Request
+}
+
+// post starts a phase the way the paper's blocks exchange with their
+// MPI_CART_SHIFT neighbours: it posts MPI_IRECV for every receive, then
+// packs and sends every message, and returns with the receives in
+// flight. The receives are staged in field slots [slot, slot+len(fields))
+// of the rank's HaloBufs, so two phases in flight together must take
+// disjoint slots; Send copies synchronously, so one send buffer per
+// direction serves every phase.
+func (r *Rank) post(ph *haloPhase, fields []*field.Scalar, tagBase, slot int) haloPosted {
+	hp := haloPosted{ph: ph, fields: fields, slot: slot}
+	var sp obs.Span
+	if ph.traced {
+		sp = r.obs.Begin(obs.SpanHaloPack)
 	}
-	if west >= 0 {
-		bufWest = hb.RecvPhi(nf, dirWest)
-		reqWest = r.Cart.Irecv(west, tagBase+3, bufWest)
+	for i, m := range ph.recvs {
+		hp.reqs[i] = r.Cart.Irecv(m.peer, tagBase+m.tag, r.halo.recvBuf(m.dir, slot, len(fields), len(m.rows)))
 	}
-	if west >= 0 {
-		r.Cart.Send(west, tagBase+2, hb.PackPhi(fields, h, dirWest))
-	}
-	if east >= 0 {
-		r.Cart.Send(east, tagBase+3, hb.PackPhi(fields, h+p.Np-1, dirEast))
+	for _, m := range ph.sends {
+		r.Cart.Send(m.peer, tagBase+m.tag, r.halo.pack(fields, m.rows, m.dir))
 	}
 	sp.End()
-	if reqEast != nil {
-		w := r.obs.Begin(obs.SpanHaloWait)
-		reqEast.Wait()
-		w.End()
-		u := r.obs.Begin(obs.SpanHaloUnpack)
-		hb.UnpackPhi(fields, h+p.Np, bufEast)
-		u.End()
-	}
-	if reqWest != nil {
-		w := r.obs.Begin(obs.SpanHaloWait)
-		reqWest.Wait()
-		w.End()
-		u := r.obs.Begin(obs.SpanHaloUnpack)
-		hb.UnpackPhi(fields, h-1, bufWest)
-		u.End()
-	}
+	return hp
+}
 
-	// Phase 2: theta direction, now carrying phi halos.
-	sp = r.obs.Begin(obs.SpanHaloPack)
-	var reqNorth, reqSouth *mpi.Request
-	var bufNorth, bufSouth []float64
-	if south >= 0 {
-		bufSouth = hb.RecvTheta(nf, dirSouth)
-		reqSouth = r.Cart.Irecv(south, tagBase+0, bufSouth)
-	}
-	if north >= 0 {
-		bufNorth = hb.RecvTheta(nf, dirNorth)
-		reqNorth = r.Cart.Irecv(north, tagBase+1, bufNorth)
-	}
-	if north >= 0 {
-		r.Cart.Send(north, tagBase+0, hb.PackTheta(fields, h, dirNorth))
-	}
-	if south >= 0 {
-		r.Cart.Send(south, tagBase+1, hb.PackTheta(fields, h+p.Nt-1, dirSouth))
-	}
-	sp.End()
-	if reqSouth != nil {
+// finish completes a posted phase: each receive in posting order is
+// waited on, then unpacked into its rows (drop the Wait and the
+// serial-equivalence goldens, TestParallelMatchesSerial and
+// TestOverlapByteIdentity among them, fail).
+func (r *Rank) finish(hp *haloPosted) {
+	ph := hp.ph
+	for i, m := range ph.recvs {
 		w := r.obs.Begin(obs.SpanHaloWait)
-		reqSouth.Wait()
+		hp.reqs[i].Wait()
 		w.End()
-		u := r.obs.Begin(obs.SpanHaloUnpack)
-		hb.UnpackTheta(fields, h+p.Nt, bufSouth)
+		var u obs.Span
+		if ph.traced {
+			u = r.obs.Begin(obs.SpanHaloUnpack)
+		}
+		r.halo.unpack(hp.fields, m.rows, r.halo.recvBuf(m.dir, hp.slot, len(hp.fields), len(m.rows)))
 		u.End()
 	}
-	if reqNorth != nil {
-		w := r.obs.Begin(obs.SpanHaloWait)
-		reqNorth.Wait()
-		w.End()
-		u := r.obs.Begin(obs.SpanHaloUnpack)
-		hb.UnpackTheta(fields, h-1, bufNorth)
-		u.End()
+}
+
+// exchange runs the phases of a plan in order, each finished before the
+// next is posted.
+func (r *Rank) exchange(phases []haloPhase, fields []*field.Scalar, tagBase int) {
+	for i := range phases {
+		hp := r.post(&phases[i], fields, tagBase, 0)
+		r.finish(&hp)
 	}
+}
+
+// exchangeHalos swaps one halo layer of every field, corners included,
+// with the four nearest neighbours inside the panel (MPI_SEND /
+// MPI_IRECV between MPI_CART_SHIFT neighbours in the paper), through
+// the state plan.
+func (r *Rank) exchangeHalos(fields []*field.Scalar, tagBase int) {
+	r.exchange(r.halos.state[:], fields, tagBase)
 }
 
 // SetOverlap selects between the overlapped RHS schedule (halo receives
@@ -378,96 +452,17 @@ func (r *Rank) exchangeHalos(fields []*field.Scalar, tagBase int) {
 // bitwise-identical states; the default is overlapped.
 func (r *Rank) SetOverlap(on bool) { r.overlap = on }
 
-// haloOverlap is one in-flight corner-free halo exchange: the four
-// posted receives and their buffers, between haloStart and haloFinish.
-type haloOverlap struct {
-	fields             []*field.Scalar
-	reqEast, reqWest   *mpi.Request
-	reqSouth, reqNorth *mpi.Request
-	bufEast, bufWest   []float64
-	bufSouth, bufNorth []float64
-}
-
 // haloStart begins the corner-free halo exchange of the overlapped
-// schedule: it posts all four receives, then sends all four messages,
-// and returns with the exchange in flight so the caller can compute
-// under it. Unlike exchangeHalos, both directions move concurrently and
-// each message carries only the owned range of its layer (theta
-// messages span owned phi and vice versa), so no corner halo cells are
-// written — which is exactly why the two directions need no ordering.
-// Only exchanges whose consumers are axis-aligned stencils (the B and
-// div-v refreshes) may use it; the state exchange keeps the sequential
-// corner-carrying phases for the overset donors. Tags follow the
-// exchangeHalos convention (theta +0/+1, phi +2/+3), so fault plans
-// target both schedules identically.
-//
-// slot is the index of the exchange's first field in the HaloBufs
-// receive staging: two exchanges in flight together take disjoint
-// field slots, since their receives are consumed only at haloFinish.
-func (r *Rank) haloStart(fields []*field.Scalar, tagBase, slot int) haloOverlap {
-	north, south, west, east := r.Cart.Neighbours()
-	p := r.PL.Patch
-	h := p.H
-	hb := r.halo
-	nf := len(fields)
-	ov := haloOverlap{fields: fields}
-
-	sp := r.obs.Begin(obs.SpanHaloPack)
-	if east >= 0 {
-		ov.bufEast = hb.RecvSlot(slot, nf, p.Nt, dirEast)
-		ov.reqEast = r.Cart.Irecv(east, tagBase+2, ov.bufEast)
-	}
-	if west >= 0 {
-		ov.bufWest = hb.RecvSlot(slot, nf, p.Nt, dirWest)
-		ov.reqWest = r.Cart.Irecv(west, tagBase+3, ov.bufWest)
-	}
-	if south >= 0 {
-		ov.bufSouth = hb.RecvSlot(slot, nf, p.Np, dirSouth)
-		ov.reqSouth = r.Cart.Irecv(south, tagBase+0, ov.bufSouth)
-	}
-	if north >= 0 {
-		ov.bufNorth = hb.RecvSlot(slot, nf, p.Np, dirNorth)
-		ov.reqNorth = r.Cart.Irecv(north, tagBase+1, ov.bufNorth)
-	}
-	if west >= 0 {
-		r.Cart.Send(west, tagBase+2, hb.PackPhiRange(fields, h, h, h+p.Nt, dirWest))
-	}
-	if east >= 0 {
-		r.Cart.Send(east, tagBase+3, hb.PackPhiRange(fields, h+p.Np-1, h, h+p.Nt, dirEast))
-	}
-	if north >= 0 {
-		r.Cart.Send(north, tagBase+0, hb.PackThetaRange(fields, h, h, h+p.Np, dirNorth))
-	}
-	if south >= 0 {
-		r.Cart.Send(south, tagBase+1, hb.PackThetaRange(fields, h+p.Nt-1, h, h+p.Np, dirSouth))
-	}
-	sp.End()
-	return ov
+// schedule (the owned plan) and returns with it in flight, so the
+// caller can compute under it; slot is the exchange's receive staging
+// slot (see post).
+func (r *Rank) haloStart(fields []*field.Scalar, tagBase, slot int) haloPosted {
+	return r.post(&r.halos.owned, fields, tagBase, slot)
 }
 
-// haloFinish completes a haloStart exchange: waits on each posted
-// receive and unpacks it into the matching halo layer. After it returns
-// the rim stencils may read the exchanged halos.
-func (r *Rank) haloFinish(ov *haloOverlap) {
-	p := r.PL.Patch
-	h := p.H
-	hb := r.halo
-	done := func(req *mpi.Request, unpack func()) {
-		if req == nil {
-			return
-		}
-		w := r.obs.Begin(obs.SpanHaloWait)
-		req.Wait()
-		w.End()
-		u := r.obs.Begin(obs.SpanHaloUnpack)
-		unpack()
-		u.End()
-	}
-	done(ov.reqEast, func() { hb.UnpackPhiRange(ov.fields, h+p.Np, h, h+p.Nt, ov.bufEast) })
-	done(ov.reqWest, func() { hb.UnpackPhiRange(ov.fields, h-1, h, h+p.Nt, ov.bufWest) })
-	done(ov.reqSouth, func() { hb.UnpackThetaRange(ov.fields, h+p.Nt, h, h+p.Np, ov.bufSouth) })
-	done(ov.reqNorth, func() { hb.UnpackThetaRange(ov.fields, h-1, h, h+p.Np, ov.bufNorth) })
-}
+// haloFinish completes a haloStart exchange. After it returns the
+// stencils may read the exchanged halos.
+func (r *Rank) haloFinish(hp *haloPosted) { r.finish(hp) }
 
 // oversetExchange performs the distributed Yin<->Yang rim interpolation
 // for the whole state (rho, p, F, A). Donors interpolate columns from
@@ -607,99 +602,11 @@ func (r *Rank) applyConstraints() {
 }
 
 // rimRefresh re-sends only the halo cells that sit on the panel's global
-// rim rows/columns after the overset exchange rewrote them.
+// rim rows/columns after the overset exchange rewrote them, through the
+// rim plan.
 func (r *Rank) rimRefresh() {
 	defer r.obs.Begin(obs.SpanRim).End()
-	north, south, west, east := r.Cart.Neighbours()
-	p := r.PL.Patch
-	h := p.H
-	hb := r.halo
-	fields := r.stateFields()
-	nf := len(fields)
-	spec := r.Layout.Spec
-
-	// Local padded indices of the global rim columns/rows this block
-	// owns. At most two per direction, so a fixed backing array keeps
-	// this allocation-free.
-	var rimColsA, rimRowsA [2]int
-	rimCols, rimRows := rimColsA[:0], rimRowsA[:0]
-	if p.KOff == 0 {
-		rimCols = append(rimCols, h)
-	}
-	if p.KOff+p.Np == spec.Np {
-		rimCols = append(rimCols, h+p.Np-1)
-	}
-	if p.JOff == 0 {
-		rimRows = append(rimRows, h)
-	}
-	if p.JOff+p.Nt == spec.Nt {
-		rimRows = append(rimRows, h+p.Nt-1)
-	}
-
-	// Theta neighbours share this block's column range, so the same
-	// rimCols predicate holds on both sides; likewise for rows in phi.
-	// Posted-receive pattern as in exchangeHalos (Irecv, send, Wait,
-	// unpack), with all staging drawn from the HaloBufs arena.
-	if len(rimCols) > 0 {
-		var reqSouth, reqNorth *mpi.Request
-		var bufSouth, bufNorth []float64
-		if south >= 0 {
-			bufSouth = hb.RecvCells(nf, len(rimCols), dirSouth)
-			reqSouth = r.Cart.Irecv(south, tagRimBase+0, bufSouth)
-		}
-		if north >= 0 {
-			bufNorth = hb.RecvCells(nf, len(rimCols), dirNorth)
-			reqNorth = r.Cart.Irecv(north, tagRimBase+1, bufNorth)
-		}
-		if north >= 0 {
-			r.Cart.Send(north, tagRimBase+0, hb.PackRowCells(fields, h, rimCols, dirNorth))
-		}
-		if south >= 0 {
-			r.Cart.Send(south, tagRimBase+1, hb.PackRowCells(fields, h+p.Nt-1, rimCols, dirSouth))
-		}
-		if reqSouth != nil {
-			w := r.obs.Begin(obs.SpanHaloWait)
-			reqSouth.Wait()
-			w.End()
-			hb.UnpackRowCells(fields, h+p.Nt, rimCols, bufSouth)
-		}
-		if reqNorth != nil {
-			w := r.obs.Begin(obs.SpanHaloWait)
-			reqNorth.Wait()
-			w.End()
-			hb.UnpackRowCells(fields, h-1, rimCols, bufNorth)
-		}
-	}
-	if len(rimRows) > 0 {
-		var reqEast, reqWest *mpi.Request
-		var bufEast, bufWest []float64
-		if east >= 0 {
-			bufEast = hb.RecvCells(nf, len(rimRows), dirEast)
-			reqEast = r.Cart.Irecv(east, tagRimBase+2, bufEast)
-		}
-		if west >= 0 {
-			bufWest = hb.RecvCells(nf, len(rimRows), dirWest)
-			reqWest = r.Cart.Irecv(west, tagRimBase+3, bufWest)
-		}
-		if west >= 0 {
-			r.Cart.Send(west, tagRimBase+2, hb.PackColCells(fields, h, rimRows, dirWest))
-		}
-		if east >= 0 {
-			r.Cart.Send(east, tagRimBase+3, hb.PackColCells(fields, h+p.Np-1, rimRows, dirEast))
-		}
-		if reqEast != nil {
-			w := r.obs.Begin(obs.SpanHaloWait)
-			reqEast.Wait()
-			w.End()
-			hb.UnpackColCells(fields, h+p.Np, rimRows, bufEast)
-		}
-		if reqWest != nil {
-			w := r.obs.Begin(obs.SpanHaloWait)
-			reqWest.Wait()
-			w.End()
-			hb.UnpackColCells(fields, h-1, rimRows, bufWest)
-		}
-	}
+	r.exchange(r.halos.rim[:], r.stateFields(), tagRimBase)
 }
 
 // rhs evaluates the stage's right-hand side and folds it into the
