@@ -167,6 +167,24 @@ func TestLoadModuleSelf(t *testing.T) {
 	}
 }
 
+// TestLoadExternalTestPackage loads a module whose package has a test
+// in an external test package (package lib_test): the file stays out of
+// the package's type-check, the module loads, and every analyzer passes
+// it clean.
+func TestLoadExternalTestPackage(t *testing.T) {
+	pkgs, err := LoadModule(filepath.Join("testdata", "exttest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := Run(pkgs, All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("unexpected finding: %s", f)
+	}
+}
+
 // TestFindingString pins the file:line:col: analyzer: message format the
 // driver prints.
 func TestFindingString(t *testing.T) {

@@ -221,9 +221,9 @@ func LoadModule(root string) ([]*Package, error) {
 
 // parseDir parses every .go file in dir (non-recursive), with comments
 // retained for ignore directives, returning non-test and _test.go
-// files separately. External test packages (package foo_test) are not
-// supported — the module does not use them — and would fail the joint
-// type-check with a package-name mismatch.
+// files separately. Files of an external test package (package
+// foo_test) are left out: they are a package of their own, and would
+// fail the joint type-check with a package-name mismatch.
 func parseDir(fset *token.FileSet, dir string) (files, testFiles []*ast.File, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -247,7 +247,9 @@ func parseDir(fset *token.FileSet, dir string) (files, testFiles []*ast.File, er
 			return nil, nil, err
 		}
 		if strings.HasSuffix(name, "_test.go") {
-			testFiles = append(testFiles, f)
+			if !strings.HasSuffix(f.Name.Name, "_test") {
+				testFiles = append(testFiles, f)
+			}
 		} else {
 			files = append(files, f)
 		}

@@ -29,10 +29,21 @@ import (
 // one.
 type Pool struct {
 	workers int
-	jobs    chan func()
+	jobs    chan struct{} // one token enlists one worker into the current For
 	closed  atomic.Bool
 	wg      sync.WaitGroup // tracks worker goroutines for Close
 	gauge   *obs.PoolGauge
+
+	// The one For in progress, kept in the pool and reused by every
+	// call so that For allocates nothing: a pool has one caller at a
+	// time and For is never re-entered on its own pool, so no two calls
+	// share it. fn, n and tiles are written before the tokens are sent
+	// and read by the lanes after they are received; next hands out the
+	// tiles and lanes counts the enlisted workers out.
+	fn       func(lo, hi int)
+	n, tiles int
+	next     atomic.Int64
+	lanes    sync.WaitGroup
 }
 
 // SetGauge attaches a utilization gauge: every subsequent parallel
@@ -62,15 +73,16 @@ func NewPool(workers int) *Pool {
 	if workers <= 1 {
 		return nil
 	}
-	p := &Pool{workers: workers, jobs: make(chan func(), workers)}
+	p := &Pool{workers: workers, jobs: make(chan struct{}, workers)}
 	// The caller participates in For, so only workers-1 goroutines are
 	// needed to reach the requested width.
 	p.wg.Add(workers - 1)
 	for i := 0; i < workers-1; i++ {
 		go func() {
 			defer p.wg.Done()
-			for fn := range p.jobs {
-				fn()
+			for range p.jobs {
+				p.run()
+				p.lanes.Done()
 			}
 		}()
 	}
@@ -115,8 +127,10 @@ func (p *Pool) numTiles(n int) int {
 // For executes fn over a partition of [0,n): each call fn(lo,hi) owns
 // the half-open index range [lo,hi), and distinct calls receive
 // disjoint ranges covering [0,n) exactly. On a nil pool (or n too small
-// to split) this is fn(0,n) inline. fn must not call For on the same
-// pool (the hot loops it serves are leaves).
+// to split) this is fn(0,n) inline. One goroutine calls For on a pool
+// at a time (the rank that owns it), and fn must not call For on the
+// same pool (the hot loops it serves are leaves): the call's state lives
+// in the pool, so For allocates nothing.
 func (p *Pool) For(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -135,43 +149,48 @@ func (p *Pool) For(n int, fn func(lo, hi int)) {
 	if g != nil {
 		t0 = time.Now()
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	run := func() {
-		var l0 time.Time
-		if g != nil {
-			l0 = time.Now()
-		}
-		for {
-			t := int(next.Add(1)) - 1
-			if t >= tiles {
-				break
-			}
-			lo, hi := tileBounds(n, tiles, t)
-			fn(lo, hi)
-		}
-		if g != nil {
-			g.BusyNS.Add(time.Since(l0).Nanoseconds())
-		}
-	}
+	p.fn, p.n, p.tiles = fn, n, tiles
+	p.next.Store(0)
 	// Enlist up to workers-1 pool workers; the caller is the last lane.
 	// Send never blocks meaningfully: jobs has capacity >= workers-1 and
-	// each posted job exits promptly once the tile counter drains.
+	// each enlisted worker returns promptly once the tile counter drains.
 	for i := 0; i < p.workers-1; i++ {
-		wg.Add(1)
+		p.lanes.Add(1)
 		select {
-		case p.jobs <- func() { defer wg.Done(); run() }:
+		case p.jobs <- struct{}{}:
 		default:
 			// All workers busy (should not happen for leaf loops, but
 			// degrade gracefully rather than deadlock).
-			wg.Done()
+			p.lanes.Done()
 		}
 	}
-	run()
-	wg.Wait()
+	p.run()
+	p.lanes.Wait()
+	p.fn = nil
 	if g != nil {
 		g.WallNS.Add(time.Since(t0).Nanoseconds())
 		g.Calls.Add(1)
+	}
+}
+
+// run is one lane of the current For: it takes tiles until none is
+// left.
+func (p *Pool) run() {
+	g := p.gauge
+	var l0 time.Time
+	if g != nil {
+		l0 = time.Now()
+	}
+	for {
+		t := int(p.next.Add(1)) - 1
+		if t >= p.tiles {
+			break
+		}
+		lo, hi := tileBounds(p.n, p.tiles, t)
+		p.fn(lo, hi)
+	}
+	if g != nil {
+		g.BusyNS.Add(time.Since(l0).Nanoseconds())
 	}
 }
 

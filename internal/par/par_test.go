@@ -227,6 +227,22 @@ func TestCloseIdempotent(t *testing.T) {
 	p.Close()
 }
 
+// TestForZeroAlloc pins that a pooled For with a pre-bound fn allocates
+// nothing: the call's state lives in the pool.
+func TestForZeroAlloc(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	out := make([]float64, 1<<12)
+	fn := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i]++
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.For(len(out), fn) }); allocs != 0 {
+		t.Fatalf("For allocates %v per call, want 0", allocs)
+	}
+}
+
 func BenchmarkForOverhead(b *testing.B) {
 	p := NewPool(4)
 	defer b.StopTimer()
