@@ -27,20 +27,14 @@ func span(lo, hi int) []int {
 	return idx
 }
 
-// phiLayer appends to dst the rows (j, k) of padded-phi column k, j in
-// js.
-func phiLayer(dst []rowIdx, k int, js []int) []rowIdx {
+// rowsOf appends to dst the rows (j, k) for j in js, then k in ks: a
+// padded-phi column k over theta rows js is rowsOf(dst, js, []int{k}),
+// a padded-theta row j over phi columns ks rowsOf(dst, []int{j}, ks).
+func rowsOf(dst []rowIdx, js, ks []int) []rowIdx {
 	for _, j := range js {
-		dst = append(dst, rowIdx{j, k})
-	}
-	return dst
-}
-
-// thetaLayer appends to dst the rows (j, k) of padded-theta row j, k in
-// ks.
-func thetaLayer(dst []rowIdx, j int, ks []int) []rowIdx {
-	for _, k := range ks {
-		dst = append(dst, rowIdx{j, k})
+		for _, k := range ks {
+			dst = append(dst, rowIdx{j, k})
+		}
 	}
 	return dst
 }
@@ -70,9 +64,8 @@ type HaloBufs struct {
 // move at most maxFields fields at a time.
 func NewHaloBufs(p *grid.Patch, maxFields int) *HaloBufs {
 	nrP, ntP, npP := p.Padded()
-	rows := max(ntP, npP)
-	n := maxFields * rows * nrP
-	hb := &HaloBufs{nrP: nrP, allJ: span(0, ntP), allK: span(0, npP), line: make([]rowIdx, 0, rows)}
+	n := maxFields * max(ntP, npP) * nrP
+	hb := &HaloBufs{nrP: nrP, allJ: span(0, ntP), allK: span(0, npP), line: make([]rowIdx, 0, max(ntP, npP))}
 	for d := range hb.send {
 		hb.send[d] = make([]float64, n)
 		hb.recv[d] = make([]float64, n)
@@ -117,23 +110,23 @@ func (hb *HaloBufs) recvBuf(dir, slot, nFields, nRows int) []float64 {
 // theta range (radial-fastest) into the dir-th send buffer and returns
 // the filled prefix.
 func (hb *HaloBufs) PackPhi(fields []*field.Scalar, k, dir int) []float64 {
-	return hb.pack(fields, phiLayer(hb.line[:0], k, hb.allJ), dir)
+	return hb.pack(fields, rowsOf(hb.line[:0], hb.allJ, []int{k}), dir)
 }
 
 // UnpackPhi scatters a PackPhi-layout buffer into padded-phi column k of
 // every field.
 func (hb *HaloBufs) UnpackPhi(fields []*field.Scalar, k int, buf []float64) {
-	hb.unpack(fields, phiLayer(hb.line[:0], k, hb.allJ), buf)
+	hb.unpack(fields, rowsOf(hb.line[:0], hb.allJ, []int{k}), buf)
 }
 
 // PackTheta packs padded-theta row j of every field over the full
 // padded phi range (carrying corner values) into the dir-th send buffer.
 func (hb *HaloBufs) PackTheta(fields []*field.Scalar, j, dir int) []float64 {
-	return hb.pack(fields, thetaLayer(hb.line[:0], j, hb.allK), dir)
+	return hb.pack(fields, rowsOf(hb.line[:0], []int{j}, hb.allK), dir)
 }
 
 // UnpackTheta scatters a PackTheta-layout buffer into padded-theta row j
 // of every field.
 func (hb *HaloBufs) UnpackTheta(fields []*field.Scalar, j int, buf []float64) {
-	hb.unpack(fields, thetaLayer(hb.line[:0], j, hb.allK), buf)
+	hb.unpack(fields, rowsOf(hb.line[:0], []int{j}, hb.allK), buf)
 }

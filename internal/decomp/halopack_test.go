@@ -75,7 +75,7 @@ func TestHaloPackRoundTrip(t *testing.T) {
 	// Rim cells: the rows a rim message carries, a theta layer over the
 	// rim columns and a phi layer over the rim rows.
 	cols := []int{h, h + p.Np - 1}
-	hb.unpack(fields, thetaLayer(nil, h+3, cols), hb.pack(fields, thetaLayer(nil, h+1, cols), dirSouth))
+	hb.unpack(fields, rowsOf(nil, []int{h + 3}, cols), hb.pack(fields, rowsOf(nil, []int{h + 1}, cols), dirSouth))
 	for fi, f := range fields {
 		for _, k := range cols {
 			mustEqualRow(fmt.Sprintf("rim cols field %d col %d", fi, k), f.Row(h+3, k), ref[fi].Row(h+1, k))
@@ -84,7 +84,7 @@ func TestHaloPackRoundTrip(t *testing.T) {
 	restore()
 
 	rows := []int{h, h + p.Nt - 1}
-	hb.unpack(fields, phiLayer(nil, h+3, rows), hb.pack(fields, phiLayer(nil, h+1, rows), dirEast))
+	hb.unpack(fields, rowsOf(nil, rows, []int{h + 3}), hb.pack(fields, rowsOf(nil, rows, []int{h + 1}), dirEast))
 	for fi, f := range fields {
 		for _, j := range rows {
 			mustEqualRow(fmt.Sprintf("rim rows field %d row %d", fi, j), f.Row(j, h+3), ref[fi].Row(j, h+1))

@@ -3,6 +3,7 @@ package decomp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/field"
 	"repro/internal/grid"
@@ -259,15 +260,11 @@ func (r *Rank) buildOversetPlan() error {
 
 func sortedKeys(m map[int][]overset.Target) []int {
 	keys := make([]int, 0, len(m))
-	//yyvet:ignore det-purity the keys are insertion-sorted immediately below, so the collection order never escapes
+	//yyvet:ignore det-purity the keys are sorted immediately below, so the collection order never escapes
 	for k := range m {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	return keys
 }
 
@@ -342,10 +339,10 @@ func (r *Rank) buildHaloPlans() {
 	// phi adds the phi-axis messages of columns over the theta rows js,
 	// theta the theta-axis messages of rows over the phi columns ks.
 	phi := func(ph *haloPhase, js []int) {
-		ph.axis(west, east, dirWest, dirEast, 2, h, h+p.Np-1, func(k int) []rowIdx { return phiLayer(nil, k, js) })
+		ph.axis(west, east, dirWest, dirEast, 2, h, h+p.Np-1, func(k int) []rowIdx { return rowsOf(nil, js, []int{k}) })
 	}
 	theta := func(ph *haloPhase, ks []int) {
-		ph.axis(north, south, dirNorth, dirSouth, 0, h, h+p.Nt-1, func(j int) []rowIdx { return thetaLayer(nil, j, ks) })
+		ph.axis(north, south, dirNorth, dirSouth, 0, h, h+p.Nt-1, func(j int) []rowIdx { return rowsOf(nil, []int{j}, ks) })
 	}
 	hp := &r.halos
 	phi(&hp.state[0], span(0, ntP))

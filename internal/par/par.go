@@ -139,11 +139,7 @@ func (p *Pool) For(n int, fn func(lo, hi int)) {
 		fn(0, n)
 		return
 	}
-	tiles := p.numTiles(n)
-	if tiles <= 1 {
-		fn(0, n)
-		return
-	}
+	tiles := p.numTiles(n) // >= 2: n >= 2 and a pool has >= 2 workers
 	g := p.gauge
 	var t0 time.Time
 	if g != nil {
@@ -205,9 +201,6 @@ func (p *Pool) ReduceMax(n int, fn func(lo, hi int) float64) float64 {
 		return fn(0, n)
 	}
 	tiles := p.numTiles(n)
-	if tiles <= 1 {
-		return fn(0, n)
-	}
 	partials := make([]float64, tiles)
 	p.For(tiles, func(tlo, thi int) {
 		for t := tlo; t < thi; t++ {

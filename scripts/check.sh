@@ -28,7 +28,8 @@
 #   4a. lane paths   — the lane bodies' other side: the numeric
 #                      packages' tests (every golden included) under
 #                      -tags purego, which runs the Go loops the AVX2
-#                      bodies mirror, and an arm64 vet of the packages
+#                      bodies mirror (the fused-RHS timing tripwire
+#                      first and alone), and an arm64 vet of the packages
 #                      that carry the bodies, which compiles their
 #                      non-amd64 build
 #   4b. fuzz         — five seconds of coverage-guided fuzzing of the
@@ -144,9 +145,14 @@ go list ./... | grep -v '^repro/benchmark$' | xargs go test -timeout 120s
 
 # The AVX2 lane bodies replace the interior radial loops only on amd64;
 # everywhere else, and under -tags purego, the Go loops run. Both must
-# keep every golden, and the non-amd64 build must keep compiling.
-echo "==> go test -tags purego -timeout 120s ./internal/mhd ./internal/sphops ./internal/core"
-go test -tags purego -timeout 120s ./internal/mhd ./internal/sphops ./internal/core
+# keep every golden, and the non-amd64 build must keep compiling. The
+# fused-RHS timing tripwire runs first and alone, like benchmark/'s
+# pipeline test: beside the other two packages' test binaries it read
+# 1.36x against its 1.4x bound once, and 1.55-2.10x alone.
+echo "==> go test -tags purego -timeout 120s -run '^TestFusedRHSSpeedupTripwire$' ./internal/mhd"
+go test -tags purego -timeout 120s -run '^TestFusedRHSSpeedupTripwire$' ./internal/mhd
+echo "==> go test -tags purego -timeout 120s -skip '^TestFusedRHSSpeedupTripwire$' ./internal/mhd ./internal/sphops ./internal/core"
+go test -tags purego -timeout 120s -skip '^TestFusedRHSSpeedupTripwire$' ./internal/mhd ./internal/sphops ./internal/core
 
 echo "==> GOARCH=arm64 go vet ./internal/mhd ./internal/sphops ./internal/simd"
 GOARCH=arm64 go vet ./internal/mhd ./internal/sphops ./internal/simd
