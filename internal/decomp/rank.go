@@ -3,7 +3,6 @@ package decomp
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
 	"repro/internal/field"
 	"repro/internal/grid"
@@ -260,11 +259,15 @@ func (r *Rank) buildOversetPlan() error {
 
 func sortedKeys(m map[int][]overset.Target) []int {
 	keys := make([]int, 0, len(m))
-	//yyvet:ignore det-purity the keys are sorted immediately below, so the collection order never escapes
+	//yyvet:ignore det-purity the keys are insertion-sorted immediately below, so the collection order never escapes
 	for k := range m {
 		keys = append(keys, k)
 	}
-	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
 	return keys
 }
 
