@@ -347,12 +347,12 @@ func (r *Rank) buildHaloPlans() {
 	theta := func(ph *haloPhase, ks []int) {
 		ph.axis(north, south, dirNorth, dirSouth, 0, h, h+p.Nt-1, func(j int) []rowIdx { return rowsOf(nil, []int{j}, ks) })
 	}
-	hp := &r.halos
-	phi(&hp.state[0], span(0, ntP))
-	theta(&hp.state[1], span(0, npP))
-	phi(&hp.owned, span(h, h+p.Nt))
-	theta(&hp.owned, span(h, h+p.Np))
-	hp.state[0].traced, hp.state[1].traced, hp.owned.traced = true, true, true
+	plans := &r.halos
+	phi(&plans.state[0], span(0, ntP))
+	theta(&plans.state[1], span(0, npP))
+	phi(&plans.owned, span(h, h+p.Nt))
+	theta(&plans.owned, span(h, h+p.Np))
+	plans.state[0].traced, plans.state[1].traced, plans.owned.traced = true, true, true
 
 	// Local padded indices of the global rim columns/rows this block
 	// owns: at most two per direction.
@@ -371,10 +371,10 @@ func (r *Rank) buildHaloPlans() {
 		rimRows = append(rimRows, h+p.Nt-1)
 	}
 	if len(rimCols) > 0 {
-		theta(&hp.rim[0], rimCols)
+		theta(&plans.rim[0], rimCols)
 	}
 	if len(rimRows) > 0 {
-		phi(&hp.rim[1], rimRows)
+		phi(&plans.rim[1], rimRows)
 	}
 }
 
