@@ -63,7 +63,7 @@ func (o *combineOracle) advance(r *Rank, dt float64, constrain func()) {
 		if last {
 			c = dt / 6
 		}
-		mhd.ComputeVTB(pl, &pl.U)
+		mhd.ComputeB(pl, &pl.U)
 		r.exchangeHalos([]*field.Scalar{pl.B.R, pl.B.T, pl.B.P}, tagHaloBBase)
 		o.rhs(pl, r.Prm, &pl.U, &o.k, func(fs ...*field.Scalar) {
 			r.exchangeHalos(fs, tagHaloAuxBase)
@@ -119,15 +119,15 @@ func TestStageMatchesCombineWorlds(t *testing.T) {
 	}
 }
 
-// TestWorldMatchesFullJ: on a 4-rank world (two blocks per panel) under
-// both magnetic walls, the ranks' stage loop — the current density
-// evaluated a φ-slice at a time inside each rank's stage sweep, behind
-// the overlapped B and div-v exchanges — leaves every rank's U, u0 and
-// acc,
-// halos included, bitwise equal at every constraint point of two steps
-// to the combine oracle evaluating the right-hand side through
-// mhd.FinishRHSReference, whose j = curl B is a full field.
-func TestWorldMatchesFullJ(t *testing.T) {
+// TestWorldMatchesFullVTJ: on a 4-rank world (two blocks per panel)
+// under both magnetic walls, the ranks' stage loop — V = F/ρ, T = P/ρ
+// and the current density evaluated a φ-slice at a time inside each
+// rank's div v pass and stage sweep, behind the overlapped B and div-v
+// exchanges — leaves every rank's U, u0 and acc, halos included,
+// bitwise equal at every constraint point of two steps to the combine
+// oracle evaluating the right-hand side through
+// mhd.FinishRHSReference, whose V, T and j = curl B are full fields.
+func TestWorldMatchesFullVTJ(t *testing.T) {
 	s := grid.NewSpec(9, 13)
 	const steps, dt = 2, 2e-3
 	for _, bc := range []mhd.MagneticBC{mhd.BCConfined, mhd.BCPseudoVacuum} {
@@ -148,6 +148,19 @@ func TestWorldMatchesFullJ(t *testing.T) {
 			sameDigests(t, got, want, 4*steps)
 		})
 	}
+}
+
+// TestRanksKeepVTNil: stepping and diagnosing a 4-rank world never
+// allocate a rank's full fields V and T, which only mhd.ComputeVTB
+// fills.
+func TestRanksKeepVTNil(t *testing.T) {
+	stepWorld(t, grid.NewSpec(9, 13), 4, 1, mhd.Default(), mhd.DefaultIC(), 2, func(r *Rank, _ func(u0, acc *mhd.State)) {
+		r.Advance(2e-3)
+		r.Diagnose()
+		if r.PL.V != nil || r.PL.T != nil {
+			t.Errorf("rank %d: V or T allocated by Advance or Diagnose", r.World.Rank())
+		}
+	})
 }
 
 // rankStep is Rank.Advance's stage loop under the given schedule, with

@@ -610,9 +610,9 @@ func (r *Rank) rimRefresh() {
 }
 
 // rhs evaluates the stage's right-hand side and folds it into the
-// state: compute the subsidiary fields, refresh the magnetic-field and
-// div-v halos (both are differentiated), then sweep once over the owned
-// columns with mhd.RHSStage, which evaluates the current density
+// state: compute B = curl A, refresh the magnetic-field and div-v halos
+// (both are differentiated), then sweep once over the owned columns
+// with mhd.RHSStage, which evaluates V, T and the current density
 // j = curl B a φ-slice at a time as it goes.
 //
 // With overlap enabled the halo refreshes hide under compute. Both
@@ -626,7 +626,7 @@ func (r *Rank) rimRefresh() {
 func (r *Rank) rhs(st mhd.Stage) {
 	defer r.obs.Begin(obs.SpanRHS).End()
 	pl := r.PL
-	mhd.ComputeVTB(pl, &pl.U)
+	mhd.ComputeB(pl, &pl.U)
 	b := []*field.Scalar{pl.B.R, pl.B.T, pl.B.P}
 	if !r.overlap {
 		r.exchangeHalos(b, tagHaloBBase)
@@ -671,7 +671,7 @@ func (r *Rank) Advance(dt float64) {
 
 // EstimateDT returns the globally reduced stable time step.
 func (r *Rank) EstimateDT(safety float64) float64 {
-	mhd.ComputeVTB(r.PL, &r.PL.U)
+	mhd.ComputeB(r.PL, &r.PL.U)
 	v := []float64{mhd.PanelMaxSpeed(r.PL, r.Prm)}
 	c := r.obs.Begin(obs.SpanCollective)
 	r.World.Allreduce(v, mpi.OpMax)
@@ -683,7 +683,7 @@ func (r *Rank) EstimateDT(safety float64) float64 {
 // rank).
 func (r *Rank) Diagnose() mhd.Diagnostics {
 	defer r.obs.Begin(obs.SpanDiagnose).End()
-	mhd.ComputeVTB(r.PL, &r.PL.U)
+	mhd.ComputeB(r.PL, &r.PL.U)
 	d := mhd.PanelDiagnostics(r.PL, r.Prm)
 	sums := []float64{d.Mass, d.KineticE, d.MagneticE, d.InternalE}
 	c := r.obs.Begin(obs.SpanCollective)

@@ -286,7 +286,7 @@ func stepAgainstCombine(t *testing.T, sv, oracle *Solver, ks []State, dt float64
 		sv.applyConstraints()
 	})
 	combineAdvance(dt, oracle.Panels[:], ks, func(pl *Panel, k *State) {
-		ComputeVTB(pl, &pl.U)
+		ComputeB(pl, &pl.U)
 		FinishRHS(pl, oracle.Prm, &pl.U, k, nil)
 	}, func() {
 		want = append(want, stateDigest(oracle.Panels[:]))
@@ -322,7 +322,7 @@ func TestStageMatchesCombine(t *testing.T) {
 				dt := sv.EstimateDT(0.3)
 				for step := 0; step < 2; step++ {
 					stepAgainstCombine(t, sv, oracle, ks, dt, func(pl *Panel, st Stage) {
-						ComputeVTB(pl, &pl.U)
+						ComputeB(pl, &pl.U)
 						FinishStage(pl, sv.Prm, st, nil)
 					})
 				}
@@ -347,8 +347,8 @@ func TestStageAnyTiling(t *testing.T) {
 	}
 	calls := 0
 	stepAgainstCombine(t, sv, oracle, ks, sv.EstimateDT(0.3), func(pl *Panel, st Stage) {
-		ComputeVTB(pl, &pl.U)
-		divV(pl, nil)
+		ComputeB(pl, &pl.U)
+		divV(pl, &pl.U, nil)
 		f := &pl.stage
 		f.prm, f.st = sv.Prm, st
 		bounds := tilings[calls/len(sv.Panels)]
@@ -360,18 +360,30 @@ func TestStageAnyTiling(t *testing.T) {
 	})
 }
 
-// TestAdvanceAllocs pins the serial step at zero allocations: the
-// stage sweep, the column-fused curl and divergence and the overset
-// exchange run inline without a pool, and the ring and scratch rows are
-// recycled.
+// TestAdvanceAllocs pins the step at zero allocations, serial and with
+// a worker pool: the stage sweep, the column-fused curl and divergence
+// and the overset exchange hand the pool tile functions bound once, and
+// the rings and scratch rows are recycled.
 func TestAdvanceAllocs(t *testing.T) {
-	sv, err := NewSolver(grid.NewSpec(9, 13), Default(), DefaultIC())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv.Advance(1e-3)
-	if a := testing.AllocsPerRun(5, func() { sv.Advance(1e-3) }); a != 0 {
-		t.Errorf("Solver.Advance: %v allocations per step, want 0", a)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			sv, err := NewSolver(grid.NewSpec(9, 13), Default(), DefaultIC())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if workers > 1 {
+				pool := par.NewPool(workers)
+				defer pool.Close()
+				sv.SetPool(pool)
+			}
+			// Warm up until every worker has taken its own ring and rows.
+			for n := 0; n < 3; n++ {
+				sv.Advance(1e-3)
+			}
+			if a := testing.AllocsPerRun(5, func() { sv.Advance(1e-3) }); a != 0 {
+				t.Errorf("Solver.Advance: %v allocations per step, want 0", a)
+			}
+		})
 	}
 }
 
@@ -389,7 +401,7 @@ func TestFoldRatio(t *testing.T) {
 	const rounds = 31
 	r := abtest.Interleave(func() {
 		combineAdvance(dt, oracle.Panels[:], ks, func(pl *Panel, k *State) {
-			ComputeVTB(pl, &pl.U)
+			ComputeB(pl, &pl.U)
 			FinishRHS(pl, oracle.Prm, &pl.U, k, nil)
 		}, oracle.applyConstraints)
 	}, func() { sv.Advance(dt) }, rounds)

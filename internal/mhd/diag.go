@@ -34,7 +34,7 @@ func (d Diagnostics) String() string {
 func (sv *Solver) Diagnose() Diagnostics {
 	d := Diagnostics{Time: sv.Time, Step: sv.Step}
 	for _, pl := range sv.Panels {
-		ComputeVTB(pl, &pl.U)
+		ComputeB(pl, &pl.U)
 		pd := PanelDiagnostics(pl, sv.Prm)
 		d.Mass += pd.Mass
 		d.KineticE += pd.KineticE
@@ -50,8 +50,9 @@ func (sv *Solver) Diagnose() Diagnostics {
 	return d
 }
 
-// PanelDiagnostics reduces one panel with its ownership weights.
-// ComputeVTB must have run for the panel.
+// PanelDiagnostics reduces one panel with its ownership weights,
+// dividing v = F/ρ where it reads it. ComputeB must have run for the
+// panel.
 func PanelDiagnostics(pl *Panel, prm Params) Diagnostics {
 	p := pl.Patch
 	h := p.H
@@ -65,15 +66,16 @@ func PanelDiagnostics(pl *Panel, prm Params) Diagnostics {
 			}
 			rho := pl.U.Rho.Row(j, k)
 			pres := pl.U.P.Row(j, k)
-			vr := pl.V.R.Row(j, k)
-			vt := pl.V.T.Row(j, k)
-			vp := pl.V.P.Row(j, k)
+			fr := pl.U.F.R.Row(j, k)
+			ft := pl.U.F.T.Row(j, k)
+			fp := pl.U.F.P.Row(j, k)
 			br := pl.B.R.Row(j, k)
 			bt := pl.B.T.Row(j, k)
 			bp := pl.B.P.Row(j, k)
 			for i := h; i < h+p.Nr; i++ {
 				w := own * p.CellVolume(i, j, k)
-				v2 := vr[i]*vr[i] + vt[i]*vt[i] + vp[i]*vp[i]
+				vr, vt, vp := fr[i]/rho[i], ft[i]/rho[i], fp[i]/rho[i]
+				v2 := vr*vr + vt*vt + vp*vp
 				b2 := br[i]*br[i] + bt[i]*bt[i] + bp[i]*bp[i]
 				d.Mass += w * rho[i]
 				d.KineticE += 0.5 * w * rho[i] * v2
@@ -145,8 +147,8 @@ func (sv *Solver) NusseltOuter() float64 {
 	}
 	var flux float64
 	for _, pl := range sv.Panels {
-		ComputeVTB(pl, &pl.U)
 		p := pl.Patch
+		t := func(i, j, k int) float64 { return pl.U.P.At(i, j, k) / pl.U.Rho.At(i, j, k) }
 		h := p.H
 		_, ntP, _ := p.Padded()
 		iw := h + p.Nr - 1
@@ -165,7 +167,7 @@ func (sv *Solver) NusseltOuter() float64 {
 					wq *= 0.5
 				}
 				// One-sided second-order dT/dr at the outer wall.
-				dTdr := (3*pl.T.At(iw, j, k) - 4*pl.T.At(iw-1, j, k) + pl.T.At(iw-2, j, k)) / (2 * p.Dr)
+				dTdr := (3*t(iw, j, k) - 4*t(iw-1, j, k) + t(iw-2, j, k)) / (2 * p.Dr)
 				flux += -own * wq * dTdr * ro * ro * p.SinT[j] * p.Dt * p.Dp
 			}
 		}
@@ -180,7 +182,7 @@ func sphopsDiv(pl *Panel, out *field.Scalar) {
 
 // DivBMax returns the maximum |div B| over the panel's owned interior
 // nodes (radial walls excluded, where the one-sided context dominates).
-// ComputeVTB must have run for the panel. It allocates a scratch field
+// ComputeB must have run for the panel. It allocates a scratch field
 // per call, so it belongs on the diagnostic cadence, not the step path;
 // the observability layer records it as the per-step solenoidal-quality
 // gauge.

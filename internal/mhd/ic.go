@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/coords"
-	"repro/internal/field"
 	"repro/internal/grid"
 )
 
@@ -230,11 +229,6 @@ func physPosition(panel grid.Panel, r, theta, phi float64) coords.Cartesian {
 		c = coords.YinYang(c)
 	}
 	return c
-}
-
-// fillDerivedT computes T = p/rho over the full padded arrays.
-func fillDerivedT(u *State, t *field.Scalar) {
-	t.Quot(u.P, u.Rho)
 }
 
 // GlobalPerturbation is the deterministic, globally defined random-mode

@@ -58,7 +58,10 @@ func AdvanceRK4(dt float64, pls []*Panel, rhs func(pl *Panel, st Stage), constra
 
 // ringSlots is the number of φ-slices of k a sweep tile holds in
 // flight: the slice being evaluated and the one before it, and a third
-// where a global φ edge's one-sided stencil reads two slices back.
+// where a global φ edge's one-sided stencil reads two slices back. A
+// tile's vtRing holds as many slices of V and T: the slice being
+// evaluated and its two φ neighbours, or the three slices of a global
+// φ edge's one-sided stencil.
 const ringSlots = 3
 
 // stager is a panel's single-sweep stage (RHSStage). The sweep
@@ -69,7 +72,8 @@ const ringSlots = 3
 // Ring planes are zero outside the owned window and never written
 // there, so folding whole padded planes reproduces the combine's halo
 // arithmetic. Each slice's current density is evaluated into the
-// tile's jSlice just before the slice's columns.
+// tile's jSlice just before the slice's columns, and V and T into the
+// tile's vtRing one slice ahead of them, while U there is unfolded.
 type stager struct {
 	pl   *Panel
 	prm  Params
@@ -103,18 +107,19 @@ func (f *stager) init(pl *Panel) {
 }
 
 // RHSStage is a stage's one sweep over the owned columns: the update
-// of RHSUpdate, j = curl B included, with its outputs folded into the
-// state by st instead of stored. ComputeVTB and RHSDivV must have run on
-// every owned column, and at decomposition seams the B and div v halos
-// must be current. Within the sweep U is read only on the column's own
-// φ-slice and its φ neighbours (two back at a global φ edge), so a
-// slice whose last reader has been evaluated is dead for the rest of
-// the stage and folds at once. With a worker pool each tile's first and
+// of RHSUpdate, V, T and j = curl B included, with its outputs folded
+// into the state by st instead of stored. ComputeB and RHSDivV must
+// have run on every owned column, and at decomposition seams the B and
+// div v halos must be current. Within the sweep U is read only on the
+// column's own φ-slice and its φ neighbours (two back at a global φ
+// edge), so a slice whose last reader has been evaluated is dead for
+// the rest of the stage and folds at once. With a worker pool each tile's first and
 // last slice, read by the neighbouring tiles, fold after the join, and
 // the φ-halo slices, which a seamed block's edge columns read, fold
-// last of all with k = 0. The result is bit for bit that of RHSCurlJ
-// and RHSUpdate into full-field J and k followed by the fold over whole
-// arrays, and the counters are charged the same.
+// last of all with k = 0. The result is bit for bit that of
+// ComputeVTB, RHSCurlJ and RHSUpdate into full-field V, T, J and k
+// followed by the fold over whole arrays, and the counters are charged
+// the same.
 func RHSStage(pl *Panel, prm Params, st Stage) {
 	p := pl.Patch
 	f := &pl.stage
@@ -122,6 +127,7 @@ func RHSStage(pl *Panel, prm Params, st Stage) {
 	p.Par.For(p.Np, f.tileFn)
 	f.join()
 	sphops.ChargeCurl(p, p.OwnedRegion())
+	chargeVT(p)
 }
 
 // join folds what the tiles left for after the sweep — the slices
@@ -153,8 +159,9 @@ func (f *stager) tile(a, b int) {
 	h := p.H
 	nrP, _, _ := p.Padded()
 	n8 := 8 * f.plane
-	backing, s, js := takeRHSRows(pl)
+	backing, s, js, vt := takeRHSRows(pl)
 	ring := f.takeRing()
+	vt.start(p, h+a)
 	for d := a; d < b; d++ {
 		out := ring[d%ringSlots*n8:][:n8]
 		if f.shared(d, a, b) {
@@ -164,6 +171,7 @@ func (f *stager) tile(a, b int) {
 			out = f.kept[d]
 			f.held[d] = true
 		}
+		vt.at(p, &pl.U, h+d, &s.vt)
 		js.fill(&f.curl, h, h+p.Nt, h+d)
 		var o outRows
 		for j := h; j < h+p.Nt; j++ {
@@ -185,7 +193,8 @@ func (f *stager) tile(a, b int) {
 
 // firstReader and lastReader bound the owned φ-slices whose columns
 // read U on owned slice d: its neighbours d-1 and d+1, except that the
-// one-sided stencils at a global φ edge reach two slices in.
+// one-sided stencils at a global φ edge reach two slices in (the
+// inverse of vtReach).
 func (f *stager) firstReader(d int) int {
 	if d == 2 && f.pl.Patch.GlobalEdge(4) {
 		return 0

@@ -2,8 +2,8 @@ package mhd
 
 // Lane bodies. The interior radial loops of the fused update — the
 // derivColumnR loop, the interior cases of derivColumnT and
-// derivColumnP, and fusedRHSColumn's final loop — have 4-lane AVX2
-// bodies in lanes_amd64.s, with the radius as the vector index. Each
+// derivColumnP, and fusedRHSColumn's final loop — and the quotients of
+// a vtRing slice (quot) have 4-lane AVX2 bodies in lanes_amd64.s, with the radius as the vector index. Each
 // body covers the first n&^3 points of its loop and the Go loop
 // finishes the row; the one-sided edge branches stay in Go. A body
 // repeats its Go statements operand for operand in Go's left-to-right
@@ -63,4 +63,10 @@ type updateArgs struct {
 	lap0, lap1, lap2, adv0, adv1, adv2, gDrw, gDtw, gDpw *float64
 	rho, pp, br, bt, bp, jr, jt, jp, dV                  *float64
 	oRho, oP, oFr, oFt, oFp, oAr, oAt, oAp               *float64
+}
+
+// quotArgs is quotLanes' operand block: dst = x / y on n points.
+type quotArgs struct {
+	n         int
+	dst, x, y *float64
 }

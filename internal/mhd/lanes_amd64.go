@@ -15,3 +15,6 @@ func derivPLanes(a *derivPArgs)
 
 //go:noescape
 func updateLanes(a *updateArgs)
+
+//go:noescape
+func quotLanes(a *quotArgs)

@@ -1018,3 +1018,28 @@ done:
 	VZEROUPPER
 	RET
 
+
+// func quotLanes(a *quotArgs)
+// quot's loop: dst = x / y, correctly rounded like DIVSD.
+TEXT ·quotLanes(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), DI
+	MOVQ quotArgs_n(DI), DX
+	SHLQ $3, DX
+	JZ   done
+	XORQ CX, CX
+	MOVQ quotArgs_dst(DI), AX
+	MOVQ quotArgs_x(DI), BX
+	MOVQ quotArgs_y(DI), SI
+
+loop:
+	// dst = x / y
+	VMOVUPD (BX)(CX*1), Y0
+	VDIVPD (SI)(CX*1), Y0, Y0
+	VMOVUPD Y0, (AX)(CX*1)
+	ADDQ $32, CX
+	CMPQ CX, DX
+	JB   loop
+
+done:
+	VZEROUPPER
+	RET

@@ -9,3 +9,4 @@ func derivRLanes(*derivRArgs) { panic("mhd: no lane bodies in this build") }
 func derivTLanes(*derivTArgs) { panic("mhd: no lane bodies in this build") }
 func derivPLanes(*derivPArgs) { panic("mhd: no lane bodies in this build") }
 func updateLanes(*updateArgs) { panic("mhd: no lane bodies in this build") }
+func quotLanes(*quotArgs)     { panic("mhd: no lane bodies in this build") }

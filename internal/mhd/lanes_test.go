@@ -90,7 +90,9 @@ var laneGrids = []struct{ nr, nt int }{{3, 9}, {9, 9}, {10, 9}, {11, 9}, {12, 9}
 // TestLanesMatchGo compares every lane body of the fused update with
 // the Go loop it mirrors, pass by pass, on every column of both panels
 // of real states and of states salted with zeros of both signs,
-// subnormals, infinities and NaNs.
+// subnormals, infinities and NaNs, and the quotient body of the V/T
+// ring on every φ-slice of the same states, numerators and densities
+// salted alike.
 func TestLanesMatchGo(t *testing.T) {
 	if !simd.AVX2 {
 		t.Skip("no lane bodies in this build or on this CPU")
@@ -100,6 +102,35 @@ func TestLanesMatchGo(t *testing.T) {
 			sv := laneSolver(t, g.nr, g.nt, adversarial)
 			for _, pl := range sv.Panels {
 				comparePasses(t, sv.Prm, pl, g.nr, adversarial)
+				compareQuot(t, pl, g.nr, adversarial)
+			}
+		}
+	}
+}
+
+// compareQuot divides every φ-slice of the state's four V/T quotients
+// through quot with and without the lane body, over the slice's whole
+// padded plane and over lengths 1-7 of its start, and requires the
+// same bits; a division has one NaN rule, so NaNs must agree too.
+func compareQuot(t *testing.T, pl *Panel, nr int, adversarial bool) {
+	t.Helper()
+	u := &pl.U
+	nrP, ntP, npP := pl.Patch.Padded()
+	plane := nrP * ntP
+	goOut, laneOut := make([]float64, plane), make([]float64, plane)
+	for kk := 0; kk < npP; kk++ {
+		rho := u.Rho.Data[kk*plane:][:plane]
+		for c, x := range []*field.Scalar{u.F.R, u.F.T, u.F.P, u.P} {
+			num := x.Data[kk*plane:][:plane]
+			for _, n := range []int{plane, 1, 2, 3, 4, 5, 6, 7} {
+				withLanes(false, func() { quot(goOut[:n], num, rho) })
+				withLanes(true, func() { quot(laneOut[:n], num, rho) })
+				for i := 0; i < n; i++ {
+					if math.Float64bits(goOut[i]) != math.Float64bits(laneOut[i]) {
+						t.Fatalf("Nr %d panel %v adversarial %v: quotient %d slice %d length %d point %d: %v / %v: Go %v, lanes %v",
+							nr, pl.Patch.Panel, adversarial, c, kk, n, i, num[i], rho[i], goOut[i], laneOut[i])
+					}
+				}
 			}
 		}
 	}
@@ -124,6 +155,8 @@ func comparePasses(t *testing.T, prm Params, pl *Panel, nr int, adversarial bool
 	outGo, outLane := NewState(p.Shape), NewState(p.Shape)
 	own := p.Owned()
 	for k := own.K0; k < own.K1; k++ {
+		bindFullVT(&sGo, pl, k)
+		bindFullVT(&sLane, pl, k)
 		for j := own.J0; j < own.J1; j++ {
 			for _, ps := range passes {
 				// The theta and phi passes accumulate onto the rows
@@ -201,12 +234,13 @@ func TestLanesRatio(t *testing.T) {
 		run    func()
 		rounds int
 	}{
-		{"derivColumnR", columns(func(j, k int) { derivColumnR(pl, &pl.U, &s, j, k) }), 41},
-		{"derivColumnT", columns(func(j, k int) { derivColumnT(pl, &pl.U, &s, j, k) }), 41},
-		{"derivColumnP", columns(func(j, k int) { derivColumnP(pl, &pl.U, &s, j, k) }), 41},
+		{"derivColumnR", columns(func(j, k int) { bindFullVT(&s, pl, k); derivColumnR(pl, &pl.U, &s, j, k) }), 41},
+		{"derivColumnT", columns(func(j, k int) { bindFullVT(&s, pl, k); derivColumnT(pl, &pl.U, &s, j, k) }), 41},
+		{"derivColumnP", columns(func(j, k int) { bindFullVT(&s, pl, k); derivColumnP(pl, &pl.U, &s, j, k) }), 41},
 		{"RHSUpdate", func() { RHSUpdate(pl, sv.Prm, &pl.U, &out, full) }, 21},
 		{"RHSCurlJ", func() { RHSCurlJ(pl, full) }, 41},
 		{"RHSDivV", func() { RHSDivV(pl, full) }, 41},
+		{"quot", func() { quot(pl.V.R.Data, pl.U.F.R.Data, pl.U.Rho.Data) }, 41},
 		{"step", func() { sv.Advance(dt) }, 7},
 	}
 	for _, c := range cases {

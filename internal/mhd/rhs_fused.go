@@ -26,22 +26,24 @@ import (
 // The evaluation is split into two region-capable phases so a
 // decomposed rank can overlap halo traffic with compute:
 //
-//	RHSDivV    div v -> pl.DivV  — no halo dependency (V is pointwise-
-//	                               derived over the full padded arrays)
+//	RHSDivV    div v -> pl.DivV  — no halo dependency (V is pointwise
+//	                               in U, whose halos are current)
 //	RHSUpdate  everything else   — needs B and DivV halos at its rim
 //	                               columns
 //
-// The update evaluates the current density j = curl B itself, one
-// φ-slice at a time into a per-tile plane just before that slice's
-// columns (jSlice): j is read only at its own column, so it never needs
-// to exist as a full field. Each phase accepts a grid.Region; any
-// disjoint cover of the owned columns (all at once, or interior then
-// rim) produces identical bits.
+// Neither phase reads a full-field V = F/ρ or T = P/ρ: each tile divides
+// them a φ-slice at a time into a ring of planes (vtRing), one slice
+// ahead of the columns that read them. The update evaluates the current
+// density j = curl B itself, one φ-slice at a time into a per-tile
+// plane just before that slice's columns (jSlice): j is read only at
+// its own column, so it never needs to exist as a full field. Each
+// phase accepts a grid.Region; any disjoint cover of the owned columns
+// (all at once, or interior then rim) produces identical bits.
 
 // RHSCurlJ fills the full-field current density pl.J = curl B on the
 // columns of reg, allocating pl.J on first use. The step never calls
 // it — the update evaluates j a φ-slice at a time — but diagnostics
-// and probes that want j as a field do. ComputeVTB must have run; at
+// and probes that want j as a field do. ComputeB must have run; at
 // decomposition seams the rim columns read B halos.
 func RHSCurlJ(pl *Panel, reg grid.Region) {
 	if pl.J == nil {
@@ -50,13 +52,91 @@ func RHSCurlJ(pl *Panel, reg grid.Region) {
 	sphops.CurlOn(pl.Patch, reg, pl.B, pl.J, pl.W)
 }
 
-// RHSDivV fills pl.DivV = div v on the columns of reg. V halo values are
-// pointwise-derived from exchanged state halos, so this phase has no
-// halo-exchange dependency of its own; seam halos of pl.DivV itself are
-// filled by the aux exchange (or the sync callback) before RHSUpdate
-// differentiates them.
+// RHSDivV fills pl.DivV = div v on the columns of reg, with v = F/ρ of
+// pl.U divided a φ-slice at a time into each tile's ring. U's halos are
+// current, so this phase has no halo-exchange dependency of its own;
+// seam halos of pl.DivV itself are filled by the aux exchange (or the
+// sync callback) before RHSUpdate differentiates them. The values are
+// those of sphops.DivOn on the full field V, bit for bit, and so is the
+// charge; the quotients are charged by the evaluation (RHSStage,
+// FinishRHS).
 func RHSDivV(pl *Panel, reg grid.Region) {
-	sphops.DivOn(pl.Patch, reg, pl.V, pl.DivV, pl.W)
+	rhsDivV(pl, &pl.U, reg)
+}
+
+func rhsDivV(pl *Panel, u *State, reg grid.Region) {
+	c := &pl.cols
+	c.u = u
+	for _, rc := range reg {
+		if !rc.Empty() {
+			c.rc = rc
+			pl.Patch.Par.For(rc.K1-rc.K0, c.divFn)
+		}
+	}
+	c.u = nil
+	sphops.ChargeDiv(pl.Patch, reg)
+}
+
+// regionCols is a panel's region sweep in flight (RHSDivV, RHSUpdate):
+// the rectangle, the state and the output of the call, and its tile
+// functions, bound once so a pooled sweep allocates nothing.
+type regionCols struct {
+	pl       *Panel
+	rc       grid.Rect
+	prm      Params
+	u, out   *State
+	div      sphops.DivColumns
+	divFn    func(klo, khi int)
+	updateFn func(klo, khi int)
+}
+
+func (c *regionCols) init(pl *Panel) {
+	c.pl = pl
+	c.div = sphops.BindDiv(pl.Patch)
+	c.divFn = c.divTile
+	c.updateFn = c.updateTile
+}
+
+// divTile is RHSDivV on the φ offsets [klo, khi) of the rectangle. It
+// takes the same scratch as a sweep tile, so that a serial panel keeps
+// one set: the ring's planes hold V alone, and the update's first rows
+// are the divergence's scratch.
+func (c *regionCols) divTile(klo, khi int) {
+	pl, rc := c.pl, c.rc
+	backing, _, _, ring := takeRHSRows(pl)
+	ring.comps = 3
+	nrP, _, _ := pl.Patch.Padded()
+	scratch := backing[:sphops.DivRows*nrP]
+	var v sphops.SliceRows
+	ring.start(pl.Patch, rc.K0+klo)
+	for k := rc.K0 + klo; k < rc.K0+khi; k++ {
+		ring.at(pl.Patch, c.u, k, &v)
+		for j := rc.J0; j < rc.J1; j++ {
+			c.div.Column(j, k, &v, scratch, pl.DivV.Row(j, k))
+		}
+	}
+	pl.W.PutRows(backing)
+}
+
+// updateTile is RHSUpdate on the φ offsets [klo, khi) of the rectangle.
+func (c *regionCols) updateTile(klo, khi int) {
+	pl, rc := c.pl, c.rc
+	backing, s, js, ring := takeRHSRows(pl)
+	outs := c.out.Scalars()
+	var o outRows
+	ring.start(pl.Patch, rc.K0+klo)
+	for k := rc.K0 + klo; k < rc.K0+khi; k++ {
+		ring.at(pl.Patch, c.u, k, &s.vt)
+		js.fill(&pl.stage.curl, rc.J0, rc.J1, k)
+		for j := rc.J0; j < rc.J1; j++ {
+			for v, f := range outs {
+				o[v] = f.Row(j, k)
+			}
+			js.bind(&s, j)
+			fusedRHSColumn(pl, c.prm, c.u, &o, &s, j, k)
+		}
+	}
+	pl.W.PutRows(backing)
 }
 
 // rhsRows is the per-worker scratch of the fused update kernel: one
@@ -84,7 +164,16 @@ type rhsRows struct {
 	// before each column: rows of a sweep tile's jSlice, or of a
 	// full-field J. Not part of the backing bindRHSRows lays out.
 	jr, jt, jp []float64
+	// V (components vR, vT, vP) and T (component tT) around the
+	// column's φ-slice, bound by the caller before each slice: planes
+	// of a sweep tile's vtRing, or full fields.
+	vt sphops.SliceRows
 }
+
+// The components of a vtRing slice and of rhsRows.vt.
+const (
+	vR, vT, vP, tT = 0, 1, 2, 3
+)
 
 // The momentum-flux products v_a f_b have no rows at all: every stencil
 // and metric term forms its products in place, each rounding exactly
@@ -113,13 +202,97 @@ func bindRHSRows(backing []float64, nrP int) rhsRows {
 }
 
 // takeRHSRows takes one sweep tile's scratch from the panel workspace
-// as one set of padded radial rows: the update's rows, then a jSlice.
-// Return the backing with pl.W.PutRows.
-func takeRHSRows(pl *Panel) (backing []float64, s rhsRows, js jSlice) {
+// as one set of padded radial rows: the update's rows, a vtRing of V
+// and T, then a jSlice. Return the backing with pl.W.PutRows.
+func takeRHSRows(pl *Panel) (backing []float64, s rhsRows, js jSlice, ring vtRing) {
 	nrP, ntP, _ := pl.Patch.Padded()
-	backing = pl.W.Rows(rhsRowCount + 3*ntP + sphops.CurlRows)
-	js = jSlice{rows: backing[rhsRowCount*nrP:], nrP: nrP, plane: ntP * nrP}
-	return backing, bindRHSRows(backing, nrP), js
+	plane := ntP * nrP
+	backing = pl.W.Rows(rhsRowCount + 4*ringSlots*ntP + 3*ntP + sphops.CurlRows)
+	rest := backing[rhsRowCount*nrP:]
+	ring = vtRing{planes: rest[:4*ringSlots*plane], nrP: nrP, plane: plane, comps: 4}
+	js = jSlice{rows: rest[4*ringSlots*plane:], nrP: nrP, plane: plane}
+	return backing, bindRHSRows(backing, nrP), js, ring
+}
+
+// vtRing is a tile's V = F/ρ (comps 3) or V and T = P/ρ (comps 4) on
+// ringSlots φ-slices: comps planes of ntP padded radial rows per slice,
+// padded slice kk in slot kk % ringSlots. A column reads V and T on its
+// own slice and its φ neighbours (two slices inward at a global φ
+// edge), so a tile divides each slice once, from U, just before the
+// first of its slices that reads it, and V and T never exist as full
+// fields while stepping. The values are ComputeVTB's, bit for bit:
+// IEEE division is correctly rounded wherever it runs.
+type vtRing struct {
+	planes            []float64
+	nrP, plane, comps int
+	next              int // the next padded slice to fill
+}
+
+// start readies the ring for a tile whose first slice is kk.
+func (r *vtRing) start(p *grid.Patch, kk int) {
+	lo, _ := vtReach(p, kk-p.H)
+	r.next = p.H + lo
+}
+
+// at fills, from u, the slices that the columns of slice kk read and
+// the ring does not hold yet, and binds v around kk.
+func (r *vtRing) at(p *grid.Patch, u *State, kk int, v *sphops.SliceRows) {
+	_, hi := vtReach(p, kk-p.H)
+	num := [...]*field.Scalar{u.F.R, u.F.T, u.F.P, u.P}
+	for ; r.next <= p.H+hi; r.next++ {
+		lo := r.next * r.plane
+		rho := u.Rho.Data[lo:][:r.plane]
+		slot := r.planes[r.next%ringSlots*r.comps*r.plane:]
+		for c := 0; c < r.comps; c++ {
+			quot(slot[c*r.plane:][:r.plane], num[c].Data[lo:][:r.plane], rho)
+		}
+	}
+	v.NrP = r.nrP
+	for dk := -2; dk <= 2; dk++ {
+		slot := r.planes[(kk+dk+ringSlots)%ringSlots*r.comps*r.plane:]
+		for c := 0; c < r.comps; c++ {
+			v.Plane[dk+2][c] = slot[c*r.plane:][:r.plane]
+		}
+	}
+}
+
+// vtReach bounds the owned φ-slices (offsets from the first owned
+// slice) whose V and T the columns of owned slice d read: its
+// neighbours, except that the one-sided stencils at a global φ edge
+// reach two slices in. firstReader and lastReader are its inverse.
+func vtReach(p *grid.Patch, d int) (lo, hi int) {
+	switch {
+	case d == 0 && p.GlobalEdge(4):
+		return 0, 2
+	case d == p.Np-1 && p.GlobalEdge(5):
+		return d - 2, d
+	}
+	return d - 1, d + 1
+}
+
+// quot sets dst = x / y, the first len(dst)&^3 points on quotLanes.
+func quot(dst, x, y []float64) {
+	x, y = x[:len(dst)], y[:len(dst)]
+	lo := 0
+	if simd.AVX2 && len(dst) >= 4 {
+		var a quotArgs
+		a.n = len(dst) &^ 3
+		a.dst, a.x, a.y = &dst[0], &x[0], &y[0]
+		quotLanes(&a)
+		lo = a.n
+	}
+	for i := lo; i < len(dst); i++ {
+		dst[i] = x[i] / y[i]
+	}
+}
+
+// chargeVT charges what the four full-field quotients of ComputeVTB
+// charge, once per evaluation: one flop per padded point each.
+func chargeVT(p *grid.Patch) {
+	nrP, ntP, npP := p.Padded()
+	n := int64(nrP) * int64(ntP) * int64(npP)
+	perfcount.AddFlops(4 * n)
+	perfcount.AddVectorLoops(4*n/int64(nrP), 4*n)
 }
 
 // jSlice is a sweep tile's current density j = curl B on one φ-slice:
@@ -151,38 +324,24 @@ func (js *jSlice) bind(s *rhsRows, j int) {
 	s.jr, s.jt, s.jp = js.row(0, j), js.row(1, j), js.row(2, j)
 }
 
-// RHSUpdate evaluates everything of the right-hand side except div v,
-// which must be current on (at least) the columns of reg; j = curl B is
-// evaluated here, slice by slice. At decomposition seams the rim
-// columns differentiate B and pl.DivV halos, so the rim may only run
-// after both halo exchanges. Writes out on the columns of reg only. A
-// stepping solver runs the same columns through RHSStage instead,
-// which folds them into the state as it goes.
+// RHSUpdate evaluates everything of the right-hand side at u except
+// div v, which must be current on (at least) the columns of reg; V, T
+// and j = curl B are evaluated here, slice by slice. At decomposition
+// seams the rim columns differentiate B and pl.DivV halos, so the rim
+// may only run after both halo exchanges. Writes out on the columns of
+// reg only. A stepping solver runs the same columns through RHSStage
+// instead, which folds them into the state as it goes.
 func RHSUpdate(pl *Panel, prm Params, u, out *State, reg grid.Region) {
 	p := pl.Patch
-	outs := out.Scalars()
-	curl := sphops.BindCurl(p, pl.B)
+	c := &pl.cols
+	c.prm, c.u, c.out = prm, u, out
 	for _, rc := range reg {
-		if rc.Empty() {
-			continue
+		if !rc.Empty() {
+			c.rc = rc
+			p.Par.For(rc.K1-rc.K0, c.updateFn)
 		}
-		rc := rc
-		p.Par.For(rc.K1-rc.K0, func(klo, khi int) {
-			backing, s, js := takeRHSRows(pl)
-			var o outRows
-			for k := rc.K0 + klo; k < rc.K0+khi; k++ {
-				js.fill(&curl, rc.J0, rc.J1, k)
-				for j := rc.J0; j < rc.J1; j++ {
-					for v, f := range outs {
-						o[v] = f.Row(j, k)
-					}
-					js.bind(&s, j)
-					fusedRHSColumn(pl, prm, u, &o, &s, j, k)
-				}
-			}
-			pl.W.PutRows(backing)
-		})
 	}
+	c.u, c.out = nil, nil
 	sphops.ChargeCurl(p, reg)
 	chargeRHSUpdate(p, reg)
 }
@@ -224,10 +383,10 @@ func derivColumnR(pl *Panel, u *State, s *rhsRows, j, k int) {
 	ftR := u.F.T.Row(j, k)
 	fpR := u.F.P.Row(j, k)
 	gR := pl.DivV.Row(j, k)
-	tR := pl.T.Row(j, k)
-	vrR := pl.V.R.Row(j, k)
-	vtR := pl.V.T.Row(j, k)
-	vpR := pl.V.P.Row(j, k)
+	tR := s.vt.Row(tT, j, 0)
+	vrR := s.vt.Row(vR, j, 0)
+	vtR := s.vt.Row(vT, j, 0)
+	vpR := s.vt.Row(vP, j, 0)
 
 	dP := s.dPr[h:][:n]
 	dF := s.dF[h:][:n]
@@ -358,15 +517,16 @@ func derivColumnT(pl *Panel, u *State, s *rhsRows, j, k int) {
 	invr2 := p.InvR2[h:][:n]
 
 	w := func(sc *field.Scalar, jj int) []float64 { return sc.Row(jj, k)[h:][:n] }
+	wv := func(c, jj int) []float64 { return s.vt.Row(c, jj, 0)[h:][:n] }
 	switch {
 	case lo && j == h:
 		p0, p1, p2 := w(u.P, j), w(u.P, j+1), w(u.P, j+2)
 		f0, f1, f2 := w(u.F.T, j), w(u.F.T, j+1), w(u.F.T, j+2)
 		g0, g1, g2 := w(pl.DivV, j), w(pl.DivV, j+1), w(pl.DivV, j+2)
-		t0, ta, tb := w(pl.T, j), w(pl.T, j+1), w(pl.T, j+2)
-		vr0, vr1, vr2 := w(pl.V.R, j), w(pl.V.R, j+1), w(pl.V.R, j+2)
-		vt0, vt1, vt2 := w(pl.V.T, j), w(pl.V.T, j+1), w(pl.V.T, j+2)
-		vp0, vp1, vp2 := w(pl.V.P, j), w(pl.V.P, j+1), w(pl.V.P, j+2)
+		t0, ta, tb := wv(tT, j), wv(tT, j+1), wv(tT, j+2)
+		vr0, vr1, vr2 := wv(vR, j), wv(vR, j+1), wv(vR, j+2)
+		vt0, vt1, vt2 := wv(vT, j), wv(vT, j+1), wv(vT, j+2)
+		vp0, vp1, vp2 := wv(vP, j), wv(vP, j+1), wv(vP, j+2)
 		fr0, fr1, fr2 := w(u.F.R, j), w(u.F.R, j+1), w(u.F.R, j+2)
 		fp0, fp1, fp2 := w(u.F.P, j), w(u.F.P, j+1), w(u.F.P, j+2)
 		for i := 0; i < n; i++ {
@@ -394,10 +554,10 @@ func derivColumnT(pl *Panel, u *State, s *rhsRows, j, k int) {
 		p0, p1, p2 := w(u.P, j), w(u.P, j-1), w(u.P, j-2)
 		f0, f1, f2 := w(u.F.T, j), w(u.F.T, j-1), w(u.F.T, j-2)
 		g0, g1, g2 := w(pl.DivV, j), w(pl.DivV, j-1), w(pl.DivV, j-2)
-		t0, ta, tb := w(pl.T, j), w(pl.T, j-1), w(pl.T, j-2)
-		vr0, vr1, vr2 := w(pl.V.R, j), w(pl.V.R, j-1), w(pl.V.R, j-2)
-		vt0, vt1, vt2 := w(pl.V.T, j), w(pl.V.T, j-1), w(pl.V.T, j-2)
-		vp0, vp1, vp2 := w(pl.V.P, j), w(pl.V.P, j-1), w(pl.V.P, j-2)
+		t0, ta, tb := wv(tT, j), wv(tT, j-1), wv(tT, j-2)
+		vr0, vr1, vr2 := wv(vR, j), wv(vR, j-1), wv(vR, j-2)
+		vt0, vt1, vt2 := wv(vT, j), wv(vT, j-1), wv(vT, j-2)
+		vp0, vp1, vp2 := wv(vP, j), wv(vP, j-1), wv(vP, j-2)
 		fr0, fr1, fr2 := w(u.F.R, j), w(u.F.R, j-1), w(u.F.R, j-2)
 		fp0, fp1, fp2 := w(u.F.P, j), w(u.F.P, j-1), w(u.F.P, j-2)
 		for i := 0; i < n; i++ {
@@ -425,10 +585,10 @@ func derivColumnT(pl *Panel, u *State, s *rhsRows, j, k int) {
 		pp, pm := w(u.P, j+1), w(u.P, j-1)
 		fpw, fm, fc := w(u.F.T, j+1), w(u.F.T, j-1), w(u.F.T, j)
 		gp, gm := w(pl.DivV, j+1), w(pl.DivV, j-1)
-		tp, tm, tc := w(pl.T, j+1), w(pl.T, j-1), w(pl.T, j)
-		vrp, vrm, vrc := w(pl.V.R, j+1), w(pl.V.R, j-1), w(pl.V.R, j)
-		vtp, vtm, vtc := w(pl.V.T, j+1), w(pl.V.T, j-1), w(pl.V.T, j)
-		vpp, vpm, vpc := w(pl.V.P, j+1), w(pl.V.P, j-1), w(pl.V.P, j)
+		tp, tm, tc := wv(tT, j+1), wv(tT, j-1), wv(tT, j)
+		vrp, vrm, vrc := wv(vR, j+1), wv(vR, j-1), wv(vR, j)
+		vtp, vtm, vtc := wv(vT, j+1), wv(vT, j-1), wv(vT, j)
+		vpp, vpm, vpc := wv(vP, j+1), wv(vP, j-1), wv(vP, j)
 		frp, frm, frc := w(u.F.R, j+1), w(u.F.R, j-1), w(u.F.R, j)
 		fpp, fpm, fpc := w(u.F.P, j+1), w(u.F.P, j-1), w(u.F.P, j)
 		lo := 0
@@ -498,15 +658,16 @@ func derivColumnP(pl *Panel, u *State, s *rhsRows, j, k int) {
 	invr2 := p.InvR2[h:][:n]
 
 	w := func(sc *field.Scalar, kk int) []float64 { return sc.Row(j, kk)[h:][:n] }
+	wv := func(c, kk int) []float64 { return s.vt.Row(c, j, kk-k)[h:][:n] }
 	switch {
 	case lo && k == h:
 		p0, p1, p2 := w(u.P, k), w(u.P, k+1), w(u.P, k+2)
 		f0, f1, f2 := w(u.F.P, k), w(u.F.P, k+1), w(u.F.P, k+2)
 		g0, g1, g2 := w(pl.DivV, k), w(pl.DivV, k+1), w(pl.DivV, k+2)
-		t0, ta, tb := w(pl.T, k), w(pl.T, k+1), w(pl.T, k+2)
-		vr0, vr1, vr2 := w(pl.V.R, k), w(pl.V.R, k+1), w(pl.V.R, k+2)
-		vt0, vt1, vt2 := w(pl.V.T, k), w(pl.V.T, k+1), w(pl.V.T, k+2)
-		vp0, vp1, vp2 := w(pl.V.P, k), w(pl.V.P, k+1), w(pl.V.P, k+2)
+		t0, ta, tb := wv(tT, k), wv(tT, k+1), wv(tT, k+2)
+		vr0, vr1, vr2 := wv(vR, k), wv(vR, k+1), wv(vR, k+2)
+		vt0, vt1, vt2 := wv(vT, k), wv(vT, k+1), wv(vT, k+2)
+		vp0, vp1, vp2 := wv(vP, k), wv(vP, k+1), wv(vP, k+2)
 		fr0, fr1, fr2 := w(u.F.R, k), w(u.F.R, k+1), w(u.F.R, k+2)
 		ft0, ft1, ft2 := w(u.F.T, k), w(u.F.T, k+1), w(u.F.T, k+2)
 		for i := 0; i < n; i++ {
@@ -533,10 +694,10 @@ func derivColumnP(pl *Panel, u *State, s *rhsRows, j, k int) {
 		p0, p1, p2 := w(u.P, k), w(u.P, k-1), w(u.P, k-2)
 		f0, f1, f2 := w(u.F.P, k), w(u.F.P, k-1), w(u.F.P, k-2)
 		g0, g1, g2 := w(pl.DivV, k), w(pl.DivV, k-1), w(pl.DivV, k-2)
-		t0, ta, tb := w(pl.T, k), w(pl.T, k-1), w(pl.T, k-2)
-		vr0, vr1, vr2 := w(pl.V.R, k), w(pl.V.R, k-1), w(pl.V.R, k-2)
-		vt0, vt1, vt2 := w(pl.V.T, k), w(pl.V.T, k-1), w(pl.V.T, k-2)
-		vp0, vp1, vp2 := w(pl.V.P, k), w(pl.V.P, k-1), w(pl.V.P, k-2)
+		t0, ta, tb := wv(tT, k), wv(tT, k-1), wv(tT, k-2)
+		vr0, vr1, vr2 := wv(vR, k), wv(vR, k-1), wv(vR, k-2)
+		vt0, vt1, vt2 := wv(vT, k), wv(vT, k-1), wv(vT, k-2)
+		vp0, vp1, vp2 := wv(vP, k), wv(vP, k-1), wv(vP, k-2)
 		fr0, fr1, fr2 := w(u.F.R, k), w(u.F.R, k-1), w(u.F.R, k-2)
 		ft0, ft1, ft2 := w(u.F.T, k), w(u.F.T, k-1), w(u.F.T, k-2)
 		for i := 0; i < n; i++ {
@@ -563,10 +724,10 @@ func derivColumnP(pl *Panel, u *State, s *rhsRows, j, k int) {
 		pp, pm := w(u.P, k+1), w(u.P, k-1)
 		fpw, fm := w(u.F.P, k+1), w(u.F.P, k-1)
 		gp, gm := w(pl.DivV, k+1), w(pl.DivV, k-1)
-		tp, tm, tc := w(pl.T, k+1), w(pl.T, k-1), w(pl.T, k)
-		vrp, vrm, vrc := w(pl.V.R, k+1), w(pl.V.R, k-1), w(pl.V.R, k)
-		vtp, vtm, vtc := w(pl.V.T, k+1), w(pl.V.T, k-1), w(pl.V.T, k)
-		vpp, vpm, vpc := w(pl.V.P, k+1), w(pl.V.P, k-1), w(pl.V.P, k)
+		tp, tm, tc := wv(tT, k+1), wv(tT, k-1), wv(tT, k)
+		vrp, vrm, vrc := wv(vR, k+1), wv(vR, k-1), wv(vR, k)
+		vtp, vtm, vtc := wv(vT, k+1), wv(vT, k-1), wv(vT, k)
+		vpp, vpm, vpc := wv(vP, k+1), wv(vP, k-1), wv(vP, k)
 		frp, frm := w(u.F.R, k+1), w(u.F.R, k-1)
 		ftp, ftm := w(u.F.T, k+1), w(u.F.T, k-1)
 		lo := 0
@@ -629,9 +790,9 @@ func fusedRHSColumn(pl *Panel, prm Params, u *State, o *outRows, s *rhsRows, j, 
 	ist := p.InvSinT[j]
 	m := p.InvSinT[j]
 
-	vr := pl.V.R.Row(j, k)
-	vt := pl.V.T.Row(j, k)
-	vp := pl.V.P.Row(j, k)
+	vr := s.vt.Row(vR, j, 0)
+	vt := s.vt.Row(vT, j, 0)
+	vp := s.vt.Row(vP, j, 0)
 	fr := u.F.R.Row(j, k)
 	ft := u.F.T.Row(j, k)
 	fp := u.F.P.Row(j, k)

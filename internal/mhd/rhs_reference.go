@@ -12,14 +12,24 @@ import (
 // equivalence suite (rhs_reference_test.go) pins FinishRHS against,
 // bit for bit, and (b) as the baseline TestFusedRHSSpeedupTripwire and
 // benchmark/'s mhd.finish_rhs_ref_ratio measure the fusion speedup
-// from. Its arithmetic must not be edited except in lockstep with a
-// deliberate re-derivation of the fused kernel.
+// from. Like FinishRHS it starts from u and B: it divides V = f/rho and
+// T = p/rho itself, over the full padded arrays, so both sides of the
+// comparison do the same work. Its arithmetic must not be edited except
+// in lockstep with a deliberate re-derivation of the fused kernel.
 func FinishRHSReference(pl *Panel, prm Params, u, out *State, sync func(fs ...*field.Scalar)) {
 	p := pl.Patch
 	w := pl.W
 	h := p.H
 
-	// Scratch fields, the current density j = curl B first.
+	// Scratch fields: V and T, then the current density j = curl B.
+	vel := &field.Vector{R: w.Get(), T: w.Get(), P: w.Get()}
+	temp := w.Get()
+	defer w.Put(vel.R, vel.T, vel.P, temp)
+	vel.R.Quot(u.F.R, u.Rho)
+	vel.T.Quot(u.F.T, u.Rho)
+	vel.P.Quot(u.F.P, u.Rho)
+	temp.Quot(u.P, u.Rho)
+
 	jv := &field.Vector{R: w.Get(), T: w.Get(), P: w.Get()}
 	defer w.Put(jv.R, jv.T, jv.P)
 	sphops.Curl(p, pl.B, jv, w)
@@ -32,10 +42,10 @@ func FinishRHSReference(pl *Panel, prm Params, u, out *State, sync func(fs ...*f
 	defer w.Put(divF, divV, vgp, lapT, strain)
 
 	sphops.Div(p, u.F, divF, w)
-	sphops.Div(p, pl.V, divV, w)
-	sphops.VDotGrad(p, pl.V, u.P, vgp, w)
-	sphops.LapScalar(p, pl.T, lapT, w)
-	sphops.StrainSquared(p, pl.V, strain, w)
+	sphops.Div(p, vel, divV, w)
+	sphops.VDotGrad(p, vel, u.P, vgp, w)
+	sphops.LapScalar(p, temp, lapT, w)
+	sphops.StrainSquared(p, vel, strain, w)
 
 	// The momentum equation's operator outputs, from the same pool: only
 	// a panel that runs the reference ever holds them.
@@ -47,9 +57,9 @@ func FinishRHSReference(pl *Panel, prm Params, u, out *State, sync func(fs ...*f
 		}
 	}()
 
-	sphops.DivTensorVF(p, pl.V, u.F, adv, w)
+	sphops.DivTensorVF(p, vel, u.F, adv, w)
 	sphops.Grad(p, u.P, gp, w)
-	sphops.LapVector(p, pl.V, lap, w)
+	sphops.LapVector(p, vel, lap, w)
 	if sync != nil {
 		sync(divV)
 	}
@@ -68,9 +78,9 @@ func FinishRHSReference(pl *Panel, prm Params, u, out *State, sync func(fs ...*f
 
 				rho := u.Rho.Row(j, k)
 				pp := u.P.Row(j, k)
-				vr := pl.V.R.Row(j, k)
-				vt := pl.V.T.Row(j, k)
-				vp := pl.V.P.Row(j, k)
+				vr := vel.R.Row(j, k)
+				vt := vel.T.Row(j, k)
+				vp := vel.P.Row(j, k)
 				br := pl.B.R.Row(j, k)
 				bt := pl.B.T.Row(j, k)
 				bp := pl.B.P.Row(j, k)

@@ -22,18 +22,17 @@ func pseudoVal(fid, n uint64) float64 {
 }
 
 // fillPanelPseudo fills every input FinishRHS reads — the state u and
-// the precomputed subsidiary fields V, T, B — over the full padded
-// arrays with deterministic pseudo-data. Rho and T are offset away from
-// zero as in any physical state.
+// the precomputed subsidiary field B; V and T are divided from u —
+// over the full padded arrays with deterministic pseudo-data. Rho is
+// offset away from zero as in any physical state.
 func fillPanelPseudo(pl *Panel, u *State, seed uint64) {
 	fields := []*field.Scalar{
 		u.Rho, u.P, u.F.R, u.F.T, u.F.P, u.A.R, u.A.T, u.A.P,
-		pl.V.R, pl.V.T, pl.V.P, pl.T,
 		pl.B.R, pl.B.T, pl.B.P,
 	}
 	for fi, f := range fields {
 		off := 0.0
-		if f == u.Rho || f == pl.T {
+		if f == u.Rho {
 			off = 1.0
 		}
 		for n := range f.Data {
@@ -161,12 +160,12 @@ func TestFusedRHSRegionCover(t *testing.T) {
 	spec := grid.NewSpec(9, 9)
 	p := grid.NewSubPatch(spec, grid.Yin, 1, 0, spec.Nr, 0, spec.Nt, 6, 19)
 	pl := NewPanel(p, Default().Omega)
-	u := NewState(p.Shape)
-	fillPanelPseudo(pl, &u, 23)
+	u := &pl.U // RHSDivV divides v from pl.U
+	fillPanelPseudo(pl, u, 23)
 	sync := pseudoSync(p)
 
 	full := NewState(p.Shape)
-	FinishRHS(pl, Default(), &u, &full, sync)
+	FinishRHS(pl, Default(), u, &full, sync)
 	ComputeJ(pl)
 	fullJ := [3][]float64{slices.Clone(pl.J.R.Data), slices.Clone(pl.J.T.Data), slices.Clone(pl.J.P.Data)}
 
@@ -182,8 +181,8 @@ func TestFusedRHSRegionCover(t *testing.T) {
 	RHSDivV(pl, grid.Region{interior})
 	RHSDivV(pl, rim)
 	sync(pl.DivV)
-	RHSUpdate(pl, Default(), &u, &split, grid.Region{interior})
-	RHSUpdate(pl, Default(), &u, &split, rim)
+	RHSUpdate(pl, Default(), u, &split, grid.Region{interior})
+	RHSUpdate(pl, Default(), u, &split, rim)
 	for _, f := range pl.J.Components() {
 		clear(f.Data)
 	}

@@ -126,7 +126,7 @@ func (sv *Solver) applyConstraints() {
 // condition of each component grid.
 func (sv *Solver) Advance(dt float64) {
 	AdvanceRK4(dt, sv.Panels[:], func(pl *Panel, st Stage) {
-		ComputeVTB(pl, &pl.U)
+		ComputeB(pl, &pl.U)
 		FinishStage(pl, sv.Prm, st, nil)
 	}, sv.applyConstraints)
 	sv.Time += dt
@@ -134,11 +134,12 @@ func (sv *Solver) Advance(dt float64) {
 }
 
 // PanelMaxSpeed returns the fastest characteristic speed on the panel:
-// flow speed plus the fast magnetosonic speed sqrt(cs^2 + vA^2).
-// ComputeVTB must have run for the panel. The reduction is tiled over
-// the patch worker pool with deterministic per-tile partial maxima
-// combined in fixed tile order; because max is exact (comparison, not
-// accumulation), the result is bit-identical to the serial scan.
+// flow speed plus the fast magnetosonic speed sqrt(cs^2 + vA^2), with
+// v = F/ρ and T = P/ρ divided where they are read. ComputeB must have
+// run for the panel. The reduction is tiled over the patch worker pool
+// with deterministic per-tile partial maxima combined in fixed tile
+// order; because max is exact (comparison, not accumulation), the
+// result is bit-identical to the serial scan.
 func PanelMaxSpeed(pl *Panel, prm Params) float64 {
 	p := pl.Patch
 	h := p.H
@@ -147,17 +148,18 @@ func PanelMaxSpeed(pl *Panel, prm Params) float64 {
 		for k := h + klo; k < h+khi; k++ {
 			for j := h; j < h+p.Nt; j++ {
 				rho := pl.U.Rho.Row(j, k)
-				tt := pl.T.Row(j, k)
-				vr := pl.V.R.Row(j, k)
-				vt := pl.V.T.Row(j, k)
-				vp := pl.V.P.Row(j, k)
+				pres := pl.U.P.Row(j, k)
+				fr := pl.U.F.R.Row(j, k)
+				ft := pl.U.F.T.Row(j, k)
+				fp := pl.U.F.P.Row(j, k)
 				br := pl.B.R.Row(j, k)
 				bt := pl.B.T.Row(j, k)
 				bp := pl.B.P.Row(j, k)
 				for i := h; i < h+p.Nr; i++ {
-					cs2 := prm.Gamma * math.Abs(tt[i])
+					vr, vt, vp := fr[i]/rho[i], ft[i]/rho[i], fp[i]/rho[i]
+					cs2 := prm.Gamma * math.Abs(pres[i]/rho[i])
 					va2 := (br[i]*br[i] + bt[i]*bt[i] + bp[i]*bp[i]) / math.Max(rho[i], 1e-12)
-					sp := math.Sqrt(vr[i]*vr[i]+vt[i]*vt[i]+vp[i]*vp[i]) +
+					sp := math.Sqrt(vr*vr+vt*vt+vp*vp) +
 						math.Sqrt(cs2+va2)
 					if sp > vmax {
 						vmax = sp
@@ -198,7 +200,7 @@ func StableDT(prm Params, minDx, vmax, safety float64) float64 {
 func (sv *Solver) EstimateDT(safety float64) float64 {
 	var vmax float64
 	for _, pl := range sv.Panels {
-		ComputeVTB(pl, &pl.U)
+		ComputeB(pl, &pl.U)
 		if v := PanelMaxSpeed(pl, sv.Prm); v > vmax {
 			vmax = v
 		}

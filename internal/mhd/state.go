@@ -49,10 +49,17 @@ type Panel struct {
 	// full field; stage holds it a few φ-slices at a time.
 	u0, acc State
 	stage   stager
+	cols    regionCols // RHSDivV's and RHSUpdate's region sweep
 
-	// Derived subsidiary fields (scratch, rebuilt each RHS evaluation).
-	V, B *field.Vector
-	T    *field.Scalar
+	// B = curl A, rebuilt by ComputeB before each evaluation.
+	B *field.Vector
+
+	// V = F/ρ and T = P/ρ as full fields, for diagnostics and exports
+	// only: nil until ComputeVTB first fills them. The step divides
+	// them a φ-slice at a time where it reads them (vtRing) and never
+	// reads these.
+	V *field.Vector
+	T *field.Scalar
 
 	// J is the current density curl B as a full field, for diagnostics
 	// only: nil until RHSCurlJ (or ComputeJ) first fills it. The step
@@ -88,13 +95,12 @@ func NewPanel(p *grid.Patch, omega float64) *Panel {
 		U:     NewState(p.Shape),
 		u0:    NewState(p.Shape),
 		acc:   NewState(p.Shape),
-		V:     p.NewVector(),
 		B:     p.NewVector(),
-		T:     p.NewScalar(),
 		DivV:  p.NewScalar(),
 		W:     sphops.NewWorkspace(p),
 	}
 	pl.stage.init(pl)
+	pl.cols.init(pl)
 	pl.precomputeOmega(omega)
 	pl.precomputeOwnership()
 	return pl

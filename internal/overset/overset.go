@@ -157,6 +157,12 @@ type Exchanger struct {
 	pool *par.Pool
 	// staging buffers: per target, one radial column (x3 for vectors)
 	a, b [][3][]float64
+
+	// The pooled gather in flight: its fields, and the range functions
+	// bound once, so handing them to the pool allocates nothing.
+	scalars         [2]*field.Scalar
+	vectors         [2]*field.Vector
+	scalarFn, vecFn func(lo, hi int)
 }
 
 // SetPool routes the gather (interpolation) loops through the worker
@@ -169,6 +175,7 @@ func (e *Exchanger) SetPool(pool *par.Pool) { e.pool = pool }
 func NewExchanger(plan *Plan, h int) *Exchanger {
 	nrP := plan.Spec.Nr + 2*h
 	e := &Exchanger{plan: plan, h: h, nrP: nrP}
+	e.scalarFn, e.vecFn = e.gatherScalars, e.gatherVectors
 	e.a = make([][3][]float64, len(plan.Targets))
 	e.b = make([][3][]float64, len(plan.Targets))
 	for i := range e.a {
@@ -189,13 +196,9 @@ func (e *Exchanger) count(components int) {
 // ExchangeScalar sets the rim values of each panel's scalar field from
 // the partner panel.
 func (e *Exchanger) ExchangeScalar(yin, yang *field.Scalar) {
-	// The closure exists only on the pooled path: a serial exchange
-	// allocates nothing.
-	if n := len(e.plan.Targets); e.pool == nil {
-		e.gatherScalars(yin, yang, 0, n)
-	} else {
-		e.pool.For(n, func(lo, hi int) { e.gatherScalars(yin, yang, lo, hi) })
-	}
+	e.scalars = [2]*field.Scalar{yin, yang}
+	e.pool.For(len(e.plan.Targets), e.scalarFn)
+	e.scalars = [2]*field.Scalar{}
 	h := e.h
 	for i, t := range e.plan.Targets {
 		copy(yin.Row(t.Recv.J+h, t.Recv.K+h), e.a[i][0])
@@ -208,11 +211,9 @@ func (e *Exchanger) ExchangeScalar(yin, yang *field.Scalar) {
 // the partner panel, rotating tangential components between the frames.
 // The radial component is frame-invariant.
 func (e *Exchanger) ExchangeVector(yin, yang *field.Vector) {
-	if n := len(e.plan.Targets); e.pool == nil {
-		e.gatherVectors(yin, yang, 0, n)
-	} else {
-		e.pool.For(n, func(lo, hi int) { e.gatherVectors(yin, yang, lo, hi) })
-	}
+	e.vectors = [2]*field.Vector{yin, yang}
+	e.pool.For(len(e.plan.Targets), e.vecFn)
+	e.vectors = [2]*field.Vector{}
 	for i, t := range e.plan.Targets {
 		e.scatterVector(yin, t, e.a[i])
 		e.scatterVector(yang, t, e.b[i])
@@ -222,9 +223,10 @@ func (e *Exchanger) ExchangeVector(yin, yang *field.Vector) {
 	perfcount.AddFlops(int64(len(e.plan.Targets)) * int64(e.nrP) * 8)
 }
 
-// gatherScalars interpolates targets [lo, hi) of both directions into
-// the staging columns.
-func (e *Exchanger) gatherScalars(yin, yang *field.Scalar, lo, hi int) {
+// gatherScalars interpolates targets [lo, hi) of both directions of the
+// scalar exchange in flight into the staging columns.
+func (e *Exchanger) gatherScalars(lo, hi int) {
+	yin, yang := e.scalars[0], e.scalars[1]
 	for i := lo; i < hi; i++ {
 		t := e.plan.Targets[i]
 		gatherScalar(yang, t, e.h, e.a[i][0]) // Yin rim <- Yang donors
@@ -232,7 +234,8 @@ func (e *Exchanger) gatherScalars(yin, yang *field.Scalar, lo, hi int) {
 	}
 }
 
-func (e *Exchanger) gatherVectors(yin, yang *field.Vector, lo, hi int) {
+func (e *Exchanger) gatherVectors(lo, hi int) {
+	yin, yang := e.vectors[0], e.vectors[1]
 	for i := lo; i < hi; i++ {
 		t := e.plan.Targets[i]
 		e.gatherVector(yang, t, e.a[i])

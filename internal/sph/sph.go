@@ -110,13 +110,11 @@ func clamp(x, lo, hi float64) float64 {
 // Cartesian components. For the magnetically confined shell (Br pinned
 // to zero at the walls) this is the natural measure of the dynamo's
 // dipole: it grows as the dynamo amplifies the seed and flips sign at a
-// polarity reversal. ComputeVTB and FinishRHS-side currents must be
-// current; callers should invoke mhd.ComputeVTB plus the J update, or
-// simply use MomentOf below which recomputes everything it needs.
+// polarity reversal. It recomputes B and the full-field J it reads.
 func MagneticMoment(sv *mhd.Solver) coords.Cartesian {
 	var m coords.Cartesian
 	for _, pl := range sv.Panels {
-		mhd.ComputeVTB(pl, &pl.U)
+		mhd.ComputeB(pl, &pl.U)
 		mhd.ComputeJ(pl)
 		p := pl.Patch
 		h := p.H

@@ -48,39 +48,83 @@ func newColArgs(p *grid.Patch, v, out *field.Vector, div *field.Scalar) colArgs 
 // rectangle's phi extent is range-split over the patch worker pool;
 // distinct (j, k) columns own disjoint output rows, and a body writes
 // only its own column's output rows and the scratch rows, so the
-// parallel form is bit-identical to the serial one. Without a pool the
-// sweep runs inline and, once w holds a row set, allocates nothing; a
-// pooled sweep allocates the closure it hands the workers.
+// parallel form is bit-identical to the serial one. The rectangle and
+// kernel in flight live in w, whose tile function is bound once, so
+// neither a serial nor a pooled sweep allocates once w holds its row
+// sets.
 func sweepOn(reg grid.Region, w *Workspace, rows int, a colArgs) {
+	sw := &w.sweep
+	sw.a, sw.rows = a, rows
 	for _, rc := range reg {
 		if rc.Empty() {
 			continue
 		}
-		if a.p.Par == nil {
-			sweepRange(rc, w, rows, &a, 0, rc.K1-rc.K0)
-			continue
-		}
-		rc, a := rc, a // the closure's own copies: only they move to the heap
-		a.p.Par.For(rc.K1-rc.K0, func(klo, khi int) {
-			sweepRange(rc, w, rows, &a, klo, khi)
-		})
+		sw.rc = rc
+		a.p.Par.For(rc.K1-rc.K0, sw.fn)
 	}
+	sw.a = colArgs{}
 }
 
-// sweepRange runs a's column body over the columns of rc in phi offsets
-// [klo, khi).
-func sweepRange(rc grid.Rect, w *Workspace, rows int, a *colArgs, klo, khi int) {
-	s := w.Rows(rows)
+// regionSweep is a workspace's sweep in flight: sweepOn's rectangle,
+// kernel and row count, and fn, tile bound once at NewWorkspace.
+type regionSweep struct {
+	w    *Workspace
+	rc   grid.Rect
+	a    colArgs
+	rows int
+	fn   func(klo, khi int)
+}
+
+// tile runs the sweep's column body over the columns of its rectangle
+// in phi offsets [klo, khi).
+func (sw *regionSweep) tile(klo, khi int) {
+	rc, a := sw.rc, &sw.a
+	s := sw.w.Rows(sw.rows)
+	var v SliceRows
 	for k := rc.K0 + klo; k < rc.K0+khi; k++ {
+		if a.div != nil {
+			v.BindFields(k, a.v.R, a.v.T, a.v.P)
+		}
 		for j := rc.J0; j < rc.J1; j++ {
 			if a.div != nil {
-				divColumn(a, j, k, s)
+				divColumn(a, j, k, &v, s, a.div.Row(j, k))
 			} else {
 				curlColumn(a, j, k, s, a.out.R.Row(j, k), a.out.T.Row(j, k), a.out.P.Row(j, k))
 			}
 		}
 	}
-	w.PutRows(s)
+	sw.w.PutRows(s)
+}
+
+// SliceRows is the source a column body reads a field's rows from
+// around φ-slice k: Plane[dk+2][c] holds component c on slice k+dk,
+// one padded radial row of NrP values per θ index, for |dk| <= 2. A
+// caller binds it to full fields (BindFields) or to planes of its own,
+// such as a ring of slices it fills as a sweep advances.
+type SliceRows struct {
+	Plane [5][4][]float64
+	NrP   int
+}
+
+// Row is component c's padded radial row of column j on slice k+dk.
+func (v *SliceRows) Row(c, j, dk int) []float64 {
+	return v.Plane[dk+2][c][j*v.NrP:][:v.NrP]
+}
+
+// BindFields points v at the fields fs, component c at fs[c], around
+// padded φ-slice k; slices outside the padded arrays are left unbound.
+func (v *SliceRows) BindFields(k int, fs ...*field.Scalar) {
+	for c, f := range fs {
+		nrP, ntP, npP := f.Padded()
+		plane := ntP * nrP
+		v.NrP = nrP
+		for dk := -2; dk <= 2; dk++ {
+			v.Plane[dk+2][c] = nil
+			if kk := k + dk; kk >= 0 && kk < npP {
+				v.Plane[dk+2][c] = f.Data[kk*plane:][:plane]
+			}
+		}
+	}
 }
 
 // countOn charges the aggregate a region evaluation owes the counters:
@@ -102,38 +146,70 @@ func countOn(p *grid.Patch, reg grid.Region, flopsPerNode, loopsPerColumn int) {
 // re-deriving the two global-boundary entries; every stencil and
 // combine statement matches the full-field sweep, so the values are
 // exact.
+//
+//yyvet:ignore reach oracle for TestSliceVTMatchesFullVT and the lane and MMS tests
 func DivOn(p *grid.Patch, reg grid.Region, v *field.Vector, out *field.Scalar, w *Workspace) {
-	sweepOn(reg, w, 2, newColArgs(p, v, nil, out))
+	sweepOn(reg, w, DivRows, newColArgs(p, v, nil, out))
+	ChargeDiv(p, reg)
+}
+
+// DivRows is the number of padded radial scratch rows a divergence
+// column needs: its two angular derivative rows.
+const DivRows = 2
+
+// ChargeDiv charges the counters what DivOn charges on reg, for a
+// caller that evaluates the same columns through DivColumns.
+func ChargeDiv(p *grid.Patch, reg grid.Region) {
 	countOn(p, reg, 18, 4)
 }
 
-// divColumn is DivOn's body for column (j, k), with its two angular
-// derivative rows in s.
-func divColumn(a *colArgs, j, k int, s []float64) {
-	p, v, out := a.p, a.v, a.div
+// DivColumns is DivOn's column body bound to one patch, for a caller
+// that supplies the input field's rows itself (components 0, 1, 2 of a
+// SliceRows are v_r, v_θ, v_φ) and takes the output a column at a time.
+// It charges nothing (ChargeDiv does).
+type DivColumns struct{ a colArgs }
+
+// BindDiv binds the divergence body on p.
+func BindDiv(p *grid.Patch) DivColumns {
+	return DivColumns{newColArgs(p, nil, nil, nil)}
+}
+
+// Column writes div v at column (j, k), v bound around slice k, into
+// the patch nodes [H, H+Nr) of the padded row out, bitwise as DivOn
+// writes them, with s (DivRows padded rows) as scratch.
+func (d *DivColumns) Column(j, k int, v *SliceRows, s, out []float64) {
+	divColumn(&d.a, j, k, v, s, out)
+}
+
+// divColumn is DivOn's body for column (j, k), reading v's rows from v,
+// with its two angular derivative rows in s and its output in the
+// padded row orR.
+func divColumn(a *colArgs, j, k int, v *SliceRows, s, orR []float64) {
+	p := a.p
 	h := p.H
 	n := p.Nr
 	cr, ct, cp := a.cr, a.ct, a.cp
 	loT, hiT, loP, hiP := a.loT, a.hiT, a.loP, a.hiP
 	nrP := n + 2*h
 	dtr, dpr := s[:nrP], s[nrP:2*nrP]
+	w := func(c, jj, dk int) []float64 { return v.Row(c, jj, dk)[h:][:n] }
 
 	// Theta pass: d/dtheta of v_theta.
 	{
 		bw := dtr[h:][:n]
 		switch {
 		case loT && j == h:
-			t0, t1, t2 := v.T.Row(j, k)[h:][:n], v.T.Row(j+1, k)[h:][:n], v.T.Row(j+2, k)[h:][:n]
+			t0, t1, t2 := w(1, j, 0), w(1, j+1, 0), w(1, j+2, 0)
 			for i := 0; i < n; i++ {
 				bw[i] = ct * (-3*t0[i] + 4*t1[i] - t2[i])
 			}
 		case hiT && j == h+p.Nt-1:
-			t0, t1, t2 := v.T.Row(j, k)[h:][:n], v.T.Row(j-1, k)[h:][:n], v.T.Row(j-2, k)[h:][:n]
+			t0, t1, t2 := w(1, j, 0), w(1, j-1, 0), w(1, j-2, 0)
 			for i := 0; i < n; i++ {
 				bw[i] = ct * (3*t0[i] - 4*t1[i] + t2[i])
 			}
 		default:
-			tP, tM := v.T.Row(j+1, k)[h:][:n], v.T.Row(j-1, k)[h:][:n]
+			tP, tM := w(1, j+1, 0), w(1, j-1, 0)
 			lo := 0
 			if simd.AVX2 {
 				lo = diffPair(ct, bw, tP, tM, nil, nil, nil)
@@ -149,17 +225,17 @@ func divColumn(a *colArgs, j, k int, s []float64) {
 		cw := dpr[h:][:n]
 		switch {
 		case loP && k == h:
-			p0, p1, p2 := v.P.Row(j, k)[h:][:n], v.P.Row(j, k+1)[h:][:n], v.P.Row(j, k+2)[h:][:n]
+			p0, p1, p2 := w(2, j, 0), w(2, j, 1), w(2, j, 2)
 			for i := 0; i < n; i++ {
 				cw[i] = cp * (-3*p0[i] + 4*p1[i] - p2[i])
 			}
 		case hiP && k == h+p.Np-1:
-			p0, p1, p2 := v.P.Row(j, k)[h:][:n], v.P.Row(j, k-1)[h:][:n], v.P.Row(j, k-2)[h:][:n]
+			p0, p1, p2 := w(2, j, 0), w(2, j, -1), w(2, j, -2)
 			for i := 0; i < n; i++ {
 				cw[i] = cp * (3*p0[i] - 4*p1[i] + p2[i])
 			}
 		default:
-			pP, pM := v.P.Row(j, k+1)[h:][:n], v.P.Row(j, k-1)[h:][:n]
+			pP, pM := w(2, j, 1), w(2, j, -1)
 			lo := 0
 			if simd.AVX2 {
 				lo = diffPair(cp, cw, pP, pM, nil, nil, nil)
@@ -171,12 +247,12 @@ func divColumn(a *colArgs, j, k int, s []float64) {
 	}
 
 	// Combine, with the radial stencil formed in place.
-	vrR := v.R.Row(j, k)
-	orR := out.Row(j, k)
+	vrR := v.Row(0, j, 0)
+	vtR := v.Row(1, j, 0)
 	or := orR[h:][:n]
 	vr := vrR[h:][:n]
 	vrp, vrm := vrR[h+1:][:n], vrR[h-1:][:n]
-	vt := v.T.Row(j, k)[h:][:n]
+	vt := vtR[h:][:n]
 	invr := p.InvR[h:][:n]
 	db, dc := dtr[h:][:n], dpr[h:][:n]
 	cot := p.CotT[j]
@@ -198,13 +274,13 @@ func divColumn(a *colArgs, j, k int, s []float64) {
 		i := h
 		ir := p.InvR[i]
 		orR[i] = (cr * (-3*vrR[i] + 4*vrR[i+1] - vrR[i+2])) + 2*vrR[i]*ir +
-			ir*(dtr[i]+cot*v.T.Row(j, k)[i]) + ir*ist*dpr[i]
+			ir*(dtr[i]+cot*vtR[i]) + ir*ist*dpr[i]
 	}
 	if p.GlobalEdge(1) {
 		i := h + n - 1
 		ir := p.InvR[i]
 		orR[i] = (cr * (3*vrR[i] - 4*vrR[i-1] + vrR[i-2])) + 2*vrR[i]*ir +
-			ir*(dtr[i]+cot*v.T.Row(j, k)[i]) + ir*ist*dpr[i]
+			ir*(dtr[i]+cot*vtR[i]) + ir*ist*dpr[i]
 	}
 }
 

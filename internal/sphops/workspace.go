@@ -31,11 +31,17 @@ type Workspace struct {
 	// one set per pool range, not per column, so contention is nil.
 	rowsMu sync.Mutex
 	rows   [][]float64
+
+	// The column-fused sweep in flight (sweepOn).
+	sweep regionSweep
 }
 
 // NewWorkspace creates a scratch pool for fields shaped like p.
 func NewWorkspace(p *grid.Patch) *Workspace {
-	return &Workspace{patch: p}
+	w := &Workspace{patch: p}
+	w.sweep.w = w
+	w.sweep.fn = w.sweep.tile
+	return w
 }
 
 // Get returns a scratch scalar (contents unspecified).
