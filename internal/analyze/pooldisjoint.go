@@ -7,8 +7,8 @@ import (
 )
 
 // PoolDisjoint checks the determinism contract of par.Pool.For tile
-// closures: every tile owns the half-open range [lo,hi), so parallel
-// execution is bit-identical to serial execution ONLY if each closure
+// functions: every tile owns the half-open range [lo,hi), so parallel
+// execution is bit-identical to serial execution ONLY if each tile
 // writes exclusively through indices derived from its tile range.
 // Two violations are flagged: accumulation into a captured scalar
 // (a data race and an order-dependent reduction — use a per-tile
@@ -16,62 +16,133 @@ import (
 // writes into captured memory indexed by nothing derived from the tile
 // induction variables (tiles may collide on the same element).
 //
+// A tile function is a function literal passed to For, or a method or
+// function of the package named there: directly (p.For(n, w.tile)) or
+// through a variable or struct field the package binds it to
+// (w.fn = w.tile; p.For(n, w.fn)), the way a hot path hands over a
+// tile without allocating a closure. In a method the receiver counts
+// as captured memory, so its fields are checked as a closure's
+// captured variables are.
+//
 // No check.sh stage catches it reliably (EXPERIMENTS.md G2): a captured
-// counter in the tile closure of sphops' region sweep was reported by
+// counter in the tile function of sphops' region sweep was reported by
 // -race in 7 of 8 runs of decomp's pooled tests, missing the second of
 // the first three.
 var PoolDisjoint = &Analyzer{
 	Name: "pool-disjoint",
-	Doc: "par.Pool.For tile closures must write only through tile-derived indices; " +
+	Doc: "par.Pool.For tile functions must write only through tile-derived indices; " +
 		"captured-scalar accumulation belongs in ReduceSum/ReduceMax.",
 	Run: runPoolDisjoint,
 }
 
+// tileBody is one tile function: its (lo, hi) parameters, its body and
+// the source span inside which a declaration is the tile's own rather
+// than captured (a method's receiver lies outside it).
+type tileBody struct {
+	params   *ast.FieldList
+	body     *ast.BlockStmt
+	from, to token.Pos
+}
+
 func runPoolDisjoint(pass *Pass) error {
+	info := pass.TypesInfo
+	decls := map[types.Object]*ast.FuncDecl{}
+	for _, file := range pass.Files {
+		for _, d := range file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				decls[info.Defs[fd.Name]] = fd
+			}
+		}
+	}
+	// tileOf resolves an expression naming a function to its body: a
+	// literal, or a function or method of the package.
+	tileOf := func(e ast.Expr) *tileBody {
+		if lit, ok := ast.Unparen(e).(*ast.FuncLit); ok {
+			return &tileBody{lit.Type.Params, lit.Body, lit.Pos(), lit.End()}
+		}
+		if fd := decls[objOf(info, e)]; fd != nil {
+			return &tileBody{fd.Type.Params, fd.Body, fd.Type.Params.Pos(), fd.End()}
+		}
+		return nil
+	}
+
+	// bound maps a variable or struct field to the functions the
+	// package assigns it.
+	bound := map[types.Object][]*tileBody{}
+	var fors []*ast.CallExpr
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if lit := poolForLit(pass.TypesInfo, call); lit != nil {
-				checkTileClosure(pass, lit)
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if len(n.Rhs) != len(n.Lhs) {
+					break
+				}
+				for i, lhs := range n.Lhs {
+					if obj, tb := objOf(info, lhs), tileOf(n.Rhs[i]); obj != nil && tb != nil {
+						bound[obj] = append(bound[obj], tb)
+					}
+				}
+			case *ast.CallExpr:
+				if isPoolFor(info, n) {
+					fors = append(fors, n)
+				}
 			}
 			return true
 		})
 	}
+
+	checked := map[*ast.BlockStmt]bool{}
+	for _, call := range fors {
+		tiles := bound[objOf(info, call.Args[1])]
+		if tb := tileOf(call.Args[1]); tb != nil {
+			tiles = []*tileBody{tb}
+		}
+		for _, tb := range tiles {
+			if !checked[tb.body] {
+				checked[tb.body] = true
+				checkTile(pass, tb)
+			}
+		}
+	}
 	return nil
 }
 
-// poolForLit recognizes a par.Pool For call whose last argument is a
-// function literal and returns that literal.
-func poolForLit(info *types.Info, call *ast.CallExpr) *ast.FuncLit {
+// isPoolFor recognizes a call of a par.Pool method For(n, fn).
+func isPoolFor(info *types.Info, call *ast.CallExpr) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "For" || len(call.Args) != 2 {
-		return nil
+		return false
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Name() != "par" {
-		return nil
+		return false
 	}
 	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	lit, ok := ast.Unparen(call.Args[1]).(*ast.FuncLit)
-	if !ok {
-		return nil
-	}
-	return lit
+	return ok && sig.Recv() != nil
 }
 
-// checkTileClosure analyzes one tile closure body.
-func checkTileClosure(pass *Pass, lit *ast.FuncLit) {
+// objOf returns the object an identifier or a selector's name denotes,
+// or nil.
+func objOf(info *types.Info, e ast.Expr) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		if obj := info.Uses[e]; obj != nil {
+			return obj
+		}
+		return info.Defs[e]
+	case *ast.SelectorExpr:
+		return info.Uses[e.Sel]
+	}
+	return nil
+}
+
+// checkTile analyzes one tile function body.
+func checkTile(pass *Pass, tb *tileBody) {
 	info := pass.TypesInfo
 
-	// Seed the tile-derived set with the closure's (lo, hi) parameters.
+	// Seed the tile-derived set with the tile's (lo, hi) parameters.
 	derived := map[types.Object]bool{}
-	for _, f := range lit.Type.Params.List {
+	for _, f := range tb.params.List {
 		for _, name := range f.Names {
 			if obj := info.Defs[name]; obj != nil {
 				derived[obj] = true
@@ -79,7 +150,7 @@ func checkTileClosure(pass *Pass, lit *ast.FuncLit) {
 		}
 	}
 	captured := func(obj types.Object) bool {
-		return obj != nil && (obj.Pos() < lit.Pos() || obj.Pos() > lit.End())
+		return obj != nil && (obj.Pos() < tb.from || obj.Pos() > tb.to)
 	}
 	refsAny := func(e ast.Expr, set map[types.Object]bool) bool {
 		found := false
@@ -127,7 +198,7 @@ func checkTileClosure(pass *Pass, lit *ast.FuncLit) {
 				changed = true
 			}
 		}
-		ast.Inspect(lit.Body, func(n ast.Node) bool {
+		ast.Inspect(tb.body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncLit:
 				for _, f := range n.Type.Params.List {
@@ -190,6 +261,24 @@ func checkTileClosure(pass *Pass, lit *ast.FuncLit) {
 					"accumulation into captured %s inside a Pool.For tile closure; compute a per-tile partial and combine in tile order (the ReduceSum/ReduceMax shape)",
 					lhs.Name)
 			}
+		case *ast.SelectorExpr:
+			// A scalar field of captured memory: s.n, s.t.n, or a
+			// method tile's receiver field.
+			if refsAny(lhs, derived) {
+				return
+			}
+			if _, isBasic := info.TypeOf(lhs).Underlying().(*types.Basic); !isBasic {
+				return
+			}
+			base := baseIdent(lhs)
+			if base == nil {
+				return
+			}
+			if obj := info.Uses[base]; captured(obj) || fromCaptured[obj] {
+				report(lhs.Pos(),
+					"accumulation into captured %s inside a Pool.For tile closure; compute a per-tile partial and combine in tile order (the ReduceSum/ReduceMax shape)",
+					types.ExprString(lhs))
+			}
 		case *ast.IndexExpr:
 			if refsAny(lhs, derived) {
 				return // indexed by the tile range somewhere in the chain
@@ -211,7 +300,7 @@ func checkTileClosure(pass *Pass, lit *ast.FuncLit) {
 		_ = compound
 	}
 
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
+	ast.Inspect(tb.body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			if n.Tok == token.DEFINE {

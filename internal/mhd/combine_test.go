@@ -371,13 +371,16 @@ func TestAdvanceAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// One step takes the serial ring and rows; a pooled step
+			// warms up until every worker has taken its own.
+			warm := 1
 			if workers > 1 {
 				pool := par.NewPool(workers)
 				defer pool.Close()
 				sv.SetPool(pool)
+				warm = 3
 			}
-			// Warm up until every worker has taken its own ring and rows.
-			for n := 0; n < 3; n++ {
+			for n := 0; n < warm; n++ {
 				sv.Advance(1e-3)
 			}
 			if a := testing.AllocsPerRun(5, func() { sv.Advance(1e-3) }); a != 0 {
@@ -393,9 +396,7 @@ func TestAdvanceAllocs(t *testing.T) {
 // interleaved rounds). It asserts nothing: the figure is for a change's
 // description.
 func TestFoldRatio(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("timing report: skipped under -short and -race")
-	}
+	skipTimingReport(t)
 	sv, oracle, ks := solverPair(t, grid.NewSpec(33, 33))
 	dt := sv.EstimateDT(0.3)
 	const rounds = 31

@@ -192,22 +192,22 @@ func (f *stager) tile(a, b int) {
 }
 
 // firstReader and lastReader bound the owned φ-slices whose columns
-// read U on owned slice d: its neighbours d-1 and d+1, except that the
-// one-sided stencils at a global φ edge reach two slices in (the
-// inverse of vtReach).
+// read U on owned slice d: the first and last slice near d whose
+// vtReach covers d.
 func (f *stager) firstReader(d int) int {
-	if d == 2 && f.pl.Patch.GlobalEdge(4) {
-		return 0
+	for e := max(d-2, 0); ; e++ {
+		if lo, hi := vtReach(f.pl.Patch, e); lo <= d && d <= hi {
+			return e
+		}
 	}
-	return max(d-1, 0)
 }
 
 func (f *stager) lastReader(d int) int {
-	np := f.pl.Patch.Np
-	if d == np-3 && f.pl.Patch.GlobalEdge(5) {
-		return np - 1
+	for e := min(d+2, f.pl.Patch.Np-1); ; e-- {
+		if lo, hi := vtReach(f.pl.Patch, e); lo <= d && d <= hi {
+			return e
+		}
 	}
-	return min(d+1, np-1)
 }
 
 // shared reports whether a slice of tile [a, b) is read by another

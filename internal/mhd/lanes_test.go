@@ -205,9 +205,7 @@ func stateRows(st *State, j, k int) outRows {
 // lane time, median and quartiles of interleaved rounds). It asserts
 // nothing: the figures are for a change's description.
 func TestLanesRatio(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("timing report: skipped under -short and -race")
-	}
+	skipTimingReport(t)
 	if !simd.AVX2 {
 		t.Skip("no lane bodies in this build or on this CPU")
 	}

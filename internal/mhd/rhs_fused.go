@@ -257,9 +257,10 @@ func (r *vtRing) at(p *grid.Patch, u *State, kk int, v *sphops.SliceRows) {
 }
 
 // vtReach bounds the owned φ-slices (offsets from the first owned
-// slice) whose V and T the columns of owned slice d read: its
+// slice) whose U, and so V and T, the columns of owned slice d read: its
 // neighbours, except that the one-sided stencils at a global φ edge
-// reach two slices in. firstReader and lastReader are its inverse.
+// reach two slices in. It is the one statement of that reach:
+// stager.firstReader and lastReader invert it.
 func vtReach(p *grid.Patch, d int) (lo, hi int) {
 	switch {
 	case d == 0 && p.GlobalEdge(4):

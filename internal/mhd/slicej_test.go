@@ -216,15 +216,21 @@ func TestVTStayNil(t *testing.T) {
 	}
 }
 
+// skipTimingReport skips a timing report, which asserts nothing,
+// under -short, -race and purego.
+func skipTimingReport(t *testing.T) {
+	if testing.Short() || raceEnabled || puregoBuild {
+		t.Skip("timing report: skipped under -short, -race and purego")
+	}
+}
+
 // TestSliceJRatio prints how many times faster a serial 33x33 step runs
 // with j evaluated a φ-slice at a time inside the stage sweep than
 // through the full-field J (old step time over new, median and
 // quartiles of interleaved rounds). It asserts nothing: the figure is
 // for a change's description.
 func TestSliceJRatio(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("timing report: skipped under -short and -race")
-	}
+	skipTimingReport(t)
 	sv, oracle, _ := solverPair(t, grid.NewSpec(33, 33))
 	dt := sv.EstimateDT(0.3)
 	const rounds = 31
@@ -239,9 +245,7 @@ func TestSliceJRatio(t *testing.T) {
 // quartiles of interleaved rounds). It asserts nothing: the figures are
 // for a change's description.
 func TestSliceVTRatio(t *testing.T) {
-	if testing.Short() || raceEnabled {
-		t.Skip("timing report: skipped under -short and -race")
-	}
+	skipTimingReport(t)
 	for _, g := range []struct{ n, rounds int }{{33, 31}, {17, 61}} {
 		sv, oracle, _ := solverPair(t, grid.NewSpec(g.n, g.n))
 		dt := sv.EstimateDT(0.3)
